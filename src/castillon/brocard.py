@@ -11,12 +11,12 @@ checks that claim numerically, object by object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ccp_closed, core
-from .core import CircleData, ConicMatrix, TriangleData
+from .core import CircleData, ConicMatrix, TriangleData, VertexMatrix
 from .errors import OutOfRange
 
 Array = np.ndarray
@@ -110,6 +110,36 @@ def brocard_frame(tri) -> BrocardFrame:
     )
 
 
+class SolvedTriangle:
+    """A reference triangle with the closed-form solution pair of each circle
+    and the Brocard frames of the two solution triangles, each built on first
+    use.  The claim verifiers take one of these or a bare TriangleData, so a
+    caller checking several claims on one triangle solves each circle once.
+    """
+
+    def __init__(self, triangle: TriangleData):
+        self.triangle = triangle
+        self._pairs: dict[str, tuple[VertexMatrix, VertexMatrix]] = {}
+        self._frames: dict[str, tuple[BrocardFrame, BrocardFrame]] = {}
+
+    def solutions(self, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
+        if tag not in self._pairs:
+            self._pairs[tag] = ccp_closed.solutions_for(self.triangle, tag)
+        return self._pairs[tag]
+
+    def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
+        if tag not in self._frames:
+            self._frames[tag] = tuple(
+                brocard_frame(core.triangle_from_vertices(vm.cartesian(self.triangle)))
+                for vm in self.solutions(tag))
+        return self._frames[tag]
+
+
+def solved(tri) -> SolvedTriangle:
+    """`tri` if it is a SolvedTriangle, else a new one of the TriangleData."""
+    return tri if isinstance(tri, SolvedTriangle) else SolvedTriangle(tri)
+
+
 def brocard_angle_from_eccentricity(delta: float, R: float) -> float:
     """Brocard angle from the axis eccentricity: tan w = (sqrt3/3) sqrt(1 - (d/R)^2)."""
     if delta < 0.0 or R <= 0.0 or delta > R * (1.0 + 1e-12):
@@ -144,8 +174,11 @@ def _ellipse_conic(center: Array, direction: Array, a_e: float, b_e: float) -> C
 
 
 def brocard_inellipse(tri) -> BrocardInellipse:
-    """Inellipse with the Brocard points as foci; semi-axes R[sin w, 2 sin^2 w]."""
-    frame = brocard_frame(tri)
+    """Inellipse with the Brocard points as foci; semi-axes R[sin w, 2 sin^2 w].
+
+    Takes a built BrocardFrame, or anything `brocard_frame` takes.
+    """
+    frame = tri if isinstance(tri, BrocardFrame) else brocard_frame(tri)
     a_e = frame.R * math.sin(frame.omega)
     b_e = 2.0 * frame.R * math.sin(frame.omega) ** 2
     f1, f2 = frame.Omega1_cart, frame.Omega2_cart
@@ -172,10 +205,23 @@ class Check:
     note: str = ""
 
 
+def check(name, residual, tol, note="") -> Check:
+    return Check(name=name, residual=float(residual), tolerance=tol,
+                 passed=bool(residual <= tol), note=note)
+
+
+def skip(name, note) -> Check:
+    return Check(name=name, residual=0.0, tolerance=0.0, passed=True,
+                 skipped=True, note=note)
+
+
 @dataclass(frozen=True)
 class Report:
+    """Checks of one claim; `note` summarizes them for the claim's line."""
+
     name: str
     checks: tuple[Check, ...]
+    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -186,29 +232,11 @@ class Report:
         active = [c.residual for c in self.checks if not c.skipped]
         return max(active) if active else 0.0
 
-
-def _check(name, residual, tol, note="") -> Check:
-    return Check(name=name, residual=float(residual), tolerance=tol,
-                 passed=bool(residual <= tol), note=note)
-
-
-def _skip(name, note) -> Check:
-    return Check(name=name, residual=0.0, tolerance=0.0, passed=True,
-                 skipped=True, note=note)
-
-
-def _rescale(checks, scale: float):
-    if scale == 1.0:
-        return tuple(checks)
-    out = []
-    for c in checks:
-        if c.skipped:
-            out.append(c)
-        else:
-            tol = c.tolerance * scale
-            out.append(Check(name=c.name, residual=c.residual, tolerance=tol,
-                             passed=c.residual <= tol, skipped=False, note=c.note))
-    return tuple(out)
+    def rescaled(self, scale: float) -> "Report":
+        """The same report with every active tolerance multiplied by `scale`."""
+        return replace(self, checks=tuple(
+            c if c.skipped else check(c.name, c.residual, c.tolerance * scale, c.note)
+            for c in self.checks))
 
 
 def shared_brocard_points(t: TriangleData) -> tuple[Array, Array]:
@@ -234,107 +262,105 @@ def _radical_axis(c1: CircleData, c2: CircleData) -> Array:
     return np.array([2.0 * d[0], 2.0 * d[1], n])
 
 
-def verify_shared_objects(t: TriangleData, tolerance_scale: float = 1.0) -> Report:
+def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
     """Check that both incircle solutions share every Brocard-frame object.
 
     Degenerate (equilateral) frames skip the axis-dependent comparisons; all
-    remaining ones must still agree.  `tolerance_scale` loosens every check
-    uniformly (callers pass the conditioning factor of thin triangles).
+    remaining ones must still agree.
     """
-    vm1, vm2 = ccp_closed.incircle_solutions(t)
-    tri1 = core.triangle_from_vertices(vm1.cartesian(t))
-    tri2 = core.triangle_from_vertices(vm2.cartesian(t))
-    f1, f2 = brocard_frame(tri1), brocard_frame(tri2)
-    e1, e2 = brocard_inellipse(tri1), brocard_inellipse(tri2)
+    st = solved(tri)
+    t = st.triangle
+    f1, f2 = st.frames(core.INCIRCLE)
+    tri1, tri2 = f1.triangle, f2.triangle
+    e1, e2 = brocard_inellipse(f1), brocard_inellipse(f2)
     R = f1.R
     checks: list[Check] = []
 
-    checks.append(_check("brocard-angle-equal", abs(f1.omega - f2.omega), 1e-12))
-    checks.append(_check("brocard-angle-bound",
-                         max(0.0, f1.omega - math.pi / 6.0 - 1e-12), 1e-12,
-                         note="0 < omega <= pi/6"))
-    checks.append(_check(
+    checks.append(check("brocard-angle-equal", abs(f1.omega - f2.omega), 1e-12))
+    checks.append(check("brocard-angle-bound",
+                        max(0.0, f1.omega - math.pi / 6.0 - 1e-12), 1e-12,
+                        note="0 < omega <= pi/6"))
+    checks.append(check(
         "angle-eccentricity-formula",
         max(abs(brocard_angle_from_eccentricity(f.delta, f.R) - f.omega) for f in (f1, f2)),
         1e-10))
 
     for name, p1, p2 in (("brocard-point-1", f1.Omega1_cart, f2.Omega1_cart),
                          ("brocard-point-2", f1.Omega2_cart, f2.Omega2_cart)):
-        checks.append(_check(f"{name}-shared", np.linalg.norm(p1 - p2) / R, 1e-9))
+        checks.append(check(f"{name}-shared", np.linalg.norm(p1 - p2) / R, 1e-9))
 
     first, second = shared_brocard_points(t)
-    checks.append(_check("brocard-point-1-closed-form",
-                         core.sin_angle(core.convert_bary(f1.Omega1, tri1, t), first), 1e-9))
-    checks.append(_check("brocard-point-2-closed-form",
-                         core.sin_angle(core.convert_bary(f1.Omega2, tri1, t), second), 1e-9))
+    checks.append(check("brocard-point-1-closed-form",
+                        core.sin_angle(core.convert_bary(f1.Omega1, tri1, t), first), 1e-9))
+    checks.append(check("brocard-point-2-closed-form",
+                        core.sin_angle(core.convert_bary(f1.Omega2, tri1, t), second), 1e-9))
 
     gap2 = np.linalg.norm(f1.Omega1_cart - f1.Omega2_cart) ** 2
     expect = inter_brocard_distance_sq(R, f1.omega)
     scale = max(expect, (R * math.sin(f1.omega)) ** 2)
-    checks.append(_check("inter-brocard-distance", abs(gap2 - expect) / scale, 1e-10))
+    checks.append(check("inter-brocard-distance", abs(gap2 - expect) / scale, 1e-10))
 
-    checks.append(_check("circumcenter-shared",
-                         np.linalg.norm(f1.X3_cart - f2.X3_cart) / R, 1e-9))
-    checks.append(_check("symmedian-shared",
-                         np.linalg.norm(f1.X6_cart - f2.X6_cart) / R, 1e-9))
+    checks.append(check("circumcenter-shared",
+                        np.linalg.norm(f1.X3_cart - f2.X3_cart) / R, 1e-9))
+    checks.append(check("symmedian-shared",
+                        np.linalg.norm(f1.X6_cart - f2.X6_cart) / R, 1e-9))
 
-    checks.append(_check("brocard-circle-shared",
-                         (np.linalg.norm(f1.circle.center - f2.circle.center)
-                          + abs(f1.circle.radius - f2.circle.radius)) / R, 1e-9))
+    checks.append(check("brocard-circle-shared",
+                        (np.linalg.norm(f1.circle.center - f2.circle.center)
+                         + abs(f1.circle.radius - f2.circle.radius)) / R, 1e-9))
 
-    checks.append(_check("X15-shared",
-                         core.sin_angle(core.convert_bary(f1.X15, tri1, t),
-                                        core.convert_bary(f2.X15, tri2, t)), 1e-9))
-    checks.append(_check("isodynamic-property",
-                         _isodynamic_defect(f1) / R, 1e-9))
+    checks.append(check("X15-shared",
+                        core.sin_angle(core.convert_bary(f1.X15, tri1, t),
+                                       core.convert_bary(f2.X15, tri2, t)), 1e-9))
+    checks.append(check("isodynamic-property",
+                        _isodynamic_defect(f1) / R, 1e-9))
 
     if f1.degenerate or f2.degenerate:
-        checks.append(_skip("axis-shared", "equilateral: Brocard axis undefined"))
-        checks.append(_skip("X16-shared", "equilateral: X16 undefined"))
-        checks.append(_skip("X187-shared", "equilateral: X187 undefined"))
-        checks.append(_skip("points-perpendicular-axis", "equilateral"))
-        checks.append(_skip("lemoine-radical-axis", "equilateral: point circle"))
+        checks.append(skip("axis-shared", "equilateral: Brocard axis undefined"))
+        checks.append(skip("X16-shared", "equilateral: X16 undefined"))
+        checks.append(skip("X187-shared", "equilateral: X187 undefined"))
+        checks.append(skip("points-perpendicular-axis", "equilateral"))
+        checks.append(skip("lemoine-radical-axis", "equilateral: point circle"))
     else:
-        checks.append(_check("axis-shared",
-                             core.sin_angle(f1.axis_cart, f2.axis_cart), 1e-9))
-        checks.append(_check("X16-shared",
-                             core.sin_angle(core.convert_bary(f1.X16, tri1, t),
-                                            core.convert_bary(f2.X16, tri2, t)), 1e-9))
-        checks.append(_check("X187-shared",
-                             core.sin_angle(core.convert_bary(f1.X187, tri1, t),
-                                            core.convert_bary(f2.X187, tri2, t)), 1e-9))
-        checks.append(_check("X15-X16-on-axis",
-                             max(core.incidence_residual(f1.axis, f1.X15),
-                                 core.incidence_residual(f1.axis, f1.X16)), 1e-9))
+        checks.append(check("axis-shared",
+                            core.sin_angle(f1.axis_cart, f2.axis_cart), 1e-9))
+        checks.append(check("X16-shared",
+                            core.sin_angle(core.convert_bary(f1.X16, tri1, t),
+                                           core.convert_bary(f2.X16, tri2, t)), 1e-9))
+        checks.append(check("X187-shared",
+                            core.sin_angle(core.convert_bary(f1.X187, tri1, t),
+                                           core.convert_bary(f2.X187, tri2, t)), 1e-9))
+        checks.append(check("X15-X16-on-axis",
+                            max(core.incidence_residual(f1.axis, f1.X15),
+                                core.incidence_residual(f1.axis, f1.X16)), 1e-9))
         join = f1.Omega2_cart - f1.Omega1_cart
         axis_dir = f1.X6_cart - f1.X3_cart
         if np.linalg.norm(join) > DEGENERATE_DELTA * R:
             cosang = abs(np.dot(join, axis_dir)) / (np.linalg.norm(join) * np.linalg.norm(axis_dir))
-            checks.append(_check("points-perpendicular-axis", cosang, 1e-10))
+            checks.append(check("points-perpendicular-axis", cosang, 1e-10))
         else:
-            checks.append(_skip("points-perpendicular-axis", "coincident Brocard points"))
+            checks.append(skip("points-perpendicular-axis", "coincident Brocard points"))
         circum = CircleData(center=f1.X3_cart, radius=f1.R)
         rad = _radical_axis(circum, f1.circle)
-        checks.append(_check("lemoine-radical-axis",
-                             core.sin_angle(rad, f1.lemoine_cart), 1e-10))
+        checks.append(check("lemoine-radical-axis",
+                            core.sin_angle(rad, f1.lemoine_cart), 1e-10))
 
-    checks.append(_check("lemoine-shared",
-                         core.sin_angle(f1.lemoine_cart, f2.lemoine_cart), 1e-9))
+    checks.append(check("lemoine-shared",
+                        core.sin_angle(f1.lemoine_cart, f2.lemoine_cart), 1e-9))
 
-    checks.append(_check("inellipse-shared",
-                         core.sin_angle(e1.conic.m, e2.conic.m), 1e-9))
+    checks.append(check("inellipse-shared",
+                        core.sin_angle(e1.conic.m, e2.conic.m), 1e-9))
     sin_w = math.sin(f1.omega)
-    checks.append(_check("inellipse-major-axis",
-                         abs(e1.semi_axes[0] - R * sin_w) / (R * sin_w), 1e-10))
-    checks.append(_check("inellipse-axes-ratio",
-                         abs(e1.semi_axes[1] / e1.semi_axes[0] - 2.0 * sin_w), 1e-12))
+    checks.append(check("inellipse-major-axis",
+                        abs(e1.semi_axes[0] - R * sin_w) / (R * sin_w), 1e-10))
+    checks.append(check("inellipse-axes-ratio",
+                        abs(e1.semi_axes[1] / e1.semi_axes[0] - 2.0 * sin_w), 1e-12))
     six_sides = np.vstack([core.side_lines(tri1), core.side_lines(tri2)])
-    checks.append(_check("inellipse-tangent-six-sides",
-                         max(core.conic_line_residual(e1.conic, L) for L in six_sides),
-                         1e-9))
+    checks.append(check("inellipse-tangent-six-sides",
+                        max(core.conic_line_residual(e1.conic, L) for L in six_sides),
+                        1e-9))
 
-    return Report(name="shared-brocard-objects",
-                  checks=_rescale(checks, tolerance_scale))
+    return Report(name="shared-brocard-objects", checks=tuple(checks))
 
 
 def _isodynamic_defect(frame: BrocardFrame) -> float:
@@ -350,10 +376,12 @@ def _isodynamic_defect(frame: BrocardFrame) -> float:
     return worst
 
 
-def de_longchamps_concurrence(t: TriangleData, tolerance_scale: float = 1.0) -> Report:
+def de_longchamps_concurrence(tri: TriangleData | SolvedTriangle) -> Report:
     """Check that the four shared Brocard axes (incircle + three excircles)
     all contain the reference's de Longchamps point, and that the incircle
     axis is the reference's Soddy line (through X1 and X7)."""
+    st = solved(tri)
+    t = st.triangle
     a, b, c = t.sides
     sa, sb, sc = conway_sa(a, b, c)
     X3 = core.bary_to_cartesian(np.array([a * a * sa, b * b * sb, c * c * sc]), t)
@@ -364,21 +392,18 @@ def de_longchamps_concurrence(t: TriangleData, tolerance_scale: float = 1.0) -> 
 
     checks: list[Check] = []
     for tag in core.CIRCLE_TAGS:
-        vm1, vm2 = ccp_closed.solutions_for(t, tag)
-        g1 = brocard_frame(core.triangle_from_vertices(vm1.cartesian(t)))
-        g2 = brocard_frame(core.triangle_from_vertices(vm2.cartesian(t)))
+        g1, g2 = st.frames(tag)
         if g1.degenerate or g2.degenerate:
-            checks.append(_skip(f"axis-{tag}-contains-X20",
-                                "equilateral solutions: axis undefined"))
+            checks.append(skip(f"axis-{tag}-contains-X20",
+                               "equilateral solutions: axis undefined"))
             continue
-        checks.append(_check(f"axes-{tag}-shared",
-                             core.sin_angle(g1.axis_cart, g2.axis_cart), 1e-9))
-        checks.append(_check(f"axis-{tag}-contains-X20",
-                             core.point_line_distance(X20, g1.axis_cart) / t.R, 1e-9))
+        checks.append(check(f"axes-{tag}-shared",
+                            core.sin_angle(g1.axis_cart, g2.axis_cart), 1e-9))
+        checks.append(check(f"axis-{tag}-contains-X20",
+                            core.point_line_distance(X20, g1.axis_cart) / t.R, 1e-9))
         if tag == core.INCIRCLE:
-            checks.append(_check("incircle-axis-contains-X1",
-                                 core.point_line_distance(X1, g1.axis_cart) / t.R, 1e-9))
-            checks.append(_check("incircle-axis-contains-X7",
-                                 core.point_line_distance(X7, g1.axis_cart) / t.R, 1e-9))
-    return Report(name="de-longchamps-concurrence",
-                  checks=_rescale(checks, tolerance_scale))
+            checks.append(check("incircle-axis-contains-X1",
+                                core.point_line_distance(X1, g1.axis_cart) / t.R, 1e-9))
+            checks.append(check("incircle-axis-contains-X7",
+                                core.point_line_distance(X7, g1.axis_cart) / t.R, 1e-9))
+    return Report(name="de-longchamps-concurrence", checks=tuple(checks))

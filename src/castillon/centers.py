@@ -13,13 +13,14 @@ silently dropped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from . import ccp_closed, core
+from . import brocard, core
 from .core import TriangleData
 from .errors import UnknownCenter
 
@@ -213,7 +214,8 @@ def center(idx: int, tri) -> Array:
 # --- correspondence data and verification ----------------------------------
 
 
-def correspondence_pairs() -> list[tuple[int, int]]:
+@functools.cache
+def correspondence_pairs() -> tuple[tuple[int, int], ...]:
     """Solution/reference index pairs from the shipped data file."""
     text = resources.files("castillon.data").joinpath("correspondences.txt").read_text()
     pairs = []
@@ -223,56 +225,25 @@ def correspondence_pairs() -> list[tuple[int, int]]:
             continue
         i, k = line.split()
         pairs.append((int(i), int(k)))
-    return pairs
+    return tuple(pairs)
 
 
-VERIFIED = "verified"
-DATA_ONLY = "data-only"
-
-
-@dataclass(frozen=True)
-class PairResult:
-    solution_index: int
-    reference_index: int
-    status: str            # verified | data-only
-    residual: float        # max angular residual over the three comparisons
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    results: tuple[PairResult, ...]
-    tolerance: float
-
-    @property
-    def verified(self) -> tuple[PairResult, ...]:
-        return tuple(r for r in self.results if r.status == VERIFIED)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
-    def max_residual(self) -> float:
-        v = [r.residual for r in self.verified]
-        return max(v) if v else 0.0
-
-
-def verify_correspondences(t: TriangleData, tolerance: float = 1e-9) -> CorrespondenceReport:
+def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocard.Report:
     """For every pair [i, k] with both indices in the registry, check that
     X_i of either incircle solution coincides with X_k of the reference.
 
     Points at infinity are compared as directions (the angular residual is
-    already direction-based).  Pairs with a missing index are reported with
-    status data-only and always pass.
+    already direction-based).  Pairs with a missing index are skipped
+    checks noted data-only, so they never fail.
     """
-    vm1, vm2 = ccp_closed.incircle_solutions(t)
-    tri1 = core.triangle_from_vertices(vm1.cartesian(t))
-    tri2 = core.triangle_from_vertices(vm2.cartesian(t))
-    results = []
+    st = brocard.solved(tri)
+    t = st.triangle
+    tri1, tri2 = (f.triangle for f in st.frames(core.INCIRCLE))
+    checks = []
     for i, k in correspondence_pairs():
+        name = f"pair [{i},{k}]"
         if i not in _REGISTRY or k not in _REGISTRY:
-            results.append(PairResult(i, k, DATA_ONLY, 0.0, True))
+            checks.append(brocard.skip(name, "data-only"))
             continue
         p1 = core.convert_bary(center(i, tri1), tri1, t)
         p2 = core.convert_bary(center(i, tri2), tri2, t)
@@ -282,5 +253,7 @@ def verify_correspondences(t: TriangleData, tolerance: float = 1e-9) -> Correspo
             core.sin_angle(p1, ref),
             core.sin_angle(p2, ref),
         )
-        results.append(PairResult(i, k, VERIFIED, residual, residual <= tolerance))
-    return CorrespondenceReport(results=tuple(results), tolerance=tolerance)
+        checks.append(brocard.check(name, residual, 1e-9))
+    n_data = sum(c.skipped for c in checks)
+    return brocard.Report(name="center-correspondences", checks=tuple(checks),
+                          note=f"{len(checks) - n_data} verified, {n_data} data-only")

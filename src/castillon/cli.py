@@ -73,9 +73,8 @@ def _solution_entry(verts, tri=None, multiplicity=ccp_general.TWO_DISTINCT) -> d
 
 
 def _shared_block(tri, vm1) -> dict:
-    sol1 = core.triangle_from_vertices(vm1.cartesian(tri))
-    frame = brocard.brocard_frame(sol1)
-    ell = brocard.brocard_inellipse(sol1)
+    frame = brocard.brocard_frame(core.triangle_from_vertices(vm1.cartesian(tri)))
+    ell = brocard.brocard_inellipse(frame)
     first, second = brocard.shared_brocard_points(tri)
     block = {
         "symmedian": list(core.normalize_bary(ccp_closed.solution_symmedian(vm1, tri))),
@@ -202,18 +201,17 @@ def cmd_solve(args) -> int:
 # verify
 
 
-def _twenty_three_claim(tri, scale: float = 1.0) -> brocard.Report:
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(tri), tri)
-    mats = {}
-    for tag in core.CIRCLE_TAGS:
-        for vm in ccp_closed.solutions_for(tri, tag):
-            mats[(tag, vm.label)] = vm.rows
+def _twenty_three_claim(tri) -> brocard.Report:
+    st = brocard.solved(tri)
+    t = st.triangle
+    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
+    mats = {(tag, vm.label): vm.rows
+            for tag in core.CIRCLE_TAGS for vm in st.solutions(tag)}
     worst = max(core.sin_angle(gv.coords, mats[(gv.circle, gv.label)][gv.row])
                 for gv in gen)
-    tol = 1e-10 * scale
-    check = brocard.Check(name="all-24-vertices-from-one", residual=worst,
-                          tolerance=tol, passed=worst <= tol)
-    return brocard.Report(name="twenty-three-from-one", checks=(check,))
+    return brocard.Report(name="twenty-three-from-one",
+                          checks=(brocard.check("all-24-vertices-from-one", worst, 1e-10),),
+                          note="24 vertices")
 
 
 def _verify_one(tri) -> list[tuple[str, bool, float, str]]:
@@ -225,28 +223,14 @@ def _verify_one(tri) -> list[tuple[str, bool, float, str]]:
     if scale > 1.0:
         rows.append((f"  (aspect {aspect:.1e}: tolerances relaxed x{scale:.0e})",
                      True, 0.0, ""))
-    rep = brocard.verify_shared_objects(tri, tolerance_scale=scale)
-    rows.append((rep.name, rep.passed, rep.max_residual,
-                 f"{len(rep.checks)} checks"))
-    for c in rep.checks:
-        if not c.passed:
-            rows.append((f"  {c.name}", False, c.residual, f"tol {c.tolerance:g}"))
-    rep = brocard.de_longchamps_concurrence(tri, tolerance_scale=scale)
-    rows.append((rep.name, rep.passed, rep.max_residual, f"{len(rep.checks)} checks"))
-    for c in rep.checks:
-        if not c.passed:
-            rows.append((f"  {c.name}", False, c.residual, f"tol {c.tolerance:g}"))
-    crep = centers.verify_correspondences(tri, tolerance=1e-9 * scale)
-    n_ver = len(crep.verified)
-    n_data = len(crep.results) - n_ver
-    rows.append(("center-correspondences", crep.passed, crep.max_residual,
-                 f"{n_ver} verified, {n_data} data-only"))
-    for r in crep.verified:
-        if not r.passed:
-            rows.append((f"  pair [{r.solution_index},{r.reference_index}]",
-                         False, r.residual, ""))
-    rep = _twenty_three_claim(tri, scale)
-    rows.append((rep.name, rep.passed, rep.max_residual, "24 vertices"))
+    st = brocard.SolvedTriangle(tri)
+    for claim in (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
+                  centers.verify_correspondences, _twenty_three_claim):
+        rep = claim(st).rescaled(scale)
+        rows.append((rep.name, rep.passed, rep.max_residual,
+                     rep.note or f"{len(rep.checks)} checks"))
+        rows += [(f"  {c.name}", False, c.residual, f"tol {c.tolerance:g}")
+                 for c in rep.checks if not c.passed]
     return rows
 
 

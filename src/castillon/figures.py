@@ -159,7 +159,7 @@ def render_brocard(tri: TriangleData) -> str:
     vm1, vm2 = ccp_closed.incircle_solutions(tri)
     sol1 = core.triangle_from_vertices(vm1.cartesian(tri))
     f = brocard.brocard_frame(sol1)
-    ell = brocard.brocard_inellipse(sol1)
+    ell = brocard.brocard_inellipse(f)
     body = [
         _circle(core.incircle(tri), "circle"),
         _polygon(tri.vertices, "reference"),

@@ -65,6 +65,7 @@ def brocard_angle_from_frame(f):
 def test_inellipse_345(tri345):
     f = brocard.brocard_frame(tri345.vertices)
     e = brocard.brocard_inellipse(tri345.vertices)
+    assert np.array_equal(brocard.brocard_inellipse(f).conic.m, e.conic.m)
     a_e, b_e = e.semi_axes
     assert abs(a_e - f.R * math.sin(f.omega)) < 1e-12 * f.R
     assert abs(b_e / a_e - 2 * math.sin(f.omega)) < 1e-12
@@ -114,6 +115,22 @@ def test_verify_shared_objects_fixed(tri6913, tri345, equilateral):
     for t in (tri6913, tri345, equilateral):
         report = brocard.verify_shared_objects(t)
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+
+
+def test_report_rescaled():
+    rep = brocard.Report(name="r", note="3 checks", checks=(
+        brocard.check("tight", 3e-9, 1e-9),
+        brocard.check("loose", 1e-12, 1e-9, note="kept"),
+        brocard.skip("absent", "undefined"),
+    ))
+    wide = rep.rescaled(10.0)
+    assert not rep.passed and wide.passed
+    assert [c.tolerance for c in wide.checks] == [1e-9 * 10.0, 1e-9 * 10.0, 0.0]
+    assert wide.checks[1].note == "kept"
+    assert wide.checks[2] == rep.checks[2]
+    assert (wide.name, wide.note, wide.max_residual) == ("r", "3 checks", 3e-9)
+    narrow = rep.rescaled(1e-4)
+    assert [c.passed for c in narrow.checks] == [False, False, True]
 
 
 def test_verify_shared_objects_sweep(triangles_100):

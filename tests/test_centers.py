@@ -186,20 +186,19 @@ def test_correspondences_fixed_triangles(tri6913, tri345):
     for t in (tri6913, tri345):
         rep = centers.verify_correspondences(t)
         assert rep.passed
-        assert len(rep.verified) >= 10
-        statuses = {r.status for r in rep.results}
-        assert statuses == {centers.VERIFIED, centers.DATA_ONLY}
-        # data-only pairs are reported, never failed
-        for r in rep.results:
-            if r.status == centers.DATA_ONLY:
-                assert r.passed
+        assert len(rep.checks) == 56
+        assert sum(not c.skipped for c in rep.checks) >= 10
+        # data-only pairs are reported as skipped checks, never failed
+        skipped = [c for c in rep.checks if c.skipped]
+        assert skipped
+        for c in skipped:
+            assert c.note == "data-only" and c.passed
 
 
 def test_correspondences_sweep(triangles_100):
     for t in triangles_100[:40]:
         rep = centers.verify_correspondences(t)
-        assert rep.passed, [(r.solution_index, r.reference_index, r.residual)
-                            for r in rep.verified if not r.passed]
+        assert rep.passed, [(c.name, c.residual) for c in rep.checks if not c.passed]
 
 
 def test_infinity_pair_direction_equality(tri6913):

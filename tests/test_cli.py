@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,23 +233,57 @@ def test_figures_are_well_formed_xml(tmp_path):
 
 
 def test_console_script_subprocess(tmp_path):
-    # the installed entry point end to end, and cross-process determinism
+    # the entry point end to end, and cross-process determinism: the installed
+    # console script when it is on PATH, else `python -m castillon` on the
+    # package this test imports
+    import castillon
     import subprocess
+    command = [shutil.which("castillon")]
+    env = None
+    if command[0] is None:
+        command = [sys.executable, "-m", "castillon"]
+        package_root = os.path.dirname(os.path.dirname(castillon.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     prob = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "incircle"})
     outs = []
     for name in ("s1.json", "s2.json"):
         path = tmp_path / name
         proc = subprocess.run(
-            ["castillon", "solve", prob, "--solver", "all", "--out", str(path)],
-            capture_output=True, text=True)
+            command + ["solve", prob, "--solver", "all", "--out", str(path)],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
-    proc = subprocess.run(["castillon", "verify", prob],
-                          capture_output=True, text=True)
+    proc = subprocess.run(command + ["verify", prob],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_console_script_declared():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["castillon"] == "castillon.cli:main"
+
+
+def test_verify_solves_each_circle_once(tmp_path, capsys, monkeypatch):
+    # one frame per solution triangle: 4 circles x 2 solutions
+    from castillon import brocard
+    calls = []
+    frame = brocard.brocard_frame
+
+    def counted_frame(tri):
+        calls.append(tri)
+        return frame(tri)
+
+    monkeypatch.setattr(brocard, "brocard_frame", counted_frame)
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
+    assert run(["verify", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
 
 
 def test_verify_flat_triangle_exits_degenerate(tmp_path, capsys):
@@ -264,8 +302,7 @@ def test_verify_exit_one_on_failed_claim(tmp_path, capsys, monkeypatch):
         checks=(brocard.Check(name="forced", residual=1.0, tolerance=1e-9,
                               passed=False),),
     )
-    monkeypatch.setattr(cli.brocard, "verify_shared_objects",
-                        lambda t, tolerance_scale=1.0: failing)
+    monkeypatch.setattr(cli.brocard, "verify_shared_objects", lambda tri: failing)
     path = write(tmp_path, "p.json", {"triangle": {"a": 3, "b": 4, "c": 5}})
     assert run(["verify", path]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -11,6 +11,9 @@ Two independent algorithms are provided.
 * `solve_ccp_perspectrix` (triangle/incircle-or-excircle case only) runs the
   classical axis construction: three seeded chord paths, the two cross
   intersections on the homography axis, and the axis-circle intersection.
+  Its chord walk runs on plain Python floats and tuples, not numpy arrays:
+  on 2- and 3-vectors numpy's per-call dispatch costs several times the
+  arithmetic, and one solve takes about 40 chord steps.
 """
 
 from __future__ import annotations
@@ -148,6 +151,11 @@ class CcpSolution:
         return on_circle, incidence
 
 
+def _first_vertex_angle(center, vertices) -> float:
+    """Sort key for solutions: angle of vertex 0 about `center`, in [0, 2 pi)."""
+    return math.atan2(vertices[0][1] - center[1], vertices[0][0] - center[0]) % (2.0 * math.pi)
+
+
 def _projective_quadratic_roots(a: float, b: float, c: float, tol: float):
     """Roots of a t^2 + b t + c = 0 as homogeneous (p, q) pairs with t = p/q.
 
@@ -205,46 +213,50 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
                         multiplicity=TANGENT_DOUBLE if kind == "one" else TWO_DISTINCT)
         )
 
-    def first_vertex_angle(sol: CcpSolution) -> float:
-        d = sol.vertices[0] - prob.circle.center
-        return math.atan2(d[1], d[0]) % (2.0 * math.pi)
-
-    solutions.sort(key=first_vertex_angle)
+    solutions.sort(key=lambda sol: _first_vertex_angle(prob.circle.center, sol.vertices))
     return solutions
 
 
 # ---------------------------------------------------------------------------
-# axis (perspectrix) construction for the triangle / incircle-excircle case
+# axis (perspectrix) construction for the triangle / incircle-excircle case,
+# on plain floats: a circle is (cx, cy, r), a point (x, y) and a homogeneous
+# line or point (x, y, z).
 
 
-def _second_intersection(circle: CircleData, Q, through) -> Array:
+def _second_intersection(circ, Q, through) -> tuple[float, float]:
     """Other intersection of the circle with the chord from Q through `through`."""
-    Q = np.asarray(Q, float)
-    d = np.asarray(through, float) - Q
-    norm = np.linalg.norm(d)
-    if norm <= 1e-14 * circle.radius:
+    cx, cy, r = circ
+    qx, qy = Q
+    dx, dy = through[0] - qx, through[1] - qy
+    norm = math.sqrt(dx * dx + dy * dy)
+    if norm <= 1e-14 * r:
         raise PathClosed("chord pivot coincides with the current point")
-    d = d / norm
-    out = Q - 2.0 * np.dot(Q - circle.center, d) * d
+    dx, dy = dx / norm, dy / norm
+    k = 2.0 * ((qx - cx) * dx + (qy - cy) * dy)
     # snap back onto the circle so four-step paths do not drift
-    rel = out - circle.center
-    return circle.center + circle.radius * rel / np.linalg.norm(rel)
+    rx, ry = qx - k * dx - cx, qy - k * dy - cy
+    norm = math.sqrt(rx * rx + ry * ry)
+    return cx + r * rx / norm, cy + r * ry / norm
 
 
-def _touchpoints(tri: TriangleData, circle: CircleData) -> Array:
+def _touchpoints(circ, A, B, C) -> list[tuple[float, float]]:
     """Tangency points of the circle with lines BC, CA, AB."""
-    A, B, C = tri.vertices
-    return np.array([
-        core.foot_on_line(B, C, circle.center),
-        core.foot_on_line(C, A, circle.center),
-        core.foot_on_line(A, B, circle.center),
-    ])
+    cx, cy, _ = circ
+    feet = []
+    for (px, py), (qx, qy) in ((B, C), (C, A), (A, B)):
+        dx, dy = qx - px, qy - py
+        norm = math.sqrt(dx * dx + dy * dy)
+        dx, dy = dx / norm, dy / norm
+        k = (cx - px) * dx + (cy - py) * dy
+        feet.append((px + k * dx, py + k * dy))
+    return feet
 
 
-def _rotate_about(center, P, angle: float) -> Array:
+def _rotate_about(circ, P, angle: float) -> tuple[float, float]:
+    cx, cy, _ = circ
     ca, sa = math.cos(angle), math.sin(angle)
-    rel = np.asarray(P, float) - center
-    return center + np.array([ca * rel[0] - sa * rel[1], sa * rel[0] + ca * rel[1]])
+    rx, ry = P[0] - cx, P[1] - cy
+    return cx + (ca * rx - sa * ry), cy + (sa * rx + ca * ry)
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
@@ -257,82 +269,84 @@ def identify_circle(tri: TriangleData, circle: CircleData) -> str:
     raise GeometryError("circle is neither the incircle nor an excircle")
 
 
-def _axis_from_seeds(circle: CircleData, pivots, seeds):
+def _meet(p, q, tol: float):
+    """Cross product of two homogeneous 3-vectors (their join or meet), or
+    None when the sine of the angle between them is at most `tol`."""
+    x = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+    return None if math.hypot(*x) <= tol * math.hypot(*p) * math.hypot(*q) else x
+
+
+def _axis_from_seeds(circ, pivots, seeds):
     """Walk the three seed paths and intersect cross-chords; returns the
     homogeneous axis line, or None if this seeding is degenerate."""
-    paths = []
+    ends = []
     for seed in seeds:
-        path = [seed]
+        P = seed
         for pivot in pivots:
-            path.append(_second_intersection(circle, path[-1], pivot))
-        if np.linalg.norm(path[-1] - path[0]) <= 1e-6 * circle.radius:
+            P = _second_intersection(circ, P, pivot)
+        if math.hypot(P[0] - seed[0], P[1] - seed[1]) <= 1e-6 * circ[2]:
             return None  # closed path: seed accidentally hit a solution vertex
-        paths.append(path)
-    (a1, _, _, a4), (b1, _, _, b4), (c1, _, _, c4) = paths
+        ends.append(((*seed, 1.0), (*P, 1.0)))
+    (a1, a4), (b1, b4), (c1, c4) = ends
 
     def cross_point(p, p4, q, q4):
-        try:
-            l1 = core.cart_line(p, q4)
-            l2 = core.cart_line(p4, q)
-        except GeometryError:
+        l1, l2 = _meet(p, q4, 1e-14), _meet(p4, q, 1e-14)
+        if l1 is None or l2 is None:
             return None  # seed landed on another path's endpoint
-        if core.sin_angle(l1, l2) <= 1e-9:
-            return None
-        return np.cross(l1, l2)
+        return _meet(l1, l2, 1e-9)
 
     h1 = cross_point(a1, a4, b1, b4)
     h2 = cross_point(a1, a4, c1, c4)
-    if h1 is None or h2 is None or core.sin_angle(h1, h2) <= 1e-9:
-        return None
-    return np.cross(h1, h2)
+    return None if h1 is None or h2 is None else _meet(h1, h2, 1e-9)
 
 
 def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _closure_gap(circle: CircleData, pivots, theta: float) -> float:
+def _closure_gap(circ, pivots, theta: float) -> float:
     """Angular defect of the three-chord walk starting at angle theta."""
-    P = circle.point_at(theta)
+    cx, cy, r = circ
+    P = (cx + r * math.cos(theta), cy + r * math.sin(theta))
     for pivot in pivots:
-        P = _second_intersection(circle, P, pivot)
-    rel = P - circle.center
-    return _wrap_angle(math.atan2(rel[1], rel[0]) - theta)
+        P = _second_intersection(circ, P, pivot)
+    return _wrap_angle(math.atan2(P[1] - cy, P[0] - cx) - theta)
 
 
-def _polish_fixed_point(circle: CircleData, pivots, P0) -> Array:
+def _polish_fixed_point(circ, pivots, P0) -> tuple[float, float]:
     """Newton-polish an approximate solution vertex on the closure gap.
 
     Uses only geometric chord steps; refines the axis construction's
     intersection points without touching the parameter-map machinery.
     """
-    rel = P0 - circle.center
-    theta = math.atan2(rel[1], rel[0])
+    cx, cy, r = circ
+    theta = math.atan2(P0[1] - cy, P0[0] - cx)
     step_h = 1e-7
     for _ in range(4):
-        g = _closure_gap(circle, pivots, theta)
+        g = _closure_gap(circ, pivots, theta)
         if abs(g) < 1e-15:
             break
-        gp = (_closure_gap(circle, pivots, theta + step_h) - g) / step_h
+        gp = (_closure_gap(circ, pivots, theta + step_h) - g) / step_h
         if abs(gp) < 1e-8:
             break
         step = -g / gp
         if abs(step) > 0.05:
             break  # stay local: never hop to the other fixed point
         theta += step
-    return circle.point_at(theta)
+    return cx + r * math.cos(theta), cy + r * math.sin(theta)
 
 
-def _line_circle_points(circle: CircleData, line) -> tuple[Array, Array]:
+def _line_circle_points(circ, line):
+    cx, cy, r = circ
     l, m, n = line
     norm = math.hypot(l, m)
-    signed = (l * circle.center[0] + m * circle.center[1] + n) / norm
-    if abs(signed) > circle.radius * (1.0 + 1e-9):
+    signed = (l * cx + m * cy + n) / norm
+    if abs(signed) > r * (1.0 + 1e-9):
         raise NoRealIntersection("axis does not meet the circle")
-    foot = circle.center - signed * np.array([l, m]) / norm
-    half = math.sqrt(max(circle.radius ** 2 - signed * signed, 0.0))
-    direction = np.array([-m, l]) / norm
-    return foot + half * direction, foot - half * direction
+    fx, fy = cx - signed * l / norm, cy - signed * m / norm
+    half = math.sqrt(max(r ** 2 - signed * signed, 0.0))
+    dx, dy = -m / norm, l / norm
+    return (fx + half * dx, fy + half * dy), (fx - half * dx, fy - half * dy)
 
 
 def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[VertexMatrix, VertexMatrix]:
@@ -345,9 +359,12 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[Vertex
     deterministic ladder of alternative seeds.
     """
     tag = identify_circle(tri, circle)
-    t_a, t_b, t_c = _touchpoints(tri, circle)
-    antipode = lambda P: 2.0 * circle.center - P
-    pivots = (tri.B, tri.C, tri.A)
+    cx, cy = map(float, circle.center)
+    circ = (cx, cy, float(circle.radius))
+    A, B, C = map(tuple, tri.vertices.tolist())
+    t_a, t_b, t_c = _touchpoints(circ, A, B, C)
+    antipode = lambda P: (2.0 * cx - P[0], 2.0 * cy - P[1])
+    pivots = (B, C, A)
 
     seed_choices = [
         (antipode(t_a), t_b, t_c),
@@ -355,36 +372,30 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[Vertex
         (antipode(t_a), antipode(t_b), t_c),
     ]
     seed_choices += [
-        tuple(_rotate_about(circle.center, P, angle) for P in (t_a, t_b, t_c))
+        tuple(_rotate_about(circ, P, angle) for P in (t_a, t_b, t_c))
         for angle in (0.37, 0.91, 1.53)
     ]
 
     axis = None
     for seeds in seed_choices:
-        axis = _axis_from_seeds(circle, pivots, seeds)
+        axis = _axis_from_seeds(circ, pivots, seeds)
         if axis is not None:
             break
     if axis is None:
         raise PathClosed("all seed ladders degenerated; cannot build the axis")
 
-    m1, m4 = _line_circle_points(circle, axis)
-    m1 = _polish_fixed_point(circle, pivots, m1)
-    m4 = _polish_fixed_point(circle, pivots, m4)
+    m1, m4 = _line_circle_points(circ, axis)
+    m1 = _polish_fixed_point(circ, pivots, m1)
+    m4 = _polish_fixed_point(circ, pivots, m4)
 
-    def triangle_of(M) -> Array:
-        v2 = _second_intersection(circle, M, tri.B)
-        v3 = _second_intersection(circle, v2, tri.C)
-        return np.array([M, v2, v3])
+    def triangle_of(M):
+        v2 = _second_intersection(circ, M, B)
+        return M, v2, _second_intersection(circ, v2, C)
 
-    tris = [triangle_of(m1), triangle_of(m4)]
-
-    def first_angle(verts: Array) -> float:
-        d = verts[0] - circle.center
-        return math.atan2(d[1], d[0]) % (2.0 * math.pi)
-
-    tris.sort(key=first_angle)
-    out = []
-    for label, verts in zip(("T1", "T2"), tris):
-        rows = np.array([core.cartesian_to_bary(V, tri) for V in verts])
-        out.append(VertexMatrix(rows=rows, label=label, circle=tag))
-    return out[0], out[1]
+    v1, v4 = sorted((triangle_of(m1), triangle_of(m4)),
+                    key=lambda verts: _first_vertex_angle((cx, cy), verts))
+    # one call converts all six vertices: cartesian_to_bary broadcasts over
+    # a 2 x n coordinate array
+    rows = core.cartesian_to_bary(np.array(v1 + v4).T, tri).T
+    return (VertexMatrix(rows=rows[:3], label="T1", circle=tag),
+            VertexMatrix(rows=rows[3:], label="T2", circle=tag))

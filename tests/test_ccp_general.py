@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from castillon import ccp_closed, ccp_general, core
 from castillon.ccp_general import CcpProblem, chord_involution, param_from_point, point_from_param
-from castillon.errors import CenterPoint, DegenerateComposition
+from castillon.errors import CenterPoint, DegenerateComposition, PathClosed
 
 from conftest import set_deviation
 
@@ -212,3 +212,89 @@ def test_solution_invariants_any_algorithm(triangles_100):
             for i in range(3):
                 assert abs(np.linalg.norm(verts[i] - circ.center) - circ.radius) \
                     < 1e-10 * circ.radius
+
+
+# ---------------------------------------------------------------------------
+# the float chord walk and the perspectrix fallbacks
+
+
+def _walk(circ, seed, pivots):
+    P = seed
+    for pivot in pivots:
+        P = ccp_general._second_intersection(circ, P, pivot)
+    return P
+
+
+def _chord_setup(tri):
+    """(cx, cy, r) of the incircle, the pivots B, C, A and the touchpoints."""
+    circle = core.incircle(tri)
+    circ = (*circle.center.tolist(), circle.radius)
+    A, B, C = map(tuple, tri.vertices.tolist())
+    return circ, (B, C, A), ccp_general._touchpoints(circ, A, B, C)
+
+
+def test_chord_step_rejects_pivot_at_current_point():
+    Q = (0.6, 0.8)
+    with pytest.raises(PathClosed):
+        ccp_general._second_intersection((0.0, 0.0, 1.0), Q, Q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.5, 20),
+       st.floats(0, 2 * math.pi), st.floats(1.001, 5), st.floats(0, 2 * math.pi))
+def test_chord_step_against_line_circle_oracle(cx, cy, r, theta, rho, phi):
+    circle = core.CircleData(np.array([cx, cy]), r)
+    Q = circle.point_at(theta)
+    P = circle.center + rho * r * np.array([math.cos(phi), math.sin(phi)])
+    got = ccp_general._second_intersection((cx, cy, r), tuple(Q), tuple(P))
+    assert np.linalg.norm(np.subtract(got, second_intersection_oracle(circle, Q, P))) <= 1e-12 * r
+    assert abs(math.hypot(got[0] - cx, got[1] - cy) - r) <= 1e-13 * r
+
+
+def test_axis_seed_on_solution_vertex_is_closed_path(tri6913):
+    circ, pivots, (t_a, t_b, t_c) = _chord_setup(tri6913)
+    antipode_a = (2.0 * circ[0] - t_a[0], 2.0 * circ[1] - t_a[1])
+    assert ccp_general._axis_from_seeds(circ, pivots, (antipode_a, t_b, t_c)) is not None
+    # the closed-form vertex whose chord walk through B, C, A returns to itself
+    verts = ccp_closed.incircle_solutions(tri6913)[0].cartesian(tri6913).tolist()
+    V = min(map(tuple, verts), key=lambda V: math.dist(_walk(circ, V, pivots), V))
+    # exactly on the vertex the cross points collapse too; 1e-9 rad off it
+    # only the closed-path test rejects the seeding
+    for seed in (V, ccp_general._rotate_about(circ, V, 1e-9)):
+        assert math.dist(_walk(circ, seed, pivots), seed) <= 1e-6 * circ[2]
+        assert ccp_general._axis_from_seeds(circ, pivots, (seed, t_b, t_c)) is None
+
+
+def test_axis_seed_on_other_path_endpoint_has_no_cross_point(tri6913):
+    circ, pivots, (t_a, _, t_c) = _chord_setup(tri6913)
+    a4 = _walk(circ, t_a, pivots)
+    # neither path closes, so the None comes from the coincident cross chord
+    assert math.dist(a4, t_a) > 1e-6 * circ[2]
+    assert math.dist(_walk(circ, a4, pivots), a4) > 1e-6 * circ[2]
+    assert ccp_general._axis_from_seeds(circ, pivots, (t_a, a4, t_c)) is None
+
+
+@pytest.mark.parametrize("failing", range(1, 6))
+def test_perspectrix_later_rungs_match_closed_form(tri6913, monkeypatch, failing):
+    real, calls = ccp_general._axis_from_seeds, []
+
+    def flaky(*args):
+        calls.append(args)
+        return None if len(calls) <= failing else real(*args)
+
+    monkeypatch.setattr(ccp_general, "_axis_from_seeds", flaky)
+    circ = core.incircle(tri6913)
+    p1, p2 = ccp_general.solve_ccp_perspectrix(tri6913, circ)
+    assert len(calls) == failing + 1
+    vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
+    closed = np.vstack([vm1.cartesian(tri6913), vm2.cartesian(tri6913)])
+    pers = np.vstack([p1.cartesian(tri6913), p2.cartesian(tri6913)])
+    assert set_deviation(closed, pers) < 1e-9 * circ.radius
+
+
+def test_perspectrix_raises_when_every_rung_degenerates(tri6913, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ccp_general, "_axis_from_seeds", lambda *args: calls.append(args))
+    with pytest.raises(PathClosed):
+        ccp_general.solve_ccp_perspectrix(tri6913, core.incircle(tri6913))
+    assert len(calls) == 6

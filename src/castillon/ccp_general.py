@@ -11,15 +11,19 @@ Two independent algorithms are provided.
 * `solve_ccp_perspectrix` (triangle/incircle-or-excircle case only) runs the
   classical axis construction: three seeded chord paths, the two cross
   intersections on the homography axis, and the axis-circle intersection.
-  Its chord walk runs on plain Python floats and tuples, not numpy arrays:
-  on 2- and 3-vectors numpy's per-call dispatch costs several times the
-  arithmetic, and one solve takes about 40 chord steps.
+
+Both run on plain Python floats and tuples, not numpy arrays: the 2x2 maps,
+the circle parameters, the chord walk and the circle identification.  On 2-
+and 3-vectors numpy's per-call dispatch costs several times the arithmetic,
+and one solve takes a few dozen such steps.  Numpy arrays are built only for
+the returned vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,68 +46,90 @@ Array = np.ndarray
 # needs no special casing.
 
 
-def param_from_point(circle: CircleData, P) -> Array:
-    rel = (np.asarray(P, float) - circle.center) / circle.radius
-    c, s = rel
-    pq = np.array([s, 1.0 + c]) if 1.0 + c >= 0.5 else np.array([1.0 - c, s])
-    return pq / np.linalg.norm(pq)
+def _unit(p: float, q: float) -> tuple[float, float]:
+    norm = math.hypot(p, q)
+    return p / norm, q / norm
 
 
-def point_from_param(circle: CircleData, pq) -> Array:
+def param_from_point(circle: CircleData, P) -> tuple[float, float]:
+    cx, cy, r = circle.xyr
+    x, y = map(float, P)
+    c, s = (x - cx) / r, (y - cy) / r
+    return _unit(s, 1.0 + c) if 1.0 + c >= 0.5 else _unit(1.0 - c, s)
+
+
+def point_from_param(circle: CircleData, pq) -> tuple[float, float]:
+    cx, cy, r = circle.xyr
     p, q = pq
     den = p * p + q * q
-    return circle.center + circle.radius * np.array([(q * q - p * p) / den, 2.0 * p * q / den])
+    return cx + r * ((q * q - p * p) / den), cy + r * (2.0 * p * q / den)
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """Real 2x2 matrix acting projectively on the circle parameter."""
+class MobiusMap(NamedTuple):
+    """Real 2x2 matrix [[m00, m01], [m10, m11]] acting projectively on the
+    circle parameter; an immutable tuple of four floats."""
 
-    m: Array
+    m00: float
+    m01: float
+    m10: float
+    m11: float
 
-    def __call__(self, pq) -> Array:
-        pq = np.asarray(pq, float)
-        out = self.m @ pq
-        norm = np.linalg.norm(out)
-        if norm <= 1e-13 * np.linalg.norm(self.m) * np.linalg.norm(pq):
+    @property
+    def m(self) -> Array:
+        """The matrix as a read-only 2x2 array."""
+        m = np.array(self, dtype=float).reshape(2, 2)
+        m.flags.writeable = False
+        return m
+
+    def __call__(self, pq) -> tuple[float, float]:
+        a, b, c, d = self
+        p, q = pq
+        x, y = a * p + b * q, c * p + d * q
+        if math.hypot(x, y) <= 1e-13 * math.hypot(a, b, c, d) * math.hypot(p, q):
             # pq spans the kernel of a rank-1 chord map (pivot on the circle);
             # the continuous extension is the map's constant image direction
-            out = self.m @ np.array([-pq[1], pq[0]])
-            norm = np.linalg.norm(out)
-        return out / norm
+            x, y = a * -q + b * p, c * -q + d * p
+        return _unit(x, y)
 
     def apply_t(self, t: float) -> float:
         """Scalar convenience for finite parameters."""
-        (m00, m01), (m10, m11) = self.m
-        return (m00 * t + m01) / (m10 * t + m11)
+        a, b, c, d = self
+        return (a * t + b) / (c * t + d)
+
+    def _times(self, inner: "MobiusMap") -> tuple[float, float, float, float]:
+        a, b, c, d = self
+        e, f, g, h = inner
+        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
     def compose(self, inner: "MobiusMap") -> "MobiusMap":
-        prod = self.m @ inner.m
-        return MobiusMap(prod / np.abs(prod).max())
+        p00, p01, p10, p11 = self._times(inner)
+        scale = max(abs(p00), abs(p01), abs(p10), abs(p11))
+        return MobiusMap(p00 / scale, p01 / scale, p10 / scale, p11 / scale)
 
     def det(self) -> float:
-        return float(np.linalg.det(self.m))
+        a, b, c, d = self
+        return a * d - b * c
 
     def involution_defect(self) -> float:
         """Relative distance of M^2 from a multiple of the identity."""
-        m2 = self.m @ self.m
-        scaled = 0.5 * np.trace(m2) * np.eye(2)
-        return float(np.linalg.norm(m2 - scaled) / np.linalg.norm(m2))
+        return MobiusMap(*self._times(self)).identity_defect()
 
     def identity_defect(self) -> float:
-        scaled = 0.5 * np.trace(self.m) * np.eye(2)
-        return float(np.linalg.norm(self.m - scaled) / np.linalg.norm(self.m))
+        a, b, c, d = self
+        half = 0.5 * (a + d)
+        return math.hypot(a - half, b, c, d - half) / math.hypot(a, b, c, d)
 
 
 def chord_involution(circle: CircleData, P) -> MobiusMap:
     """Involution t -> t' pairing the two circle intersections of chords
     through P.  P at the center yields the antipodal map t -> -1/t; P on the
     circle yields the (degenerate) constant map onto its own parameter."""
-    P = np.asarray(P, dtype=float)
-    if not np.all(np.isfinite(P)):
+    x, y = map(float, P)
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise CenterPoint("chord pivot must be a finite point")
-    px, py = (P - circle.center) / circle.radius
-    return MobiusMap(np.array([[py, px - 1.0], [px + 1.0, -py]]))
+    cx, cy, r = circle.xyr
+    px, py = (x - cx) / r, (y - cy) / r
+    return MobiusMap(py, px - 1.0, px + 1.0, -py)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +183,8 @@ def _first_vertex_angle(center, vertices) -> float:
 
 
 def _projective_quadratic_roots(a: float, b: float, c: float, tol: float):
-    """Roots of a t^2 + b t + c = 0 as homogeneous (p, q) pairs with t = p/q.
+    """Roots of a t^2 + b t + c = 0 as unit homogeneous (p, q) pairs with
+    t = p/q.
 
     Returns (kind, roots) with kind in {'two', 'one', 'none'}.  Uses the
     citardauq pairing so the small root is never formed by cancellation.
@@ -167,14 +194,11 @@ def _projective_quadratic_roots(a: float, b: float, c: float, tol: float):
         return "none", []
     if disc <= tol:
         if max(abs(a), abs(b)) <= tol:
-            return "one", [np.array([1.0, 0.0])]
-        root = np.array([-b, 2.0 * a]) if abs(a) >= abs(b) * 1e-14 else np.array([-c, b])
-        return "one", [root / np.linalg.norm(root)]
+            return "one", [(1.0, 0.0)]
+        return "one", [_unit(-b, 2.0 * a) if abs(a) >= abs(b) * 1e-14 else _unit(-c, b)]
     sq = math.sqrt(disc)
     qq = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
-    r1 = np.array([qq, a])
-    r2 = np.array([c, qq])
-    return "two", [r1 / np.linalg.norm(r1), r2 / np.linalg.norm(r2)]
+    return "two", [_unit(qq, a), _unit(c, qq)]
 
 
 def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
@@ -183,38 +207,31 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     Raises DegenerateComposition when the composite map is a multiple of the
     identity (every inscribed polygon closes; nothing to enumerate).
     """
-    maps = [chord_involution(prob.circle, P) for P in prob.points]
+    maps = [chord_involution(prob.circle, P) for P in prob.points.tolist()]
     composite = maps[0]
     for nxt in maps[1:]:
         composite = nxt.compose(composite)
 
-    m = composite.m
-    norm2 = float(np.sum(m * m))
-    tol = 1e-10 * norm2
     if composite.identity_defect() <= 1e-10:
         raise DegenerateComposition(
             "composed chord map is the identity: special configuration with "
             "infinitely many inscribed polygons"
         )
 
-    a, b, c = m[1, 0], m[1, 1] - m[0, 0], -m[0, 1]
-    kind, roots = _projective_quadratic_roots(a, b, c, tol)
-    if kind == "none":
-        return []
+    m00, m01, m10, m11 = composite
+    tol = 1e-10 * (m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+    kind, roots = _projective_quadratic_roots(m10, m11 - m00, -m01, tol)
 
-    solutions = []
+    walks = []
     for root in roots:
         params = [root]
         for inv in maps[:-1]:
             params.append(inv(params[-1]))
-        verts = np.array([point_from_param(prob.circle, pq) for pq in params])
-        solutions.append(
-            CcpSolution(vertices=verts,
-                        multiplicity=TANGENT_DOUBLE if kind == "one" else TWO_DISTINCT)
-        )
-
-    solutions.sort(key=lambda sol: _first_vertex_angle(prob.circle.center, sol.vertices))
-    return solutions
+        walks.append([point_from_param(prob.circle, pq) for pq in params])
+    walks.sort(key=lambda verts: _first_vertex_angle(prob.circle.xyr, verts))
+    multiplicity = TANGENT_DOUBLE if kind == "one" else TWO_DISTINCT
+    return [CcpSolution(vertices=verts, multiplicity=multiplicity)
+            for verts in np.array(walks)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +258,8 @@ def _second_intersection(circ, Q, through) -> tuple[float, float]:
 
 def _touchpoints(circ, A, B, C) -> list[tuple[float, float]]:
     """Tangency points of the circle with lines BC, CA, AB."""
-    cx, cy, _ = circ
-    feet = []
-    for (px, py), (qx, qy) in ((B, C), (C, A), (A, B)):
-        dx, dy = qx - px, qy - py
-        norm = math.sqrt(dx * dx + dy * dy)
-        dx, dy = dx / norm, dy / norm
-        k = (cx - px) * dx + (cy - py) * dy
-        feet.append((px + k * dx, py + k * dy))
-    return feet
+    center = circ[:2]
+    return [core.foot_on_line(P, Q, center) for P, Q in ((B, C), (C, A), (A, B))]
 
 
 def _rotate_about(circ, P, angle: float) -> tuple[float, float]:
@@ -260,11 +270,27 @@ def _rotate_about(circ, P, angle: float) -> tuple[float, float]:
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
-    """Match a circle against the triangle's incircle/excircles."""
-    for tag in core.CIRCLE_TAGS:
-        ref = core.tagged_circle(tri, tag)
-        if (np.linalg.norm(ref.center - circle.center) <= 1e-9 * ref.radius
-                and abs(ref.radius - circle.radius) <= 1e-9 * ref.radius):
+    """Match a circle against the triangle's incircle/excircles.
+
+    The centres come from the barycentric weights (a, b, c), with the weight
+    of the excircle's vertex negated; the radii are area / s and area / (s - a)
+    etc., as in `core.incircle` and `core.excircle`.
+    """
+    a, b, c = tri.sides
+    A, B, C = tri.vertices.tolist()
+    cx, cy, r = circle.xyr
+    candidates = (
+        (core.INCIRCLE, (a, b, c), tri.r),
+        (core.EXCIRCLE_A, (-a, b, c), tri.area / tri.u),
+        (core.EXCIRCLE_B, (a, -b, c), tri.area / tri.v),
+        (core.EXCIRCLE_C, (a, b, -c), tri.area / tri.w),
+    )
+    for tag, (wa, wb, wc), radius in candidates:
+        total = wa + wb + wc
+        ox = (wa * A[0] + wb * B[0] + wc * C[0]) / total
+        oy = (wa * A[1] + wb * B[1] + wc * C[1]) / total
+        if (math.hypot(ox - cx, oy - cy) <= 1e-9 * radius
+                and abs(radius - r) <= 1e-9 * radius):
             return tag
     raise GeometryError("circle is neither the incircle nor an excircle")
 
@@ -272,7 +298,7 @@ def identify_circle(tri: TriangleData, circle: CircleData) -> str:
 def _meet(p, q, tol: float):
     """Cross product of two homogeneous 3-vectors (their join or meet), or
     None when the sine of the angle between them is at most `tol`."""
-    x = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+    x = core.cross(p, q)
     return None if math.hypot(*x) <= tol * math.hypot(*p) * math.hypot(*q) else x
 
 
@@ -359,8 +385,8 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[Vertex
     deterministic ladder of alternative seeds.
     """
     tag = identify_circle(tri, circle)
-    cx, cy = map(float, circle.center)
-    circ = (cx, cy, float(circle.radius))
+    circ = circle.xyr
+    cx, cy, _ = circ
     A, B, C = map(tuple, tri.vertices.tolist())
     t_a, t_b, t_c = _touchpoints(circ, A, B, C)
     antipode = lambda P: (2.0 * cx - P[0], 2.0 * cy - P[1])

@@ -1,6 +1,9 @@
 """Numeric foundation: triangles, barycentric coordinates, lines, circles, conics.
 
-Everything operates on small numpy arrays.  Homogeneous quantities
+Everything operates on small numpy arrays, except the float kernels shared
+with the solvers (`cross`, `foot_on_line`, `CircleData.xyr`), which take and
+return plain floats because numpy's per-call dispatch on 2- and 3-vectors
+costs more than the arithmetic.  Homogeneous quantities
 (barycentric points, line coefficient triples, conic matrices) are defined up
 to a nonzero scale; equality checks therefore use the sine of the angle
 between coordinate vectors, never componentwise differences.
@@ -12,7 +15,7 @@ half-plane, unless a triangle is built from explicit vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,17 +218,28 @@ def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
 # lines
 
 
+def cross(p, q) -> tuple[float, float, float]:
+    """Cross product of two 3-vectors on plain floats.
+
+    The same multiplies and subtracts as `np.cross`, so the result is
+    bit-identical, without numpy's per-call dispatch.
+    """
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+
+
 def line_through(p, q) -> Array:
     """Homogeneous line through two homogeneous points (cross product).
 
     Valid in barycentric or cartesian-homogeneous coordinates alike.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    line = np.cross(p, q)
-    if np.linalg.norm(line) <= 1e-14 * np.linalg.norm(p) * np.linalg.norm(q):
+    p = np.asarray(p, dtype=float).tolist()
+    q = np.asarray(q, dtype=float).tolist()
+    line = cross(p, q)
+    if math.hypot(*line) <= 1e-14 * math.hypot(*p) * math.hypot(*q):
         raise CoincidentPoints("points are proportional; no unique line")
-    return line
+    return np.array(line)
 
 
 def incidence_residual(line, p) -> float:
@@ -242,7 +256,7 @@ def meet(l1, l2) -> Array:
 
 def cart_line(P, Q) -> Array:
     """Cartesian homogeneous line through two cartesian points."""
-    return line_through(homog(P), homog(Q))
+    return line_through((P[0], P[1], 1.0), (Q[0], Q[1], 1.0))
 
 
 def point_line_distance(P, line) -> float:
@@ -251,12 +265,15 @@ def point_line_distance(P, line) -> float:
     return abs(l * P[0] + m * P[1] + n) / math.hypot(l, m)
 
 
-def foot_on_line(P, Q, X) -> Array:
-    """Foot of the perpendicular from X onto the line through P and Q."""
-    P = np.asarray(P, float)
-    d = np.asarray(Q, float) - P
-    d = d / np.linalg.norm(d)
-    return P + np.dot(np.asarray(X, float) - P, d) * d
+def foot_on_line(P, Q, X) -> tuple[float, float]:
+    """Foot of the perpendicular from X onto the line through P and Q, as a
+    float pair."""
+    px, py = P
+    dx, dy = Q[0] - px, Q[1] - py
+    norm = math.sqrt(dx * dx + dy * dy)
+    dx, dy = dx / norm, dy / norm
+    k = (X[0] - px) * dx + (X[1] - py) * dy
+    return px + k * dx, py + k * dy
 
 
 def line_bary_to_cart(line, tri: TriangleData) -> Array:
@@ -287,10 +304,14 @@ class CircleData:
 
     center: Array
     radius: float
+    # (center x, center y, radius) as plain floats, for the float kernels
+    xyr: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise GeometryError(f"invalid circle radius {self.radius}")
+        cx, cy = np.asarray(self.center, dtype=float).tolist()
+        object.__setattr__(self, "xyr", (cx, cy, float(self.radius)))
 
     def point_at(self, theta: float) -> Array:
         return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
@@ -342,7 +363,13 @@ class VertexMatrix:
     circle: str  # one of CIRCLE_TAGS
 
     def cartesian(self, tri: TriangleData) -> Array:
-        return np.array([bary_to_cartesian(row, tri) for row in self.rows])
+        """All three rows through one matmul; bit-identical to calling
+        `bary_to_cartesian` on each row."""
+        rows = self.rows
+        totals = rows.sum(axis=1)
+        if np.any(np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=1)):
+            raise InfinitePoint("barycentric point at infinity has no cartesian image")
+        return (rows @ tri.vertices) / totals[:, None]
 
 
 # ---------------------------------------------------------------------------

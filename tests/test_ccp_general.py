@@ -160,6 +160,91 @@ def test_quadrilateral_problem():
         assert on_circle < 1e-9 and incidence < 1e-9
 
 
+def test_mobius_matrix_is_read_only():
+    inv = chord_involution(UNIT, (2.0, 0.5))
+    assert inv.m.tolist() == [[inv.m00, inv.m01], [inv.m10, inv.m11]]
+    with pytest.raises(ValueError):
+        inv.m[0, 0] = 1.0
+
+
+def test_pivot_on_circle_reaches_rank_one_kernel_fallback():
+    # P0 on the circle: its chord map is the rank-1 constant map onto P0,
+    # whose kernel is P0's own parameter, and that kernel is a fixed point of
+    # the composite.  The walk from it needs the kernel fallback.
+    P0 = (1.0, 0.0)
+    pts = np.array([P0, [2.0, 1.5], [-1.5, 2.0]])
+    sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
+    assert len(sols) == 2
+    for s in sols:
+        assert np.all(np.isfinite(s.vertices))
+        assert np.linalg.norm(s.vertices[1] - P0) < 1e-12
+    degenerate = [s for s in sols if np.linalg.norm(s.vertices[0] - P0) < 1e-12]
+    proper = [s for s in sols if np.linalg.norm(s.vertices[0] - P0) >= 1e-12]
+    assert len(degenerate) == 1 and len(proper) == 1
+    V0, V1, V2 = proper[0].vertices
+    assert np.linalg.norm(second_intersection_oracle(UNIT, V1, pts[1]) - V2) < 1e-12
+    assert np.linalg.norm(second_intersection_oracle(UNIT, V2, pts[2]) - V0) < 1e-12
+
+
+def _on_tangent_line(alpha, heights):
+    """Points T + h * d on the tangent line at T = (cos alpha, sin alpha)."""
+    T = np.array([math.cos(alpha), math.sin(alpha)])
+    d = np.array([-math.sin(alpha), math.cos(alpha)])
+    return T, np.array([T + h * d for h in heights])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.9, 4.0, math.pi])
+def test_tangent_line_points_give_a_tangent_double_solution(alpha):
+    # every chord map through a point of the tangent line at T fixes T, and
+    # an even number of them composes to a parabolic map (a translation of
+    # t when T = (-1, 0)): T is the one, double, fixed point
+    T, pts = _on_tangent_line(alpha, (1.0, 2.0, 4.0, -1.0))
+    sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
+    assert len(sols) == 1
+    assert sols[0].multiplicity == ccp_general.TANGENT_DOUBLE
+    assert np.abs(sols[0].vertices - T).max() < 1e-12
+
+
+def test_tangent_double_root_at_infinity():
+    # exact points on x = -1: the composite is exactly [[d, e], [0, d]], so
+    # a = b = 0 and only the root (1 : 0), the point (-1, 0), is left
+    pts = np.array([[-1.0, h] for h in (1.0, 2.0, 4.0, -1.0)])
+    sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
+    assert len(sols) == 1
+    assert sols[0].multiplicity == ccp_general.TANGENT_DOUBLE
+    assert sols[0].vertices.tolist() == [[-1.0, 0.0]] * 4
+
+
+def test_tangent_line_translations_cancelling_raise_degenerate_composition():
+    # on x = -1 the chord map of (-1, h) is t -> 2/h - t; these four shifts
+    # cancel, so the composite is the identity
+    pts = np.array([[-1.0, h] for h in (1.0, 2.0, 4.0, 4.0 / 3.0)])
+    with pytest.raises(DegenerateComposition):
+        ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
+
+
+_RHO = st.one_of(st.floats(0.2, 0.8), st.floats(1.5, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.5, 20),
+       st.lists(st.tuples(_RHO, st.floats(0, 2 * math.pi)), min_size=3, max_size=3))
+def test_every_mobius_solution_closes(cx, cy, r, polar):
+    # the chord from vertex i through point i lands on vertex i + 1
+    circle = core.CircleData(np.array([cx, cy]), r)
+    pts = np.array([[cx + rho * r * math.cos(phi), cy + rho * r * math.sin(phi)]
+                    for rho, phi in polar])
+    try:
+        sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=circle, points=pts))
+    except DegenerateComposition:
+        assume(False)
+    for sol in sols:
+        V = sol.vertices
+        for i in range(3):
+            landed = second_intersection_oracle(circle, V[i], pts[i])
+            assert np.linalg.norm(landed - V[(i + 1) % 3]) <= 1e-12 * r
+
+
 # ---------------------------------------------------------------------------
 # axis construction
 
@@ -272,6 +357,41 @@ def test_axis_seed_on_other_path_endpoint_has_no_cross_point(tri6913):
     assert math.dist(a4, t_a) > 1e-6 * circ[2]
     assert math.dist(_walk(circ, a4, pivots), a4) > 1e-6 * circ[2]
     assert ccp_general._axis_from_seeds(circ, pivots, (t_a, a4, t_c)) is None
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-9])
+def test_meet_sine_threshold(tol):
+    # |p x q| / (|p| |q|) is the sine of the angle between p and q
+    p = (1.0, 0.0, 0.0)
+    assert ccp_general._meet(p, (1.0, 0.5 * tol, 0.0), tol) is None
+    assert ccp_general._meet(p, (1.0, 2.0 * tol, 0.0), tol) == (0.0, 0.0, 2.0 * tol)
+
+
+def _cross_point_sine(circ, pivots, a1, b1, c1):
+    """Sine between the axis points the seed pairs (a, b) and (a, c) give,
+    recomputed with numpy."""
+    ends = [(np.array([*S, 1.0]), np.array([*_walk(circ, S, pivots), 1.0]))
+            for S in (a1, b1, c1)]
+    (a1, a4), (b1, b4), (c1, c4) = ends
+    h1 = np.cross(np.cross(a1, b4), np.cross(a4, b1))
+    h2 = np.cross(np.cross(a1, c4), np.cross(a4, c1))
+    return core.sin_angle(h1, h2)
+
+
+def test_axis_points_sine_threshold(tri6913):
+    # seed c a rotation of seed b by delta: the two axis points approach each
+    # other linearly in delta, and the axis is refused once their sine is at
+    # most 1e-9
+    circ, pivots, (t_a, t_b, _) = _chord_setup(tri6913)
+    a1 = (2.0 * circ[0] - t_a[0], 2.0 * circ[1] - t_a[1])
+    delta0 = 1e-5
+    per_delta = _cross_point_sine(
+        circ, pivots, a1, t_b, ccp_general._rotate_about(circ, t_b, delta0)) / delta0
+    for sine, refused in ((0.5e-9, True), (2e-9, False)):
+        c1 = ccp_general._rotate_about(circ, t_b, sine / per_delta)
+        assert _cross_point_sine(circ, pivots, a1, t_b, c1) == pytest.approx(sine, rel=0.01)
+        axis = ccp_general._axis_from_seeds(circ, pivots, (a1, t_b, c1))
+        assert (axis is None) == refused
 
 
 @pytest.mark.parametrize("failing", range(1, 6))

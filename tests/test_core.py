@@ -132,6 +132,41 @@ def test_line_through_basics():
         core.line_through([1, 2, 3], [2, 4, 6])
 
 
+@pytest.mark.parametrize("sine, coincident", [(0.5e-14, True), (2e-14, False)])
+def test_line_through_coincidence_threshold(sine, coincident):
+    # |p x q| / (|p| |q|) is the sine of the angle between p and q
+    p, q = [1.0, 0.0, 0.0], [1.0, sine, 0.0]
+    if coincident:
+        with pytest.raises(CoincidentPoints):
+            core.line_through(p, q)
+    else:
+        assert core.sin_angle(core.line_through(p, q), [0, 0, 1]) < 1e-15
+
+
+def test_cross_is_bit_identical_to_numpy(rng):
+    for _ in range(200):
+        p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(2, 1))
+        assert core.cross(p.tolist(), q.tolist()) == tuple(np.cross(p, q).tolist())
+        assert np.array_equal(core.line_through(p, q), np.cross(p, q))
+        assert np.array_equal(core.cart_line(p[:2], q[:2]),
+                              np.cross([p[0], p[1], 1.0], [q[0], q[1], 1.0]))
+
+
+def test_vertex_matrix_cartesian_matches_rowwise(triangles_100):
+    from castillon import ccp_closed
+    for t in triangles_100:
+        for tag in core.CIRCLE_TAGS:
+            for vm in ccp_closed.solutions_for(t, tag):
+                rowwise = np.array([core.bary_to_cartesian(row, t) for row in vm.rows])
+                assert np.array_equal(vm.cartesian(t), rowwise)
+
+
+def test_vertex_matrix_cartesian_rejects_row_at_infinity(tri345):
+    rows = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 1e-15], [0.0, 0.0, 1.0]])
+    with pytest.raises(InfinitePoint):
+        core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(tri345)
+
+
 def test_line_incidence_by_construction(rng):
     for _ in range(50):
         p, q = rng.normal(size=3), rng.normal(size=3)

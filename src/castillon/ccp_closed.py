@@ -3,6 +3,11 @@ and excircles, golden-ratio vertex matrices, and the substitution machinery
 (cyclic relabeling, bicentric swap, exversion) that derives all 24 solution
 vertices from a single one.
 
+The golden-ratio matrices are written out once, for the incircle.  Every
+excircle matrix is an incircle matrix evaluated with one sidelength negated
+(exversion, a -> -a for the A-excircle), with the two solutions' labels
+swapped and the rows put in the excircle's letter order (`_LETTER_ROW`).
+
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
 near-degenerate triangles; rows are homogeneous so the clearing factor is
@@ -114,6 +119,28 @@ def exversion(tri: TriangleData | SignedSides, vertex: str) -> SignedSides:
 # vertex matrices
 
 
+# Row index holding the A-, B-, C-lettered vertex of each circle's matrices
+# (a vertex's letter is the reference vertex its opposite side crosses).
+# Determined once numerically from the side-incidence patterns.  The table is
+# the one source of row order: `excircle_solutions` builds its rows in it and
+# `twenty_three_from_one` reports rows by it.
+_LETTER_ROW = {
+    core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
+    core.EXCIRCLE_A: {"A": 0, "B": 1, "C": 2},
+    core.EXCIRCLE_B: {"A": 2, "B": 0, "C": 1},
+    core.EXCIRCLE_C: {"A": 1, "B": 2, "C": 0},
+}
+
+
+# Incircle row indices in each excircle's letter order: row `_LETTER_ROW[tag][L]`
+# of an excircle matrix is row `_LETTER_ROW[INCIRCLE][L]` of the exverted
+# incircle one ([2, 0, 1] for A, the identity for B, [1, 2, 0] for C).
+_EXCIRCLE_ROW_ORDER = {
+    tag: np.array([_LETTER_ROW[core.INCIRCLE][letter] for letter in sorted(rows, key=rows.get)])
+    for tag, rows in _LETTER_ROW.items() if tag != core.INCIRCLE
+}
+
+
 def incircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
     """Cleared vertex-matrix rows of both incircle solutions."""
     g = golden_constants(phi)
@@ -132,26 +159,6 @@ def incircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
     return t1, t2
 
 
-def a_excircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
-    """Cleared vertex-matrix rows of both A-excircle solutions."""
-    g = golden_constants(phi)
-    s = sd.s
-    sb, sc = sd.v, sd.w          # s - b, s - c
-    cs, bs = -sd.w, -sd.v        # c - s, b - s
-    q2, r2 = g.sq_phi_m1, g.sq_phi_m2
-    t1 = np.array([
-        [cs * sb * q2, s * sb, sc * s * r2],
-        [cs * sb * r2, s * sb * q2, s * sc],
-        [bs * sc, s * sb * r2, sc * s * q2],
-    ])
-    t2 = np.array([
-        [bs * sc * q2, sb * s * r2, s * sc],
-        [cs * sb, sb * s * q2, s * sc * r2],
-        [bs * sc * r2, s * sb, s * sc * q2],
-    ])
-    return t1, t2
-
-
 def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on the incircle.
 
@@ -166,28 +173,23 @@ def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatri
     )
 
 
-def excircle_solutions(tri: TriangleData, which: str, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
+def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on the chosen excircle.
 
-    The B- and C-excircle matrices are cyclic relabelings of the A-excircle
-    ones (evaluate at rotated sidelengths, rotate coordinates back).
+    Exversion: the excircle matrices are the incircle rows evaluated with
+    the chosen side negated.  The labels swap (incircle T2 becomes excircle
+    T1, T1 becomes T2) and the rows are put in the circle's letter order, so
+    the row holding each lettered vertex is the one `_LETTER_ROW` names.
     """
-    sd = SignedSides.from_triangle(tri)
     which = which.upper()
-    if which == "A":
-        t1, t2 = a_excircle_rows(sd, phi)
-    elif which == "B":
-        t1, t2 = a_excircle_rows(sd.rotated(), phi)
-        t1, t2 = np.roll(t1, 1, axis=1), np.roll(t2, 1, axis=1)
-    elif which == "C":
-        t1, t2 = a_excircle_rows(sd.rotated().rotated(), phi)
-        t1, t2 = np.roll(t1, -1, axis=1), np.roll(t2, -1, axis=1)
-    else:
-        raise ValueError(f"which must be A, B or C, got {which!r}")
     tag = f"excircle-{which}"
+    order = _EXCIRCLE_ROW_ORDER.get(tag)
+    if order is None:
+        raise ValueError(f"which must be A, B or C, got {which!r}")
+    in_t1, in_t2 = incircle_rows(SignedSides.from_triangle(tri).exverted(which))
     return (
-        VertexMatrix(rows=t1, label="T1", circle=tag),
-        VertexMatrix(rows=t2, label="T2", circle=tag),
+        VertexMatrix(rows=in_t2.take(order, axis=0), label="T1", circle=tag),
+        VertexMatrix(rows=in_t1.take(order, axis=0), label="T2", circle=tag),
     )
 
 
@@ -253,18 +255,6 @@ def generator_seed(tri: TriangleData) -> Array:
     """The single vertex all others derive from: the A-labeled vertex of the
     second incircle solution (row 3 of its matrix)."""
     return incircle_rows(SignedSides.from_triangle(tri))[1][2]
-
-
-# Row index holding the A-, B-, C-lettered vertex of each circle's matrices
-# (a vertex's letter is the reference vertex its opposite side crosses).
-# Determined once numerically from the side-incidence patterns and asserted
-# for all triangles by the test suite.
-_LETTER_ROW = {
-    core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
-    core.EXCIRCLE_A: {"A": 0, "B": 1, "C": 2},
-    core.EXCIRCLE_B: {"A": 2, "B": 0, "C": 1},
-    core.EXCIRCLE_C: {"A": 1, "B": 2, "C": 0},
-}
 
 
 def twenty_three_from_one(seed, tri: TriangleData) -> list[GeneratedVertex]:

@@ -95,10 +95,10 @@ def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
     circle = spec.circle
     prob = CcpProblem.on_triangle(tri, circle)
 
+    closed = ccp_closed.solutions_for(tri, spec.circle_tag)
     outputs = {}
     if solver in ("closed", "all"):
-        vms = ccp_closed.solutions_for(tri, spec.circle_tag)
-        outputs["closed"] = [vm.cartesian(tri) for vm in vms]
+        outputs["closed"] = [vm.cartesian(tri) for vm in closed]
     if solver in ("mobius", "all"):
         sols = ccp_general.solve_ccp_mobius(prob)
         outputs["mobius"] = [s.vertices for s in sols]
@@ -116,7 +116,7 @@ def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
         "solver": solver,
         "circle": {"center": list(circle.center), "radius": circle.radius},
         "solutions": [_solution_entry(verts, tri) for verts in primary],
-        "shared": _shared_block(tri, ccp_closed.solutions_for(tri, spec.circle_tag)[0]),
+        "shared": _shared_block(tri, closed[0]),
     }
     on_circle = max(
         abs(np.linalg.norm(V - circle.center) - circle.radius)

@@ -286,6 +286,40 @@ def test_verify_solves_each_circle_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("solver", ["closed", "all"])
+def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
+    # one closed-form pair serves both the solutions and the shared block
+    from castillon import ccp_closed
+    calls = []
+    solutions_for = ccp_closed.solutions_for
+
+    def counted(tri, tag):
+        calls.append(tag)
+        return solutions_for(tri, tag)
+
+    monkeypatch.setattr(ccp_closed, "solutions_for", counted)
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
+    assert run(["solve", path, "--solver", solver]) == 0
+    capsys.readouterr()
+    assert calls == ["excircle-B"]
+
+
+def test_traced_layers_exist():
+    # the benchmark's call tracer wraps these functions by name
+    import ast
+    import importlib
+    shim = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
+    tree = ast.parse(shim.read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"castillon.{mod}"),
+                                       fn, None))]
+    assert layers and not missing
+
+
 def test_verify_flat_triangle_exits_degenerate(tmp_path, capsys):
     path = write(tmp_path, "p.json", {"triangle": {"a": 1, "b": 1, "c": 2}})
     assert run(["verify", path]) == 4

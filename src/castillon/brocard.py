@@ -1,21 +1,22 @@
 """Brocard geometry of a triangle and verification of the shared-object
 claims for the two inscribed solution triangles.
 
-Standard center formulas are taken from the canonical literature (the test
-suite re-derives each from its defining geometric property, so a transcribed
-formula cannot be wrong silently).  Both solutions of the inscribed-triangle
-problem share every frame object computed here; `verify_shared_objects`
-checks that claim numerically, object by object.
+Triangle centers come from the `centers` registry, the one source of center
+formulas; the test suite re-derives each from its defining geometric
+property, so a transcribed formula cannot be wrong silently.  Both solutions
+of the inscribed-triangle problem share every frame object computed here;
+`verify_shared_objects` checks that claim numerically, object by object,
+each check at one fixed tolerance (certified for aspect R/r up to 1e3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ccp_closed, core
+from . import ccp_closed, centers, core
 from .core import CircleData, ConicMatrix, TriangleData, VertexMatrix
 from .errors import OutOfRange
 
@@ -26,12 +27,6 @@ SQRT3 = math.sqrt(3.0)
 # Below this eccentricity (delta / R) the Brocard axis direction is not
 # numerically meaningful and the frame degenerates to the equilateral branch.
 DEGENERATE_DELTA = 1e-8
-
-
-def conway_sa(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Conway S_A, S_B, S_C = half the squared-side cosines combinations."""
-    a2, b2, c2 = a * a, b * b, c * c
-    return 0.5 * (b2 + c2 - a2), 0.5 * (c2 + a2 - b2), 0.5 * (a2 + b2 - c2)
 
 
 @dataclass(frozen=True)
@@ -74,11 +69,9 @@ def brocard_frame(tri) -> BrocardFrame:
     t = tri if isinstance(tri, TriangleData) else core.triangle_from_vertices(tri)
     a, b, c = t.sides
     a2, b2, c2 = a * a, b * b, c * c
-    sa, sb, sc = conway_sa(a, b, c)
-    s2 = 2.0 * t.area
 
-    X3 = np.array([a2 * sa, b2 * sb, c2 * sc])
-    X6 = np.array([a2, b2, c2])
+    X3 = centers.center(3, t)
+    X6 = centers.center(6, t)
     X3c = core.bary_to_cartesian(X3, t)
     X6c = core.bary_to_cartesian(X6, t)
     delta = float(np.linalg.norm(X6c - X3c))
@@ -86,8 +79,8 @@ def brocard_frame(tri) -> BrocardFrame:
 
     Omega1 = np.array([a2 * c2, a2 * b2, b2 * c2])
     Omega2 = np.array([a2 * b2, b2 * c2, c2 * a2])
-    X15 = np.array([a2 * (SQRT3 * sa + s2), b2 * (SQRT3 * sb + s2), c2 * (SQRT3 * sc + s2)])
-    X16 = np.array([a2 * (SQRT3 * sa - s2), b2 * (SQRT3 * sb - s2), c2 * (SQRT3 * sc - s2)])
+    X15 = centers.center(15, t)
+    X16 = centers.center(16, t)
     lemoine = np.array([1.0 / a2, 1.0 / b2, 1.0 / c2])
 
     degenerate = delta <= DEGENERATE_DELTA * t.R
@@ -232,12 +225,6 @@ class Report:
         active = [c.residual for c in self.checks if not c.skipped]
         return max(active) if active else 0.0
 
-    def rescaled(self, scale: float) -> "Report":
-        """The same report with every active tolerance multiplied by `scale`."""
-        return replace(self, checks=tuple(
-            c if c.skipped else check(c.name, c.residual, c.tolerance * scale, c.note)
-            for c in self.checks))
-
 
 def shared_brocard_points(t: TriangleData) -> tuple[Array, Array]:
     """Reference barycentrics of the solutions' common Brocard points.
@@ -313,7 +300,7 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
                         core.sin_angle(core.convert_bary(f1.X15, tri1, t),
                                        core.convert_bary(f2.X15, tri2, t)), 1e-9))
     checks.append(check("isodynamic-property",
-                        _isodynamic_defect(f1) / R, 1e-9))
+                        _isodynamic_defect(f1) / (R * R), 1e-9))
 
     if f1.degenerate or f2.degenerate:
         checks.append(skip("axis-shared", "equilateral: Brocard axis undefined"))
@@ -364,7 +351,8 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
 
 
 def _isodynamic_defect(frame: BrocardFrame) -> float:
-    """Max spread of a*|PA| over the vertices, for both isodynamic points."""
+    """Max spread of a*|PA| (a squared length) over the vertices, for both
+    isodynamic points."""
     t = frame.triangle
     worst = 0.0
     candidates = [frame.X15] if frame.X16 is None else [frame.X15, frame.X16]
@@ -382,13 +370,7 @@ def de_longchamps_concurrence(tri: TriangleData | SolvedTriangle) -> Report:
     axis is the reference's Soddy line (through X1 and X7)."""
     st = solved(tri)
     t = st.triangle
-    a, b, c = t.sides
-    sa, sb, sc = conway_sa(a, b, c)
-    X3 = core.bary_to_cartesian(np.array([a * a * sa, b * b * sb, c * c * sc]), t)
-    X4 = core.bary_to_cartesian(np.array([sb * sc, sc * sa, sa * sb]), t)
-    X20 = 2.0 * X3 - X4
-    X1 = core.bary_to_cartesian(np.array([a, b, c]), t)
-    X7 = core.bary_to_cartesian(np.array([t.v * t.w, t.w * t.u, t.u * t.v]), t)
+    X1, X7, X20 = (core.bary_to_cartesian(centers.center(k, t), t) for k in (1, 7, 20))
 
     checks: list[Check] = []
     for tag in core.CIRCLE_TAGS:

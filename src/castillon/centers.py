@@ -1,7 +1,8 @@
 """Triangle-center registry (Kimberling indices) and the solution/reference
 correspondence verifier.
 
-Registry entries are barycentric functions of the sidelengths.  Provenance
+Registry entries are barycentric functions of the sidelengths; the registry
+is the one source of center formulas, `brocard` included.  Provenance
 notes distinguish entries with an independent defining-property test in the
 suite from transcription-trusted ones, whose acceptance rests on homogeneity,
 permutation equivariance and the correspondence check itself.
@@ -29,11 +30,6 @@ Array = np.ndarray
 SQRT3 = math.sqrt(3.0)
 
 
-def _heron(a, b, c):
-    s = 0.5 * (a + b + c)
-    return math.sqrt(s * (s - a) * (s - b) * (s - c))
-
-
 def _sa(a, b, c):
     return 0.5 * (b * b + c * c - a * a)
 
@@ -58,12 +54,12 @@ _X7 = _cyclic(lambda a, b, c: (0.5 * (a + b + c) - b) * (0.5 * (a + b + c) - c))
 
 
 def _X15(a, b, c):
-    S = 2.0 * _heron(a, b, c)
+    S = 2.0 * core.heron(a, b, c)
     return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) + S))(a, b, c)
 
 
 def _X16(a, b, c):
-    S = 2.0 * _heron(a, b, c)
+    S = 2.0 * core.heron(a, b, c)
     return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) - S))(a, b, c)
 
 
@@ -75,7 +71,7 @@ def _X20(a, b, c):
 def _soddy_pencil(mu):
     """Points [a + mu * area / (s-a) : ...] on the line through X1 and X7."""
     def f(a, b, c):
-        area = _heron(a, b, c)
+        area = core.heron(a, b, c)
         s = 0.5 * (a + b + c)
         return np.array([a + mu * area / (s - a),
                          b + mu * area / (s - b),
@@ -94,7 +90,7 @@ _X187 = _cyclic(lambda a, b, c: a * a * (2 * a * a - b * b - c * c))
 def _brocard_pencil(factor_s, factor_q):
     """Points [a^2 (S_A + t)] on the Brocard axis, t = factor_s*2*area + factor_q*(a^2+b^2+c^2)."""
     def f(a, b, c):
-        t = factor_s * 2.0 * _heron(a, b, c) + factor_q * (a * a + b * b + c * c)
+        t = factor_s * 2.0 * core.heron(a, b, c) + factor_q * (a * a + b * b + c * c)
         return _cyclic(lambda x, y, z: x * x * (_sa(x, y, z) + t))(a, b, c)
     return f
 

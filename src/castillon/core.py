@@ -138,12 +138,18 @@ class TriangleData:
         return V
 
 
+def heron(a: float, b: float, c: float) -> float:
+    """Triangle area from the sidelengths (Heron's formula)."""
+    s = 0.5 * (a + b + c)
+    return math.sqrt(s * (s - a) * (s - b) * (s - c))
+
+
 def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
     if min(a, b, c) <= 0.0 or min(u, v, w) <= 0.0:
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
-    area = math.sqrt(s * u * v * w)
+    area = heron(a, b, c)
     if area < AREA_CUTOFF * s * s:
         raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
     return TriangleData(
@@ -455,11 +461,6 @@ def conic_line_residual(conic: ConicMatrix, line) -> float:
     line = np.asarray(line, dtype=float)
     val = float(line @ n @ line)
     return abs(val) / (np.linalg.norm(n) * float(line @ line))
-
-
-def conic_cart_to_bary(conic: ConicMatrix, tri: TriangleData) -> ConicMatrix:
-    V = tri.bary_matrix()
-    return ConicMatrix(V.T @ conic.m @ V, conic.kind)
 
 
 def conic_bary_to_cart(conic: ConicMatrix, tri: TriangleData) -> ConicMatrix:

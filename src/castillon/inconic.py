@@ -54,8 +54,6 @@ class Projectivity:
 class InconicSpec:
     perspector: Array            # positive barycentric triple
     conic: ConicMatrix           # point-conic, cartesian frame
-    conic_bary: ConicMatrix      # point-conic, barycentric frame
-    contacts: Array              # 3x3 barycentric contact points on BC, CA, AB
 
 
 def inconic_from_perspector(p, tri: TriangleData) -> InconicSpec:
@@ -76,17 +74,7 @@ def inconic_from_perspector(p, tri: TriangleData) -> InconicSpec:
         [-x * y * y * z, -x * x * y * z, x * x * y * y],
     ])
     conic_bary = ConicMatrix(m, core.POINT_CONIC)
-    contacts = np.array([
-        [0.0, y, z],
-        [x, 0.0, z],
-        [x, y, 0.0],
-    ])
-    return InconicSpec(
-        perspector=p,
-        conic=core.conic_bary_to_cart(conic_bary, tri),
-        conic_bary=conic_bary,
-        contacts=contacts,
-    )
+    return InconicSpec(perspector=p, conic=core.conic_bary_to_cart(conic_bary, tri))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import castillon
 from castillon import centers, core
 from castillon.errors import UnknownCenter
 
@@ -212,3 +217,15 @@ def test_infinity_pair_direction_equality(tri6913):
     d_ref = centers.center(516, t)
     assert core.is_infinite_bary(d_sol)
     assert core.sin_angle(d_sol, d_ref) < 1e-9
+
+
+@pytest.mark.parametrize("module", ["castillon.centers", "castillon.brocard"])
+def test_module_imports_alone(module):
+    # brocard takes its centers from the registry and centers verifies
+    # brocard reports, so each imports the other; either may come first
+    package_root = os.path.dirname(os.path.dirname(castillon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -112,14 +113,27 @@ def test_verify_345(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_near_degenerate_relaxed_or_rejected(tmp_path, capsys):
-    # never a silent wrong answer: either relaxed PASS (reported) or exit 4
-    path = write(tmp_path, "p.json", {"triangle": {"a": 1, "b": 1, "c": 1.9999999}})
+def test_verify_near_degenerate_fixed_tolerances(tmp_path, capsys):
+    # the tolerances are the same at every aspect ratio: aspect 1e3, the
+    # certified bound, passes; far beyond it a thin triangle is never a
+    # silent PASS, but a failed check row or exit 4
+    path = write(tmp_path, "p.json", {"triangle": {"a": 1, "b": 1, "c": 2 - 1e-3}})
+    assert run(["verify", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+    path = write(tmp_path, "q.json", {"triangle": {"a": 1, "b": 1, "c": 1.9999999}})
     code = run(["verify", path])
     out = capsys.readouterr().out
-    assert code in (0, 4)
-    if code == 0:
-        assert "relaxed" in out
+    assert code in (1, 4)
+    if code == 1:
+        assert re.search(r"^  \S+\s+FAIL .* tol \S+$", out, re.MULTILINE)
+
+
+def test_verify_large_triangle_passes(tmp_path, capsys):
+    # residuals are dimension-free, so the scale of the input does not matter
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6e6, "b": 9e6, "c": 13e6}})
+    assert run(["verify", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_sweep_env_seed(tmp_path, capsys, monkeypatch):
@@ -318,6 +332,38 @@ def test_traced_layers_exist():
                if not callable(getattr(importlib.import_module(f"castillon.{mod}"),
                                        fn, None))]
     assert layers and not missing
+
+
+def _bench_checks(monkeypatch):
+    """The benchmark's output checkers, loaded from their file, which is
+    neither changed nor given a bytecode cache."""
+    import importlib.util
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
+    checks = _bench_checks(monkeypatch)
+    monkeypatch.setenv("CASTILLON_SEED", "1")
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
+    assert run(["verify", path, "--sweep", "20"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert checks.check_verify(out, 21) == []
+    assert checks.check_verify(out.replace(b"  PASS  ", b"  FAIL  ", 1), 21)
+
+
+def test_solve_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
+    checks = _bench_checks(monkeypatch)
+    problem = {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]},
+               "circle": "excircle-B"}
+    path = write(tmp_path, "p.json", problem)
+    assert run(["solve", path, "--solver", "all"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert checks.check_solve_triangle(problem, out)[0] == []
 
 
 def test_verify_flat_triangle_exits_degenerate(tmp_path, capsys):

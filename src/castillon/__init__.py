@@ -38,8 +38,6 @@ from .core import (
 )
 from .inconic import (
     InconicSpec,
-    Projectivity,
-    circularizing_projectivity,
     inconic_from_perspector,
     solve_ccp_inconic,
 )

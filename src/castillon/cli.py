@@ -163,7 +163,7 @@ def _solve_inconic(spec: ProblemSpec) -> tuple[dict, int]:
         "schema": problemfile.SCHEMA_ID,
         "problem": spec.raw,
         "solver": "inconic-transport",
-        "image_circle": sols.circle_tag,
+        "image_circle": core.INCIRCLE,
         "solutions": [_solution_entry(verts, tri) for verts in sols.triangles],
         "shared": {"conic_matrix": problemfile.canonical_matrix(sols.conic.m)},
         "residuals": {

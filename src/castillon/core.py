@@ -84,13 +84,6 @@ def homog(P) -> Array:
     return np.array([P[0], P[1], 1.0])
 
 
-def dehomog(Ph) -> Array:
-    Ph = np.asarray(Ph, dtype=float)
-    if abs(Ph[2]) <= 1e-14 * max(abs(Ph[0]), abs(Ph[1]), 1e-300):
-        raise InfinitePoint("homogeneous point at infinity")
-    return Ph[:2] / Ph[2]
-
-
 # ---------------------------------------------------------------------------
 # triangles
 

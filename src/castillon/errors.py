@@ -38,7 +38,8 @@ class NoRealIntersection(GeometryError):
 
 
 class NonEllipse(GeometryError):
-    """Inconic is not a real ellipse; circularization is out of scope."""
+    """Inconic is not a real ellipse: its perspector is not interior.
+    Conics tangent to the extended sides are out of scope."""
 
 
 class UnknownCenter(GeometryError):

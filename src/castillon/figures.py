@@ -199,14 +199,15 @@ def render_excircles(tri: TriangleData) -> str:
 
 
 def render_inconic(tri: TriangleData, perspector) -> str:
-    """Two panels: the inconic problem (top) and its circularized image
-    (bottom), echoing the transport argument."""
+    """Two panels: the inconic problem (top) and its affine image (bottom),
+    in which the inconic is the unit circle and the solutions are the
+    closed-form incircle solutions of the image triangle."""
     spec = inconic.inconic_from_perspector(perspector, tri)
-    circ = inconic.circularizing_projectivity(spec, tri)
+    W, center = inconic.circularizing_map(spec)
     sols = inconic.solve_ccp_inconic(spec, tri)
 
     top = shared_frame(tri)
-    image = circ.image_triangle
+    image = core.triangle_from_vertices(np.array([W @ V - W @ center for V in tri.vertices]))
     img_xs = list(image.vertices[:, 0]) + [-1.0, 1.0]
     img_ys = list(image.vertices[:, 1]) + [-1.0, 1.0]
     pad = 0.06 * max(max(img_xs) - min(img_xs), max(img_ys) - min(img_ys))
@@ -228,7 +229,7 @@ def render_inconic(tri: TriangleData, perspector) -> str:
                 f'transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">')
     body.append(_polygon(image.vertices, "reference"))
     body.append(_circle(core.CircleData(np.zeros(2), 1.0), "circle"))
-    vms = ccp_closed.solutions_for(image, circ.circle_tag)
+    vms = ccp_closed.incircle_solutions(image)
     body.append(_polygon(vms[0].cartesian(image), "solution-1"))
     body.append(_polygon(vms[1].cartesian(image), "solution-2"))
     img_ell = brocard.brocard_inellipse(

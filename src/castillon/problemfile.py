@@ -4,7 +4,8 @@ Problems are JSON documents describing exactly one of three kinds:
 
 * triangle + named circle ("incircle" / "excircle-A|B|C")  -> closed-form,
   axis and parameter-map solvers all apply;
-* triangle + "inconic_perspector"                          -> transport solver;
+* triangle + "inconic_perspector"                          -> closed form on
+  the inconic;
 * explicit circle {center, radius} + "points"              -> general solver
   (a named circle with a triangle is also accepted for custom points).
 

@@ -65,6 +65,24 @@ def test_solve_inconic(tmp_path, capsys):
     assert doc["residuals"]["tangency"] < 1e-8
 
 
+def test_solve_near_side_inconic(tmp_path, capsys):
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13},
+                  "inconic_perspector": [1, 1e-6, 1e-6]})
+    assert run(["solve", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residuals"]["incidence"] <= 1e-9
+
+
+def test_solve_thin_inconic_exits_degenerate(tmp_path, capsys):
+    # the common conic's tangency check rejects it (residual ~5e-6)
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13},
+                  "inconic_perspector": [1, 2, 1e-6]})
+    assert run(["solve", path]) == 4
+    assert "common conic misses a solution side" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json", encoding="utf-8")
@@ -364,6 +382,13 @@ def test_solve_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
     assert run(["solve", path, "--solver", "all"]) == 0
     out = capsys.readouterr().out.encode()
     assert checks.check_solve_triangle(problem, out)[0] == []
+
+    problem = {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]},
+               "inconic_perspector": [3, 1, 2]}
+    path = write(tmp_path, "q.json", problem)
+    assert run(["solve", path]) == 0
+    out = capsys.readouterr().out.encode()
+    assert checks.check_solve_inconic(problem, out) == []
 
 
 def test_verify_flat_triangle_exits_degenerate(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Brocard geometry of a triangle and verification of the shared-object
 claims for the two inscribed solution triangles.
 
+`brocard_frame` takes a `TriangleData`, `brocard_inellipse` the frame.
 Triangle centers come from the `centers` registry, the one source of center
 formulas; the test suite re-derives each from its defining geometric
 property, so a transcribed formula cannot be wrong silently.  Both solutions
@@ -39,8 +40,6 @@ class BrocardFrame:
     """
 
     triangle: TriangleData
-    X3: Array
-    X6: Array
     X3_cart: Array
     X6_cart: Array
     delta: float
@@ -51,7 +50,6 @@ class BrocardFrame:
     Omega1_cart: Array
     Omega2_cart: Array
     circle: CircleData            # Brocard circle, diameter X3-X6
-    lemoine: Array                # barycentric line coefficients
     lemoine_cart: Array
     X15: Array
     X16: Array | None
@@ -64,9 +62,8 @@ class BrocardFrame:
         return self.axis is None
 
 
-def brocard_frame(tri) -> BrocardFrame:
-    """Assemble the Brocard frame of a triangle (vertex array or TriangleData)."""
-    t = tri if isinstance(tri, TriangleData) else core.triangle_from_vertices(tri)
+def brocard_frame(t: TriangleData) -> BrocardFrame:
+    """Assemble the Brocard frame of a triangle."""
     a, b, c = t.sides
     a2, b2, c2 = a * a, b * b, c * c
 
@@ -87,19 +84,18 @@ def brocard_frame(tri) -> BrocardFrame:
     axis = None if degenerate else core.line_through(X3, X6)
     return BrocardFrame(
         triangle=t,
-        X3=X3, X6=X6, X3_cart=X3c, X6_cart=X6c,
+        X3_cart=X3c, X6_cart=X6c,
         delta=delta, R=t.R, omega=omega,
         Omega1=Omega1, Omega2=Omega2,
         Omega1_cart=core.bary_to_cartesian(Omega1, t),
         Omega2_cart=core.bary_to_cartesian(Omega2, t),
         circle=CircleData(center=0.5 * (X3c + X6c), radius=0.5 * delta),
-        lemoine=lemoine,
         lemoine_cart=core.line_bary_to_cart(lemoine, t),
         X15=X15,
         X16=None if degenerate else X16,
         axis=axis,
         axis_cart=None if degenerate else core.cart_line(X3c, X6c),
-        X187=None if degenerate else core.meet(axis, lemoine),
+        X187=None if degenerate else core.line_through(axis, lemoine),
     )
 
 
@@ -166,12 +162,8 @@ def _ellipse_conic(center: Array, direction: Array, a_e: float, b_e: float) -> C
     return ConicMatrix(Tinv.T @ local @ Tinv, core.POINT_CONIC)
 
 
-def brocard_inellipse(tri) -> BrocardInellipse:
-    """Inellipse with the Brocard points as foci; semi-axes R[sin w, 2 sin^2 w].
-
-    Takes a built BrocardFrame, or anything `brocard_frame` takes.
-    """
-    frame = tri if isinstance(tri, BrocardFrame) else brocard_frame(tri)
+def brocard_inellipse(frame: BrocardFrame) -> BrocardInellipse:
+    """Inellipse with the Brocard points as foci; semi-axes R[sin w, 2 sin^2 w]."""
     a_e = frame.R * math.sin(frame.omega)
     b_e = 2.0 * frame.R * math.sin(frame.omega) ** 2
     f1, f2 = frame.Omega1_cart, frame.Omega2_cart
@@ -343,8 +335,9 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
     checks.append(check("inellipse-axes-ratio",
                         abs(e1.semi_axes[1] / e1.semi_axes[0] - 2.0 * sin_w), 1e-12))
     six_sides = np.vstack([core.side_lines(tri1), core.side_lines(tri2)])
+    dual = e1.conic.dual()
     checks.append(check("inellipse-tangent-six-sides",
-                        max(core.conic_line_residual(e1.conic, L) for L in six_sides),
+                        max(core.conic_line_residual(dual, L) for L in six_sides),
                         1e-9))
 
     return Report(name="shared-brocard-objects", checks=tuple(checks))

@@ -5,8 +5,9 @@ vertices from a single one.
 
 The golden-ratio matrices are written out once, for the incircle.  Every
 excircle matrix is an incircle matrix evaluated with one sidelength negated
-(exversion, a -> -a for the A-excircle), with the two solutions' labels
-swapped and the rows put in the excircle's letter order (`_LETTER_ROW`).
+(exversion, `SignedSides.exverted`: a -> -a for the A-excircle), with the
+two solutions' labels swapped and the rows put in the excircle's letter
+order (`_LETTER_ROW`).
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -107,12 +108,6 @@ class SignedSides:
 
     def swapped_bc(self) -> "SignedSides":
         return SignedSides(self.a, self.c, self.b)
-
-
-def exversion(tri: TriangleData | SignedSides, vertex: str) -> SignedSides:
-    """Evaluation context with the chosen sidelength negated (a -> -a for A)."""
-    sd = SignedSides.from_triangle(tri) if isinstance(tri, TriangleData) else tri
-    return sd.exverted(vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ class MobiusMap(NamedTuple):
     def compose(self, inner: "MobiusMap") -> "MobiusMap":
         p00, p01, p10, p11 = self._times(inner)
         scale = max(abs(p00), abs(p01), abs(p10), abs(p11))
+        if scale == 0.0:
+            # two pivots on the circle that the chord walk joins
+            raise DegenerateComposition("composed chord map is zero")
         return MobiusMap(p00 / scale, p01 / scale, p10 / scale, p11 / scale)
 
     def det(self) -> float:
@@ -205,7 +208,7 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     """Solve by composing chord involutions; 0, 1 or 2 solutions.
 
     Raises DegenerateComposition when the composite map is a multiple of the
-    identity (every inscribed polygon closes; nothing to enumerate).
+    identity or zero (every inscribed polygon closes; nothing to enumerate).
     """
     maps = [chord_involution(prob.circle, P) for P in prob.points.tolist()]
     composite = maps[0]
@@ -221,6 +224,12 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     m00, m01, m10, m11 = composite
     tol = 1e-10 * (m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
     kind, roots = _projective_quadratic_roots(m10, m11 - m00, -m01, tol)
+    # A pivot on the circle has a rank-1 chord map, which sends its own
+    # parameter to zero.  The composite's kernel then solves the quadratic
+    # too, but the walk from it runs into that zero: it is no polygon.
+    norm = math.hypot(m00, m01, m10, m11)
+    roots = [(p, q) for p, q in roots
+             if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm]
 
     walks = []
     for root in roots:

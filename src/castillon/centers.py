@@ -1,11 +1,12 @@
 """Triangle-center registry (Kimberling indices) and the solution/reference
 correspondence verifier.
 
-Registry entries are barycentric functions of the sidelengths; the registry
-is the one source of center formulas, `brocard` included.  Provenance
-notes distinguish entries with an independent defining-property test in the
-suite from transcription-trusted ones, whose acceptance rests on homogeneity,
-permutation equivariance and the correspondence check itself.
+Registry entries are barycentric functions of the sidelengths, and `center`
+evaluates one on a `TriangleData`; the registry is the one source of center
+formulas, `brocard` included.  Provenance notes distinguish entries with an
+independent defining-property test in the suite from transcription-trusted
+ones, whose acceptance rests on homogeneity, permutation equivariance and
+the correspondence check itself.
 
 The full correspondence list ships as a data file (one "i k" pair per line);
 pairs whose centers are not in the registry are reported data-only, never
@@ -201,9 +202,8 @@ def center_definition(idx: int) -> CenterDef:
     return _REGISTRY[idx]
 
 
-def center(idx: int, tri) -> Array:
-    """Barycentrics of center X_idx w.r.t. a TriangleData or 3x2 vertex array."""
-    t = tri if isinstance(tri, TriangleData) else core.triangle_from_vertices(tri)
+def center(idx: int, t: TriangleData) -> Array:
+    """Barycentrics of center X_idx w.r.t. the triangle."""
     return center_definition(idx).fn(t.a, t.b, t.c)
 
 

@@ -231,7 +231,8 @@ def cross(p, q) -> tuple[float, float, float]:
 def line_through(p, q) -> Array:
     """Homogeneous line through two homogeneous points (cross product).
 
-    Valid in barycentric or cartesian-homogeneous coordinates alike.
+    Valid in barycentric or cartesian-homogeneous coordinates alike; by
+    duality, the same cross product is the meet of two lines.
     """
     p = np.asarray(p, dtype=float).tolist()
     q = np.asarray(q, dtype=float).tolist()
@@ -246,11 +247,6 @@ def incidence_residual(line, p) -> float:
     line = np.asarray(line, dtype=float)
     p = np.asarray(p, dtype=float)
     return float(abs(np.dot(line, p)) / (np.linalg.norm(line) * np.linalg.norm(p)))
-
-
-def meet(l1, l2) -> Array:
-    """Intersection point of two homogeneous lines (cross product)."""
-    return line_through(l1, l2)
 
 
 def cart_line(P, Q) -> Array:
@@ -403,14 +399,10 @@ class ConicMatrix:
 
 
 def adjugate3(M) -> Array:
-    """Adjugate (cofactor transpose) of a 3x3 matrix, computed directly."""
-    M = np.asarray(M, dtype=float)
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            mi = np.delete(np.delete(M, j, axis=0), i, axis=1)
-            out[i, j] = ((-1) ** (i + j)) * (mi[0, 0] * mi[1, 1] - mi[0, 1] * mi[1, 0])
-    return out
+    """Adjugate (cofactor transpose) of a 3x3 matrix: its columns are the
+    cross products of cyclically consecutive rows."""
+    r0, r1, r2 = np.asarray(M, dtype=float).tolist()
+    return np.array(list(zip(cross(r1, r2), cross(r2, r0), cross(r0, r1))))
 
 
 def circle_to_conic(circle: CircleData) -> ConicMatrix:

@@ -26,7 +26,7 @@ class CenterPoint(GeometryError):
 
 
 class DegenerateComposition(GeometryError):
-    """Composed chord map is a multiple of the identity; every point closes."""
+    """Composed chord map is zero or a multiple of the identity; every point closes."""
 
 
 class PathClosed(GeometryError):

@@ -232,8 +232,8 @@ def render_inconic(tri: TriangleData, perspector) -> str:
     vms = ccp_closed.incircle_solutions(image)
     body.append(_polygon(vms[0].cartesian(image), "solution-1"))
     body.append(_polygon(vms[1].cartesian(image), "solution-2"))
-    img_ell = brocard.brocard_inellipse(
-        core.triangle_from_vertices(vms[0].cartesian(image)))
+    img_ell = brocard.brocard_inellipse(brocard.brocard_frame(
+        core.triangle_from_vertices(vms[0].cartesian(image))))
     body.append(_ellipse_element(img_ell.conic, "conic"))
     body.append("</g>")
 

@@ -95,11 +95,12 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     conic = core.conic_bary_to_cart(
         ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T, core.POINT_CONIC), tri)
 
+    dual = conic.dual()
     tangency = 0.0
     for verts in triangles:
         for i in range(3):
             side = core.cart_line(verts[i], verts[(i + 1) % 3])
-            tangency = max(tangency, core.conic_line_residual(conic, side))
+            tangency = max(tangency, core.conic_line_residual(dual, side))
     if tangency > 1e-8:
         raise GeometryError(f"common conic misses a solution side ({tangency:.2e})")
 

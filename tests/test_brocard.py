@@ -14,7 +14,7 @@ def angle_at(V, P, W):
 
 
 def test_equilateral_frame(equilateral):
-    f = brocard.brocard_frame(equilateral.vertices)
+    f = brocard.brocard_frame(equilateral)
     assert abs(f.omega - math.pi / 6) < 1e-14
     assert f.delta < 1e-14
     assert f.degenerate
@@ -25,7 +25,7 @@ def test_equilateral_frame(equilateral):
 
 
 def test_345_brocard_angle_and_points(tri345):
-    f = brocard.brocard_frame(tri345.vertices)
+    f = brocard.brocard_frame(tri345)
     # cot w = (9 + 16 + 25) / (4 * 6) = 50/24
     assert abs(f.omega - math.atan2(24, 50)) < 1e-14
     A, B, C = tri345.vertices
@@ -43,7 +43,7 @@ def test_345_brocard_angle_and_points(tri345):
 
 
 def test_inter_brocard_distance_formula(tri345):
-    f = brocard.brocard_frame(tri345.vertices)
+    f = brocard.brocard_frame(tri345)
     gap2 = float(np.sum((f.Omega1_cart - f.Omega2_cart) ** 2))
     expect = brocard.inter_brocard_distance_sq(f.R, f.omega)
     assert abs(gap2 - expect) / expect < 1e-10
@@ -54,7 +54,7 @@ def test_eccentricity_angle_formula_limits_and_cross_check(tri345):
     assert brocard.brocard_angle_from_eccentricity(1.0, 1.0) == 0.0
     with pytest.raises(OutOfRange):
         brocard.brocard_angle_from_eccentricity(1.1, 1.0)
-    f = brocard.brocard_frame(tri345.vertices)
+    f = brocard.brocard_frame(tri345)
     assert abs(brocard_angle_from_frame(f) - f.omega) < 1e-10
 
 
@@ -63,8 +63,8 @@ def brocard_angle_from_frame(f):
 
 
 def test_inellipse_345(tri345):
-    f = brocard.brocard_frame(tri345.vertices)
-    e = brocard.brocard_inellipse(tri345.vertices)
+    f = brocard.brocard_frame(tri345)
+    e = brocard.brocard_inellipse(brocard.brocard_frame(tri345))
     assert np.array_equal(brocard.brocard_inellipse(f).conic.m, e.conic.m)
     a_e, b_e = e.semi_axes
     assert abs(a_e - f.R * math.sin(f.omega)) < 1e-12 * f.R
@@ -78,8 +78,8 @@ def test_inellipse_345(tri345):
 
 
 def test_inellipse_equilateral(equilateral):
-    f = brocard.brocard_frame(equilateral.vertices)
-    e = brocard.brocard_inellipse(equilateral.vertices)
+    f = brocard.brocard_frame(equilateral)
+    e = brocard.brocard_inellipse(f)
     assert abs(e.semi_axes[0] - f.R / 2) < 1e-12
     assert abs(e.semi_axes[1] - f.R / 2) < 1e-12
     assert np.linalg.norm(e.foci[0] - e.foci[1]) < 1e-12

@@ -90,7 +90,7 @@ def test_equilateral_excircle_rotation_symmetry(equilateral):
 
 
 def test_exversion_of_incenter(tri6913):
-    sd = ccp_closed.exversion(tri6913, "A")
+    sd = SignedSides.from_triangle(tri6913).exverted("A")
     incenter = np.array([sd.a, sd.b, sd.c])
     assert core.sin_angle(incenter, [-tri6913.a, tri6913.b, tri6913.c]) < 1e-15
 
@@ -98,7 +98,7 @@ def test_exversion_of_incenter(tri6913):
 def test_exversion_of_gergonne_matches_displayed_triple(tri6913):
     # A-exverted [1/u : 1/v : 1/w] equals [(b-s)(c-s), (b-s)s, (c-s)s]
     t = tri6913
-    sd = ccp_closed.exversion(t, "A")
+    sd = SignedSides.from_triangle(t).exverted("A")
     exverted = ccp_closed.gergonne_rows(sd)
     s = t.s
     displayed = np.array([(t.b - s) * (t.c - s), (t.b - s) * s, (t.c - s) * s])

@@ -167,23 +167,32 @@ def test_mobius_matrix_is_read_only():
         inv.m[0, 0] = 1.0
 
 
-def test_pivot_on_circle_reaches_rank_one_kernel_fallback():
-    # P0 on the circle: its chord map is the rank-1 constant map onto P0,
-    # whose kernel is P0's own parameter, and that kernel is a fixed point of
-    # the composite.  The walk from it needs the kernel fallback.
-    P0 = (1.0, 0.0)
-    pts = np.array([P0, [2.0, 1.5], [-1.5, 2.0]])
-    sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
-    assert len(sols) == 2
-    for s in sols:
-        assert np.all(np.isfinite(s.vertices))
-        assert np.linalg.norm(s.vertices[1] - P0) < 1e-12
-    degenerate = [s for s in sols if np.linalg.norm(s.vertices[0] - P0) < 1e-12]
-    proper = [s for s in sols if np.linalg.norm(s.vertices[0] - P0) >= 1e-12]
-    assert len(degenerate) == 1 and len(proper) == 1
-    V0, V1, V2 = proper[0].vertices
-    assert np.linalg.norm(second_intersection_oracle(UNIT, V1, pts[1]) - V2) < 1e-12
-    assert np.linalg.norm(second_intersection_oracle(UNIT, V2, pts[2]) - V0) < 1e-12
+def test_pivot_on_circle_gives_the_one_genuine_solution():
+    # a pivot on the circle has the rank-1 chord map onto its own parameter,
+    # so it is the next vertex of every solution.  The composite's kernel
+    # also solves the fixed-point quadratic, but the walk from it meets that
+    # map's zero; it is dropped wherever the pivot sits in the cycle.
+    P = np.array([1.0, 0.0])
+    for k in range(3):
+        pts = np.insert(np.array([[2.0, 1.5], [-1.5, 2.0]]), k, P, axis=0)
+        sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
+        assert len(sols) == 1
+        V = sols[0].vertices
+        assert np.all(np.isfinite(V))
+        assert np.linalg.norm(V[(k + 1) % 3] - P) < 1e-12
+        assert min(np.linalg.norm(V[i] - V[(i + 1) % 3]) for i in range(3)) > 1e-3
+        for i in range(3):
+            if i != k:
+                landed = second_intersection_oracle(UNIT, V[i], pts[i])
+                assert np.linalg.norm(landed - V[(i + 1) % 3]) < 1e-12
+
+
+def test_repeated_pivot_on_circle_raises_degenerate_composition():
+    # the chord map of a pivot on the circle squares to zero: every polygon
+    # with a vertex at that pivot closes
+    pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
+    with pytest.raises(DegenerateComposition):
+        ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
 
 
 def _on_tangent_line(alpha, heights):

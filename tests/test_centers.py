@@ -28,12 +28,6 @@ def test_centroid_and_gergonne(tri345, tri6913):
     assert core.sin_angle(centers.center(7, tri6913), [1 / 8, 1 / 5, 1.0]) < 1e-14
 
 
-def test_accepts_vertex_array(tri345):
-    by_tri = centers.center(6, tri345)
-    by_verts = centers.center(6, tri345.vertices)
-    assert core.sin_angle(by_tri, by_verts) < 1e-14
-
-
 def test_homogeneity_all_registry(tri345):
     a, b, c = tri345.sides
     for idx in centers.registry_indices():
@@ -147,7 +141,7 @@ def test_schoute_center_is_axis_lemoine_meet(tri345):
     a, b, c = t.sides
     axis = core.line_through(centers.center(3, t), centers.center(6, t))
     lemoine = np.array([1 / a ** 2, 1 / b ** 2, 1 / c ** 2])
-    meet = core.meet(axis, lemoine)
+    meet = core.line_through(axis, lemoine)
     assert core.sin_angle(centers.center(187, t), meet) < 1e-12
 
 
@@ -219,13 +213,31 @@ def test_infinity_pair_direction_equality(tri6913):
     assert core.sin_angle(d_sol, d_ref) < 1e-9
 
 
-@pytest.mark.parametrize("module", ["castillon.centers", "castillon.brocard"])
-def test_module_imports_alone(module):
-    # brocard takes its centers from the registry and centers verifies
-    # brocard reports, so each imports the other; either may come first
+def _fresh_python(*args):
+    """Run a new interpreter on this test's package."""
     package_root = os.path.dirname(os.path.dirname(castillon.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("module", ["castillon.centers", "castillon.brocard"])
+def test_module_imports_alone(module):
+    # brocard takes its centers from the registry and centers verifies
+    # brocard reports, so each imports the other; either may come first.
+    # -X importtime reports a module first when its code finishes running,
+    # so the named module finishing last means its own import ran the others
+    proc = _fresh_python("-X", "importtime", "-c", f"import {module}")
     assert proc.returncode == 0, proc.stderr
+    reported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    finished = list(dict.fromkeys(n for n in reported if n.startswith("castillon.")))
+    assert finished[-1] == module, finished
+
+
+def test_core_imports_only_errors():
+    # the package itself exports nothing, so it imports none of its modules
+    proc = _fresh_python("-c", "import sys, castillon.core; "
+                               "print(*sorted(m for m in sys.modules if m.startswith('castillon')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["castillon", "castillon.core", "castillon.errors"]

@@ -116,6 +116,25 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_pivot_on_circle(tmp_path, capsys):
+    # one genuine solution, whose vertex after the pivot is the pivot
+    path = write(tmp_path, "p.json",
+                 {"circle": {"center": [0, 0], "radius": 1},
+                  "points": [[1, 0], [2, 1.5], [-1.5, 2]]})
+    assert run(["solve", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["solutions"]) == 1
+    assert np.linalg.norm(np.array(doc["solutions"][0]["vertices"][1]) - [1, 0]) < 1e-12
+    assert doc["residuals"]["incidence"] < 1e-12
+
+    # the pivot twice: the composed chord map is zero
+    path = write(tmp_path, "q.json",
+                 {"circle": {"center": [0, 0], "radius": 1},
+                  "points": [[1, 0], [1, 0], [0, 0.5]]})
+    assert run(["solve", path]) == 4
+    assert "composed chord map is zero" in capsys.readouterr().err
+
+
 def test_verify_passes(tmp_path, capsys):
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path]) == 0
@@ -337,19 +356,41 @@ def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
     assert calls == ["excircle-B"]
 
 
-def test_traced_layers_exist():
-    # the benchmark's call tracer wraps these functions by name
+def _traced_layers() -> dict:
+    """`LAYERS` of the benchmark's call tracer, read from its file."""
     import ast
-    import importlib
     shim = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
     tree = ast.parse(shim.read_text(encoding="utf-8"))
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+
+
+def test_traced_layers_exist():
+    # the benchmark's call tracer wraps these functions by name
+    import importlib
+    layers = _traced_layers()
     missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"castillon.{mod}"),
                                        fn, None))]
     assert layers and not missing
+
+
+def test_traced_functions_have_one_name():
+    # the tracer replaces each function on its own module; a second binding,
+    # such as a `from .x import f` re-export, would call the original untraced
+    import importlib
+    homes = {}
+    for mod, fns in _traced_layers().items():
+        module = importlib.import_module(f"castillon.{mod}")
+        for fn in fns:
+            homes[id(getattr(module, fn))] = f"castillon.{mod}.{fn}"
+    second = [f"{name}.{attr} -> {homes[id(value)]}"
+              for name, module in sorted(sys.modules.items())
+              if name.split(".")[0] == "castillon"
+              for attr, value in vars(module).items()
+              if id(value) in homes and homes[id(value)] != f"{name}.{attr}"]
+    assert homes and not second
 
 
 def _bench_checks(monkeypatch):

@@ -93,7 +93,37 @@ def test_bary_scaling_invariance(lam, x, y, z):
     assume(abs(p.sum()) > 1e-3 and np.abs(p).max() > 1e-3)
     a = core.bary_to_cartesian(p, tri)
     b = core.bary_to_cartesian(lam * p, tri)
-    assert np.linalg.norm(a - b) < 1e-10
+    # x = sum(p_i V_i) / sum(p_i) has condition number
+    # kappa = sum|p_i| / |sum p_i|: rounding lam * p, each of the two
+    # evaluations and their sums moves x by at most
+    # 10 u kappa (|x| + max|V_i|) to first order, u the unit roundoff
+    u = np.finfo(float).eps / 2
+    kappa = np.abs(p).sum() / abs(p.sum())
+    scale = np.linalg.norm(a) + np.linalg.norm(tri.vertices, axis=1).max()
+    assert np.linalg.norm(a - b) <= 10 * u * kappa * scale
+
+
+def _adjugate_by_cofactors(M):
+    """The cofactor loop `core.adjugate3` replaced, kept as its reference."""
+    out = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            mi = np.delete(np.delete(M, j, axis=0), i, axis=1)
+            out[i, j] = ((-1) ** (i + j)) * (mi[0, 0] * mi[1, 1] - mi[0, 1] * mi[1, 0])
+    return out
+
+
+def test_adjugate_matches_cofactor_loop(rng):
+    # the same products and differences, so the results are bit-identical;
+    # on a symmetric matrix the dual conic's tangency residual is then the
+    # one the point conic computes from its adjugate
+    scales = 10.0 ** rng.integers(-6, 7, size=(2000, 1, 1))
+    for M in rng.standard_normal((2000, 3, 3)) * scales:
+        assert np.array_equal(core.adjugate3(M), _adjugate_by_cofactors(M))
+        conic = core.ConicMatrix(M + M.T, core.POINT_CONIC)
+        line = M[0]
+        assert (core.conic_line_residual(conic.dual(), line)
+                == core.conic_line_residual(conic, line))
 
 
 def test_incircle_and_excircles(tri345, equilateral):

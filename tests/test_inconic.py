@@ -28,10 +28,10 @@ def test_symmedian_perspector_gives_brocard_inellipse(tri345):
     t = tri345
     a, b, c = t.sides
     spec = inconic.inconic_from_perspector([a * a, b * b, c * c], t)
-    reference_ellipse = brocard.brocard_inellipse(t.vertices)
+    reference_ellipse = brocard.brocard_inellipse(brocard.brocard_frame(t))
     assert core.sin_angle(spec.conic.m, reference_ellipse.conic.m) < 1e-10
     # foci are the reference's Brocard points
-    f = brocard.brocard_frame(t.vertices)
+    f = brocard.brocard_frame(t)
     got_center = core.conic_center(spec.conic)
     assert np.linalg.norm(got_center - 0.5 * (f.Omega1_cart + f.Omega2_cart)) < 1e-10
 
@@ -89,7 +89,7 @@ def test_identity_transport_for_incircle(tri6913):
     assert set_deviation(closed, got) < 1e-9 * t.r
     # returned conic is the solutions' shared inellipse
     sol_tri = core.triangle_from_vertices(ccp_closed.incircle_solutions(t)[0].cartesian(t))
-    shared = brocard.brocard_inellipse(sol_tri)
+    shared = brocard.brocard_inellipse(brocard.brocard_frame(sol_tri))
     assert core.sin_angle(sols.conic.m, shared.conic.m) < 1e-9
 
 
@@ -149,8 +149,8 @@ def test_tangency_preserved_for_arbitrary_tangents(tri6913):
     H[:2, 2] = -W @ inconic_center
     image = _image_triangle(spec, t)
     vms = ccp_closed.incircle_solutions(image)
-    image_ell = brocard.brocard_inellipse(
-        core.triangle_from_vertices(vms[0].cartesian(image)))
+    image_ell = brocard.brocard_inellipse(brocard.brocard_frame(
+        core.triangle_from_vertices(vms[0].cartesian(image))))
     sols = inconic.solve_ccp_inconic(spec, t)
     dual = image_ell.conic.dual().m
     for theta in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,73 +32,53 @@ SQRT3 = math.sqrt(3.0)
 DEGENERATE_DELTA = 1e-8
 
 
-@dataclass(frozen=True)
 class BrocardFrame:
-    """All shared Brocard-geometry objects of one triangle.
+    """All shared Brocard-geometry objects of one triangle, one formula each.
 
-    Barycentrics are w.r.t. that same triangle; cartesian embeddings use its
-    vertex coordinates.  For (numerically) equilateral triangles the axis,
-    X187 and X16 are undefined and stored as None.
+    Each object is built on first read (`functools.cached_property`), so a
+    check pays only for the objects it reads.  Barycentrics are w.r.t. the
+    same triangle; cartesian embeddings use its vertex coordinates.  For
+    (numerically) equilateral triangles the axis, X187 and X16 are undefined
+    and read as None.
     """
 
-    triangle: TriangleData
-    X3_cart: Array
-    X6_cart: Array
-    delta: float
-    R: float
-    omega: float
-    Omega1: Array
-    Omega2: Array
-    Omega1_cart: Array
-    Omega2_cart: Array
-    circle: CircleData            # Brocard circle, diameter X3-X6
-    lemoine_cart: Array
-    X15: Array
-    X16: Array | None
-    axis: Array | None            # barycentric line through X3, X6
-    axis_cart: Array | None
-    X187: Array | None
+    def __init__(self, triangle: TriangleData):
+        self.triangle = t = triangle
+        self.R = t.R
+        self.a2, self.b2, self.c2 = t.a * t.a, t.b * t.b, t.c * t.c
+
+    X3 = cached_property(lambda f: centers.center(3, f.triangle))
+    X6 = cached_property(lambda f: centers.center(6, f.triangle))
+    X15 = cached_property(lambda f: centers.center(15, f.triangle))
+    X16 = cached_property(lambda f: None if f.degenerate else centers.center(16, f.triangle))
+    X3_cart = cached_property(lambda f: core.bary_to_cartesian(f.X3, f.triangle))
+    X6_cart = cached_property(lambda f: core.bary_to_cartesian(f.X6, f.triangle))
+    delta = cached_property(lambda f: float(np.linalg.norm(f.X6_cart - f.X3_cart)))
+    omega = cached_property(lambda f: math.atan2(4.0 * f.triangle.area, f.a2 + f.b2 + f.c2))
+    Omega1 = cached_property(lambda f: np.array([f.a2 * f.c2, f.a2 * f.b2, f.b2 * f.c2]))
+    Omega2 = cached_property(lambda f: np.array([f.a2 * f.b2, f.b2 * f.c2, f.c2 * f.a2]))
+    Omega1_cart = cached_property(lambda f: core.bary_to_cartesian(f.Omega1, f.triangle))
+    Omega2_cart = cached_property(lambda f: core.bary_to_cartesian(f.Omega2, f.triangle))
+    # the Brocard circle, on the diameter X3-X6
+    circle = cached_property(lambda f: CircleData(center=0.5 * (f.X3_cart + f.X6_cart),
+                                                  radius=0.5 * f.delta))
+    lemoine = cached_property(lambda f: np.array([1.0 / f.a2, 1.0 / f.b2, 1.0 / f.c2]))
+    lemoine_cart = cached_property(lambda f: core.line_bary_to_cart(f.lemoine, f.triangle))
+    # the Brocard axis, through X3 and X6
+    axis = cached_property(lambda f: None if f.degenerate else core.line_through(f.X3, f.X6))
+    axis_cart = cached_property(
+        lambda f: None if f.degenerate else core.cart_line(f.X3_cart, f.X6_cart))
+    X187 = cached_property(
+        lambda f: None if f.degenerate else core.line_through(f.axis, f.lemoine))
 
     @property
     def degenerate(self) -> bool:
-        return self.axis is None
+        return self.delta <= DEGENERATE_DELTA * self.R
 
 
 def brocard_frame(t: TriangleData) -> BrocardFrame:
-    """Assemble the Brocard frame of a triangle."""
-    a, b, c = t.sides
-    a2, b2, c2 = a * a, b * b, c * c
-
-    X3 = centers.center(3, t)
-    X6 = centers.center(6, t)
-    X3c = core.bary_to_cartesian(X3, t)
-    X6c = core.bary_to_cartesian(X6, t)
-    delta = float(np.linalg.norm(X6c - X3c))
-    omega = math.atan2(4.0 * t.area, a2 + b2 + c2)
-
-    Omega1 = np.array([a2 * c2, a2 * b2, b2 * c2])
-    Omega2 = np.array([a2 * b2, b2 * c2, c2 * a2])
-    X15 = centers.center(15, t)
-    X16 = centers.center(16, t)
-    lemoine = np.array([1.0 / a2, 1.0 / b2, 1.0 / c2])
-
-    degenerate = delta <= DEGENERATE_DELTA * t.R
-    axis = None if degenerate else core.line_through(X3, X6)
-    return BrocardFrame(
-        triangle=t,
-        X3_cart=X3c, X6_cart=X6c,
-        delta=delta, R=t.R, omega=omega,
-        Omega1=Omega1, Omega2=Omega2,
-        Omega1_cart=core.bary_to_cartesian(Omega1, t),
-        Omega2_cart=core.bary_to_cartesian(Omega2, t),
-        circle=CircleData(center=0.5 * (X3c + X6c), radius=0.5 * delta),
-        lemoine_cart=core.line_bary_to_cart(lemoine, t),
-        X15=X15,
-        X16=None if degenerate else X16,
-        axis=axis,
-        axis_cart=None if degenerate else core.cart_line(X3c, X6c),
-        X187=None if degenerate else core.line_through(axis, lemoine),
-    )
+    """The Brocard frame of a triangle; its objects are built on first read."""
+    return BrocardFrame(t)
 
 
 class SolvedTriangle:
@@ -180,8 +162,7 @@ def brocard_inellipse(frame: BrocardFrame) -> BrocardInellipse:
 # shared-object verification
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     residual: float
     tolerance: float
@@ -266,7 +247,7 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
 
     for name, p1, p2 in (("brocard-point-1", f1.Omega1_cart, f2.Omega1_cart),
                          ("brocard-point-2", f1.Omega2_cart, f2.Omega2_cart)):
-        checks.append(check(f"{name}-shared", np.linalg.norm(p1 - p2) / R, 1e-9))
+        checks.append(check(f"{name}-shared", math.dist(p1, p2) / R, 1e-9))
 
     first, second = shared_brocard_points(t)
     checks.append(check("brocard-point-1-closed-form",
@@ -274,18 +255,18 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
     checks.append(check("brocard-point-2-closed-form",
                         core.sin_angle(core.convert_bary(f1.Omega2, tri1, t), second), 1e-9))
 
-    gap2 = np.linalg.norm(f1.Omega1_cart - f1.Omega2_cart) ** 2
+    gap2 = math.dist(f1.Omega1_cart, f1.Omega2_cart) ** 2
     expect = inter_brocard_distance_sq(R, f1.omega)
     scale = max(expect, (R * math.sin(f1.omega)) ** 2)
     checks.append(check("inter-brocard-distance", abs(gap2 - expect) / scale, 1e-10))
 
     checks.append(check("circumcenter-shared",
-                        np.linalg.norm(f1.X3_cart - f2.X3_cart) / R, 1e-9))
+                        math.dist(f1.X3_cart, f2.X3_cart) / R, 1e-9))
     checks.append(check("symmedian-shared",
-                        np.linalg.norm(f1.X6_cart - f2.X6_cart) / R, 1e-9))
+                        math.dist(f1.X6_cart, f2.X6_cart) / R, 1e-9))
 
     checks.append(check("brocard-circle-shared",
-                        (np.linalg.norm(f1.circle.center - f2.circle.center)
+                        (math.dist(f1.circle.center, f2.circle.center)
                          + abs(f1.circle.radius - f2.circle.radius)) / R, 1e-9))
 
     checks.append(check("X15-shared",
@@ -312,10 +293,11 @@ def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
         checks.append(check("X15-X16-on-axis",
                             max(core.incidence_residual(f1.axis, f1.X15),
                                 core.incidence_residual(f1.axis, f1.X16)), 1e-9))
-        join = f1.Omega2_cart - f1.Omega1_cart
-        axis_dir = f1.X6_cart - f1.X3_cart
-        if np.linalg.norm(join) > DEGENERATE_DELTA * R:
-            cosang = abs(np.dot(join, axis_dir)) / (np.linalg.norm(join) * np.linalg.norm(axis_dir))
+        jx, jy = (f1.Omega2_cart - f1.Omega1_cart).tolist()
+        ax, ay = (f1.X6_cart - f1.X3_cart).tolist()
+        join = math.hypot(jx, jy)
+        if join > DEGENERATE_DELTA * R:
+            cosang = abs(jx * ax + jy * ay) / (join * math.hypot(ax, ay))
             checks.append(check("points-perpendicular-axis", cosang, 1e-10))
         else:
             checks.append(skip("points-perpendicular-axis", "coincident Brocard points"))
@@ -351,7 +333,7 @@ def _isodynamic_defect(frame: BrocardFrame) -> float:
     candidates = [frame.X15] if frame.X16 is None else [frame.X15, frame.X16]
     for point in candidates:
         P = core.bary_to_cartesian(point, t)
-        vals = [side * np.linalg.norm(P - V)
+        vals = [side * math.dist(P, V)
                 for side, V in zip(t.sides, t.vertices)]
         worst = max(worst, max(vals) - min(vals))
     return worst

@@ -18,7 +18,9 @@ immaterial.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +65,7 @@ def golden_constants(phi: float = PHI) -> GoldenConstants:
 # signed evaluation context
 
 
-@dataclass(frozen=True)
-class SignedSides:
+class SignedSides(NamedTuple):
     """Formal sidelength triple for evaluating closed-form expressions.
 
     Components may be negative: negating one side ("exversion") turns every
@@ -96,12 +97,10 @@ class SignedSides:
         return self.s - self.c
 
     def exverted(self, vertex: str) -> "SignedSides":
-        sides = {"a": self.a, "b": self.b, "c": self.c}
         key = vertex.lower()
-        if key not in sides:
+        if key not in self._fields:
             raise ValueError(f"vertex must be A, B or C, got {vertex!r}")
-        sides[key] = -sides[key]
-        return SignedSides(sides["a"], sides["b"], sides["c"])
+        return self._replace(**{key: -getattr(self, key)})
 
     def rotated(self) -> "SignedSides":
         return SignedSides(self.b, self.c, self.a)
@@ -229,27 +228,41 @@ class GeneratedVertex:
     label: str    # "T1" | "T2"
     row: int      # row index in the matching vertex matrix
     vertex: str   # "A" | "B" | "C": reference vertex the opposite side crosses
-    coords: Array
+    coords: tuple[float, float, float]
+
+
+_G = golden_constants()
+
+
+def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
+    """Row 3 of `incircle_rows(sd)[1]` on plain floats, from the same
+    products, so bit-identical to it."""
+    u, v, w = sd.u, sd.v, sd.w
+    return (_G.sq_2phi_p1 * (v * w), _G.sq_3phi_p2 * (u * w), _G.sq_phi_p1 * (u * v))
+
+
+_ROLL = operator.itemgetter(2, 0, 1)     # np.roll(v, 1) on a tuple
+_SWAP_BC = operator.itemgetter(0, 2, 1)
 
 
 def _cyc(formula):
     """Cyclic substitution a->b->c->a with the matching coordinate rotation."""
-    return lambda sd: np.roll(formula(sd.rotated()), 1)
+    return lambda sd: _ROLL(formula(sd.rotated()))
 
 
 def _bic(formula):
     """Bicentric swap: b <-> c with coordinate positions 2 and 3 swapped."""
-    return lambda sd: formula(sd.swapped_bc())[[0, 2, 1]]
+    return lambda sd: _SWAP_BC(formula(sd.swapped_bc()))
 
 
 def _exv(formula, vertex):
     return lambda sd: formula(sd.exverted(vertex))
 
 
-def generator_seed(tri: TriangleData) -> Array:
+def generator_seed(tri: TriangleData) -> tuple[float, float, float]:
     """The single vertex all others derive from: the A-labeled vertex of the
     second incircle solution (row 3 of its matrix)."""
-    return incircle_rows(SignedSides.from_triangle(tri))[1][2]
+    return _generator_row(SignedSides.from_triangle(tri))
 
 
 def twenty_three_from_one(seed, tri: TriangleData) -> list[GeneratedVertex]:
@@ -264,18 +277,16 @@ def twenty_three_from_one(seed, tri: TriangleData) -> list[GeneratedVertex]:
     The seed must match `generator_seed(tri)` up to scale (1e-10 angular),
     otherwise SeedMismatch is raised.
     """
-    seed = np.asarray(seed, dtype=float)
     sd = SignedSides.from_triangle(tri)
-    base = lambda s: incircle_rows(s)[1][2]
-    if core.sin_angle(seed, base(sd)) > 1e-10:
+    if core.sin_angle(seed, _generator_row(sd)) > 1e-10:
         raise SeedMismatch("seed is not the generator vertex of this triangle")
 
     out: list[GeneratedVertex] = []
     for swapped in (False, True):
         in_label = "T1" if swapped else "T2"
         exc_label = "T2" if swapped else "T1"
-        formula = _bic(base) if swapped else base
-        for k, letter in enumerate("ABC"):
+        formula = _bic(_generator_row) if swapped else _generator_row
+        for letter in "ABC":
             out.append(GeneratedVertex(
                 core.INCIRCLE, in_label, _LETTER_ROW[core.INCIRCLE][letter],
                 letter, formula(sd)))

@@ -159,6 +159,7 @@ class CcpProblem:
 
 TWO_DISTINCT = "two-distinct"
 TANGENT_DOUBLE = "tangent-double"
+SINGLE = "single"  # the root left alone after the kernel root is dropped
 
 
 @dataclass(frozen=True)
@@ -228,17 +229,18 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     # parameter to zero.  The composite's kernel then solves the quadratic
     # too, but the walk from it runs into that zero: it is no polygon.
     norm = math.hypot(m00, m01, m10, m11)
-    roots = [(p, q) for p, q in roots
-             if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm]
+    genuine = [(p, q) for p, q in roots
+               if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm]
 
     walks = []
-    for root in roots:
+    for root in genuine:
         params = [root]
         for inv in maps[:-1]:
             params.append(inv(params[-1]))
         walks.append([point_from_param(prob.circle, pq) for pq in params])
     walks.sort(key=lambda verts: _first_vertex_angle(prob.circle.xyr, verts))
-    multiplicity = TANGENT_DOUBLE if kind == "one" else TWO_DISTINCT
+    multiplicity = (TANGENT_DOUBLE if kind == "one"
+                    else SINGLE if len(genuine) < len(roots) else TWO_DISTINCT)
     return [CcpSolution(vertices=verts, multiplicity=multiplicity)
             for verts in np.array(walks)]
 

@@ -131,9 +131,8 @@ def _X516(a, b, c):
 def _X1323(a, b, c):
     # Fletcher point: Soddy line meets the Gergonne line (trilinear polar of X7)
     s = 0.5 * (a + b + c)
-    soddy = np.cross(_X1(a, b, c), _X7(a, b, c))
-    gergonne_line = np.array([s - a, s - b, s - c])
-    return np.cross(soddy, gergonne_line)
+    soddy = core.cross(_X1(a, b, c).tolist(), _X7(a, b, c).tolist())
+    return np.array(core.cross(soddy, (s - a, s - b, s - c)))
 
 
 def _X1350(a, b, c):
@@ -224,6 +223,13 @@ def correspondence_pairs() -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@functools.cache
+def _data_only(name: str) -> brocard.Check:
+    """The skipped check of a pair with an index outside the registry; it
+    is the same for every triangle, so it is built once."""
+    return brocard.skip(name, "data-only")
+
+
 def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocard.Report:
     """For every pair [i, k] with both indices in the registry, check that
     X_i of either incircle solution coincides with X_k of the reference.
@@ -239,7 +245,7 @@ def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocar
     for i, k in correspondence_pairs():
         name = f"pair [{i},{k}]"
         if i not in _REGISTRY or k not in _REGISTRY:
-            checks.append(brocard.skip(name, "data-only"))
+            checks.append(_data_only(name))
             continue
         p1 = core.convert_bary(center(i, tri1), tri1, t)
         p2 = core.convert_bary(center(i, tri2), tri2, t)

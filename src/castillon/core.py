@@ -1,9 +1,10 @@
 """Numeric foundation: triangles, barycentric coordinates, lines, circles, conics.
 
 Everything operates on small numpy arrays, except the float kernels shared
-with the solvers (`cross`, `foot_on_line`, `CircleData.xyr`), which take and
-return plain floats because numpy's per-call dispatch on 2- and 3-vectors
-costs more than the arithmetic.  Homogeneous quantities
+with the solvers (`cross`, `foot_on_line`, `CircleData.xyr`) and the
+verifiers (`sin_angle`, `convert_bary`), which take and return plain floats
+because numpy's per-call dispatch on 2- and 3-vectors costs more than the
+arithmetic.  Homogeneous quantities
 (barycentric points, line coefficient triples, conic matrices) are defined up
 to a nonzero scale; equality checks therefore use the sine of the angle
 between coordinate vectors, never componentwise differences.
@@ -15,6 +16,7 @@ half-plane, unless a triangle is built from explicit vertices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,11 @@ AREA_CUTOFF = 1e-12
 # homogeneous-coordinate helpers
 
 
+def _flat(p) -> list | tuple:
+    """The entries of a vector or matrix as plain floats; tuples pass as is."""
+    return p if isinstance(p, tuple) else np.asarray(p, dtype=float).ravel().tolist()
+
+
 def sin_angle(p, q) -> float:
     """Sine of the angle between two coordinate vectors of equal shape.
 
@@ -45,18 +52,17 @@ def sin_angle(p, q) -> float:
     homogeneous objects.  Computed as the norm of the component of q
     orthogonal to p (the cross-product form for 3-vectors), which stays
     accurate down to machine precision for nearly parallel vectors, unlike
-    sqrt(1 - cos^2).  Returns 1.0 if either vector is zero.
+    sqrt(1 - cos^2).  Returns 1.0 if either vector is zero.  Runs on plain
+    floats, for vectors of any length and for matrices.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    norm_p = np.linalg.norm(p)
-    norm_q = np.linalg.norm(q)
+    p, q = _flat(p), _flat(q)
+    norm_p, norm_q = math.hypot(*p), math.hypot(*q)
     if norm_p == 0.0 or norm_q == 0.0:
         return 1.0
-    p = p / norm_p
-    q = q / norm_q
-    perp = q - np.dot(q, p) * p
-    return min(1.0, float(np.linalg.norm(perp)))
+    p = [x / norm_p for x in p]
+    q = [y / norm_q for y in q]
+    dot = sum(map(operator.mul, p, q))
+    return min(1.0, math.hypot(*[y - dot * x for x, y in zip(p, q, strict=True)]))
 
 
 def normalize_bary(p) -> Array:
@@ -204,13 +210,20 @@ def cartesian_to_bary(P, tri: TriangleData) -> Array:
     ])
 
 
-def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
-    """Re-express a barycentric triple w.r.t. another triangle.
+def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> tuple[float, float, float]:
+    """Re-express a barycentric triple w.r.t. another triangle, on plain floats.
 
-    Works projectively (through homogeneous cartesian coordinates), so points
-    at infinity convert to points at infinity.
+    Works projectively: the point's homogeneous cartesian image under
+    `tri_from` times the adjugate of `tri_to.bary_matrix()` over its
+    determinant, so points at infinity convert to points at infinity.
     """
-    return np.linalg.solve(tri_to.bary_matrix(), tri_from.bary_matrix() @ np.asarray(p, float))
+    x, y, z = _flat(p)
+    (xa, ya), (xb, yb), (xc, yc) = tri_from.vertices.tolist()
+    h = (x * xa + y * xb + z * xc, x * ya + y * yb + z * yc, x + y + z)
+    xs, ys = tri_to.vertices.T.tolist()
+    c0, c1, c2 = _adjugate_columns(xs, ys, (1.0, 1.0, 1.0))
+    det = xs[0] * c0[0] + xs[1] * c0[1] + xs[2] * c0[2]
+    return tuple([(i * h[0] + j * h[1] + k * h[2]) / det for i, j, k in zip(c0, c1, c2)])
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +411,15 @@ class ConicMatrix:
         return ConicMatrix(adjugate3(self.m), kind)
 
 
-def adjugate3(M) -> Array:
-    """Adjugate (cofactor transpose) of a 3x3 matrix: its columns are the
+def _adjugate_columns(r0, r1, r2):
+    """Columns of the adjugate of the 3x3 matrix with rows r0, r1, r2: the
     cross products of cyclically consecutive rows."""
-    r0, r1, r2 = np.asarray(M, dtype=float).tolist()
-    return np.array(list(zip(cross(r1, r2), cross(r2, r0), cross(r0, r1))))
+    return cross(r1, r2), cross(r2, r0), cross(r0, r1)
+
+
+def adjugate3(M) -> Array:
+    """Adjugate (cofactor transpose) of a 3x3 matrix."""
+    return np.array(list(zip(*_adjugate_columns(*np.asarray(M, dtype=float).tolist()))))
 
 
 def circle_to_conic(circle: CircleData) -> ConicMatrix:

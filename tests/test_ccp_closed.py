@@ -194,6 +194,31 @@ def test_all_24_vertices_match_matrix_rows(triangles_100):
             assert core.sin_angle(g.coords, mats[(g.circle, g.label)][g.row]) < 1e-10
 
 
+def _twenty_three_numpy(tri):
+    """The 24 coordinates by the numpy pipeline the float one replaced:
+    `incircle_rows` rows, `np.roll` and fancy indexing, in generator order."""
+    cyc = lambda f: lambda sd: np.roll(f(sd.rotated()), 1)
+    bic = lambda f: lambda sd: f(sd.swapped_bc())[[0, 2, 1]]
+    base = lambda sd: ccp_closed.incircle_rows(sd)[1][2]
+    sd = SignedSides.from_triangle(tri)
+    out = []
+    for formula in (base, bic(base)):
+        for _ in "ABC":
+            out.append(formula(sd))
+            out += [formula(sd.exverted(exc)) for exc in "ABC"]
+            formula = cyc(formula)
+    return out
+
+
+def test_twenty_three_bit_identical_to_numpy_pipeline(triangles_100, equilateral):
+    # the same products in the same order, so the floats are equal, not close
+    for t in triangles_100 + [equilateral]:
+        gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
+        assert [g.coords for g in gen] == [tuple(r.tolist()) for r in _twenty_three_numpy(t)]
+        assert ccp_closed.generator_seed(t) == tuple(
+            ccp_closed.incircle_rows(SignedSides.from_triangle(t))[1][2].tolist())
+
+
 def test_equilateral_four_concyclic_sextets(equilateral):
     t = equilateral
     gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)

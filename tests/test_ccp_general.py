@@ -177,6 +177,7 @@ def test_pivot_on_circle_gives_the_one_genuine_solution():
         pts = np.insert(np.array([[2.0, 1.5], [-1.5, 2.0]]), k, P, axis=0)
         sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
         assert len(sols) == 1
+        assert sols[0].multiplicity == ccp_general.SINGLE
         V = sols[0].vertices
         assert np.all(np.isfinite(V))
         assert np.linalg.norm(V[(k + 1) % 3] - P) < 1e-12

@@ -172,6 +172,15 @@ def test_fletcher_point_on_both_lines(tri6913):
     assert core.incidence_residual(gergonne_line, X1323) < 1e-12
 
 
+def test_fletcher_point_bit_identical_to_np_cross(triangles_100):
+    # core.cross takes the same products and differences as np.cross
+    for t in triangles_100:
+        s = t.s
+        soddy = np.cross(centers.center(1, t), centers.center(7, t))
+        want = np.cross(soddy, np.array([s - t.a, s - t.b, s - t.c]))
+        assert np.array_equal(centers.center(1323, t), want)
+
+
 # --- correspondences ---------------------------------------------------------
 
 

@@ -124,6 +124,7 @@ def test_solve_pivot_on_circle(tmp_path, capsys):
     assert run(["solve", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["solutions"]) == 1
+    assert doc["solutions"][0]["multiplicity"] == "single"
     assert np.linalg.norm(np.array(doc["solutions"][0]["vertices"][1]) - [1, 0]) < 1e-12
     assert doc["residuals"]["incidence"] < 1e-12
 
@@ -335,6 +336,56 @@ def test_verify_solves_each_circle_once(tmp_path, capsys, monkeypatch):
     assert run(["verify", path]) == 0
     capsys.readouterr()
     assert len(calls) == 8
+
+
+def test_verify_runs_float_kernels_and_lazy_frames(monkeypatch):
+    # one triangle through the four claims: the 24-vertex generator permutes
+    # tuples instead of calling np.roll, convert_bary never solves a linear
+    # system, and the six excircle frames build only what the de Longchamps
+    # check reads (the axis), never their Brocard points or Lemoine line
+    from castillon import brocard
+    rolls, solvers, solved = [], [], []
+    roll, solve = np.roll, np.linalg.solve
+
+    def counted_roll(*args, **kwargs):
+        rolls.append(args)
+        return roll(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        solvers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args, **kwargs)
+
+    class Recorded(brocard.SolvedTriangle):
+        def __init__(self, triangle):
+            super().__init__(triangle)
+            solved.append(self)
+
+    monkeypatch.setattr(np, "roll", counted_roll)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(brocard, "SolvedTriangle", Recorded)
+    rows = cli._verify_one(core.triangle_from_sides(6, 9, 13))
+    assert [row[1] for row in rows] == [True] * 4
+    assert rolls == []
+    assert solvers and "convert_bary" not in solvers  # the Lemoine lines still solve
+    (st,) = solved
+    for tag in core.CIRCLE_TAGS[1:]:
+        for frame in st.frames(tag):
+            built = set(vars(frame)) - {"triangle", "R", "a2", "b2", "c2"}
+            assert built == {"X3", "X6", "X3_cart", "X6_cart", "delta", "axis_cart"}
+    incircle_built = set(vars(st.frames(core.INCIRCLE)[0]))
+    assert {"Omega1", "Omega1_cart", "lemoine", "lemoine_cart", "X187"} <= incircle_built
+
+
+@pytest.mark.parametrize("seed", [1000, 2000, 424242000])
+def test_verify_sweep_80_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
+    # the sweeps the benchmark runs (CASTILLON_SEED = seed * 1000 + i); every
+    # claim row must read PASS on each
+    checks = _bench_checks(monkeypatch)
+    monkeypatch.setenv("CASTILLON_SEED", str(seed))
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]}})
+    assert run(["verify", path, "--sweep", "80"]) == 0
+    assert checks.check_verify(capsys.readouterr().out.encode(), 81) == []
 
 
 @pytest.mark.parametrize("solver", ["closed", "all"])

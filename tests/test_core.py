@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from castillon import core
+from castillon import ccp_closed, core
 from castillon.errors import (
     CoincidentPoints,
     DegenerateConic,
@@ -287,3 +287,92 @@ def test_convert_bary_projective(tri345, tri6913):
     # infinite points stay infinite
     inf = np.array([1.0, -2.0, 1.0])
     assert core.is_infinite_bary(core.convert_bary(inf, tri345, tri6913))
+
+
+# ---------------------------------------------------------------------------
+# float kernels against the numpy formulas they replaced
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _sin_angle_numpy(p, q):
+    """The numpy `core.sin_angle` replaced, kept as its reference."""
+    p = np.asarray(p, dtype=float).ravel()
+    q = np.asarray(q, dtype=float).ravel()
+    norm_p, norm_q = np.linalg.norm(p), np.linalg.norm(q)
+    if norm_p == 0.0 or norm_q == 0.0:
+        return 1.0
+    p, q = p / norm_p, q / norm_q
+    return min(1.0, float(np.linalg.norm(q - np.dot(q, p) * p)))
+
+
+def _sin_angle_bound(n):
+    """|float - numpy| for n-vectors, in absolute terms: to first order the
+    numpy unit vectors carry (n/2 + 2) u per component and the float ones
+    2 u (hypot, then the division); each path then adds n u to the dot
+    product, 2 u per component of the orthogonal part and its norm, so the
+    two differ by at most (4.5 n + 23) u."""
+    return (4.5 * n + 23) * U
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sin_angle_matches_numpy_formula(rng, n):
+    for _ in range(3000):
+        p = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        q = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        assert abs(core.sin_angle(p, q) - _sin_angle_numpy(p, q)) <= _sin_angle_bound(n)
+        # tuples, lists and arrays give the same value
+        assert core.sin_angle(tuple(p.tolist()), list(q)) == core.sin_angle(p, q)
+
+
+def test_sin_angle_nearly_parallel(rng):
+    # q = k p + e d with |e d| down to 1e-15 |p|: the sine is e |d_perp| / |q|
+    # down to rounding, where the two formulas must still agree
+    for eps in 10.0 ** -np.arange(1, 16):
+        for _ in range(200):
+            p, d = rng.normal(size=3), rng.normal(size=3)
+            q = rng.uniform(-3, 3) * p + eps * np.linalg.norm(p) * d
+            got = core.sin_angle(p, q)
+            assert abs(got - _sin_angle_numpy(p, q)) <= _sin_angle_bound(3)
+        assert core.sin_angle(p, 2.0 * p) <= _sin_angle_bound(3)
+
+
+def test_sin_angle_zero_vectors_and_matrices(rng):
+    assert core.sin_angle([0, 0, 0], [1, 2, 3]) == 1.0
+    assert core.sin_angle((1.0, 2.0, 3.0), np.zeros(3)) == 1.0
+    assert core.sin_angle(np.zeros((3, 3)), np.zeros((3, 3))) == 1.0
+    assert core.sin_angle([1, 0, 0], [0, 1, 0]) == 1.0  # capped at 1
+    for _ in range(2000):
+        M, N = rng.normal(size=(2, 3, 3))
+        if rng.integers(2):
+            N = rng.uniform(-3, 3) * M + 10.0 ** rng.uniform(-15, -1) * N
+        assert abs(core.sin_angle(M, N) - _sin_angle_numpy(M, N)) <= _sin_angle_bound(9)
+
+
+def _inf_norm(M):
+    return float(np.abs(np.atleast_2d(M)).sum(axis=1).max())
+
+
+def test_convert_bary_matches_linear_solve(triangles_100, rng):
+    # x solves V_to x = V_from p.  Forming V_from p costs each method at most
+    # gamma_3 |V_from| |p|, which V_to^-1 carries to x; solving for the same
+    # right-hand side costs LU with partial pivoting and the adjugate over the
+    # determinant each a few u kappa |x|, kappa = |V_to| |V_to^-1|.  16 u
+    # covers both terms for both methods (derivation in CHANGES.md)
+    pairs = []
+    for t in triangles_100:
+        for tag in core.CIRCLE_TAGS:
+            for vm in ccp_closed.solutions_for(t, tag):
+                pairs.append((core.triangle_from_vertices(vm.cartesian(t)), t))
+    pairs += [(b, a) for a, b in pairs[::7]]
+    for tri_from, tri_to in pairs:
+        p = rng.normal(size=3)
+        if rng.integers(3) == 0:  # near the line at infinity
+            p[2] = -(p[0] + p[1]) + rng.normal() * 10.0 ** rng.uniform(-16, -2)
+        V, W = tri_to.bary_matrix(), tri_from.bary_matrix()
+        want = np.linalg.solve(V, W @ p)
+        got = np.array(core.convert_bary(p, tri_from, tri_to))
+        V_inv = np.linalg.inv(V)
+        bound = 16 * U * (_inf_norm(V) * _inf_norm(V_inv) * _inf_norm(want)
+                          + _inf_norm(V_inv) * _inf_norm(W) * _inf_norm(p))
+        assert _inf_norm(got - want) <= bound

@@ -17,9 +17,9 @@ immaterial.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +33,7 @@ Array = np.ndarray
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class GoldenConstants:
+class GoldenConstants(NamedTuple):
     """The golden ratio and the squared golden coefficients appearing in the
     vertex matrices."""
 
@@ -69,7 +68,8 @@ class SignedSides(NamedTuple):
     """Formal sidelength triple for evaluating closed-form expressions.
 
     Components may be negative: negating one side ("exversion") turns every
-    incircle formula into the matching excircle formula.
+    incircle formula into the matching excircle formula.  Every expression
+    is elementwise, so the components may be arrays of a batch of triangles.
     """
 
     a: float
@@ -135,22 +135,31 @@ _EXCIRCLE_ROW_ORDER = {
 }
 
 
-def incircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
-    """Cleared vertex-matrix rows of both incircle solutions."""
+@functools.cache
+def _golden_coefficients(phi: float) -> tuple[Array, Array]:
+    """Coefficients of the column products (vw, uw, uv) in the rows of the
+    two incircle solutions."""
     g = golden_constants(phi)
-    u, v, w = sd.u, sd.v, sd.w
-    vw, uw, uv = v * w, u * w, u * v
     t1 = np.array([
-        [g.sq_phi * vw, uw, g.sq_phi_m1 * uv],
-        [g.sq_phi_m2 * vw, uw, g.sq_phi_m1 * uv],
-        [g.sq_phi_m2 * vw, g.sq_2phi_m3 * uw, g.sq_phi_m1 * uv],
+        [g.sq_phi, 1.0, g.sq_phi_m1],
+        [g.sq_phi_m2, 1.0, g.sq_phi_m1],
+        [g.sq_phi_m2, g.sq_2phi_m3, g.sq_phi_m1],
     ])
     t2 = np.array([
-        [vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
-        [g.sq_2phi_p1 * vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
-        [g.sq_2phi_p1 * vw, g.sq_3phi_p2 * uw, g.sq_phi_p1 * uv],
+        [1.0, g.sq_phi, g.sq_phi_p1],
+        [g.sq_2phi_p1, g.sq_phi, g.sq_phi_p1],
+        [g.sq_2phi_p1, g.sq_3phi_p2, g.sq_phi_p1],
     ])
     return t1, t2
+
+
+def incircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
+    """Cleared vertex-matrix rows of both incircle solutions: golden
+    coefficients times the column products (vw, uw, uv)."""
+    u, v, w = sd.u, sd.v, sd.w
+    products = np.array([v * w, u * w, u * v]).T[..., None, :]
+    # C order, so a batch's matmuls round each row as one triangle's
+    return tuple(np.ascontiguousarray(t * products) for t in _golden_coefficients(phi))
 
 
 def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
@@ -182,8 +191,8 @@ def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, Ver
         raise ValueError(f"which must be A, B or C, got {which!r}")
     in_t1, in_t2 = incircle_rows(SignedSides.from_triangle(tri).exverted(which))
     return (
-        VertexMatrix(rows=in_t2.take(order, axis=0), label="T1", circle=tag),
-        VertexMatrix(rows=in_t1.take(order, axis=0), label="T2", circle=tag),
+        VertexMatrix(rows=in_t2.take(order, axis=-2), label="T1", circle=tag),
+        VertexMatrix(rows=in_t1.take(order, axis=-2), label="T2", circle=tag),
     )
 
 
@@ -222,8 +231,7 @@ def gergonne_rows(sd: SignedSides) -> Array:
 # twenty-three vertices from one
 
 
-@dataclass(frozen=True)
-class GeneratedVertex:
+class GeneratedVertex(NamedTuple):
     circle: str
     label: str    # "T1" | "T2"
     row: int      # row index in the matching vertex matrix
@@ -235,8 +243,8 @@ _G = golden_constants()
 
 
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of `incircle_rows(sd)[1]` on plain floats, from the same
-    products, so bit-identical to it."""
+    """Row 3 of `incircle_rows(sd)[1]` on plain floats (or on arrays of a
+    batch), from the same products, so bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w
     return (_G.sq_2phi_p1 * (v * w), _G.sq_3phi_p2 * (u * w), _G.sq_phi_p1 * (u * v))
 
@@ -275,10 +283,12 @@ def twenty_three_from_one(seed, tri: TriangleData) -> list[GeneratedVertex]:
     excircle, crossing solutions (T2 <-> T1) with the vertex letter kept.
 
     The seed must match `generator_seed(tri)` up to scale (1e-10 angular),
-    otherwise SeedMismatch is raised.
+    otherwise SeedMismatch is raised.  On a batch of triangles each
+    coordinate is an array with one entry per triangle.
     """
     sd = SignedSides.from_triangle(tri)
-    if core.sin_angle(seed, _generator_row(sd)) > 1e-10:
+    if np.any(core.sin_angles(np.stack(seed, axis=-1),
+                              np.stack(_generator_row(sd), axis=-1)) > 1e-10):
         raise SeedMismatch("seed is not the generator vertex of this triangle")
 
     out: list[GeneratedVertex] = []

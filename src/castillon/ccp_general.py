@@ -22,7 +22,6 @@ the returned vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,18 +138,21 @@ def chord_involution(circle: CircleData, P) -> MobiusMap:
 # problems and solutions
 
 
-@dataclass(frozen=True)
-class CcpProblem:
+class _Problem(NamedTuple):
     circle: CircleData
     points: Array  # Nx2, N >= 3
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+
+class CcpProblem(_Problem):
+    __slots__ = ()
+
+    def __new__(cls, circle: CircleData, points):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
             raise GeometryError("a problem needs at least three cartesian points")
         if not np.all(np.isfinite(pts)):
             raise CenterPoint("problem points must be finite")
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, circle, pts)
 
     @classmethod
     def on_triangle(cls, tri: TriangleData, circle: CircleData) -> "CcpProblem":
@@ -162,8 +164,7 @@ TANGENT_DOUBLE = "tangent-double"
 SINGLE = "single"  # the root left alone after the kernel root is dropped
 
 
-@dataclass(frozen=True)
-class CcpSolution:
+class CcpSolution(NamedTuple):
     vertices: Array  # Nx2 on the circle, side i..i+1 passes through point i
     multiplicity: str = TWO_DISTINCT
 

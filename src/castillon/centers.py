@@ -2,11 +2,12 @@
 correspondence verifier.
 
 Registry entries are barycentric functions of the sidelengths, and `center`
-evaluates one on a `TriangleData`; the registry is the one source of center
-formulas, `brocard` included.  Provenance notes distinguish entries with an
-independent defining-property test in the suite from transcription-trusted
-ones, whose acceptance rests on homogeneity, permutation equivariance and
-the correspondence check itself.
+evaluates one on a `TriangleData`, or on a batch of them, where the sides are
+arrays and each center an N x 3 array; the registry is the one source of
+center formulas, `brocard` included.  Provenance notes distinguish entries
+with an independent defining-property test in the suite from
+transcription-trusted ones, whose acceptance rests on homogeneity,
+permutation equivariance and the correspondence check itself.
 
 The full correspondence list ships as a data file (one "i k" pair per line);
 pairs whose centers are not in the registry are reported data-only, never
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,17 +38,17 @@ def _sa(a, b, c):
 
 def _cyclic(f):
     """Expand a first-coordinate rule into the full barycentric triple."""
-    return lambda a, b, c: np.array([f(a, b, c), f(b, c, a), f(c, a, b)])
+    return lambda a, b, c: np.stack([f(a, b, c), f(b, c, a), f(c, a, b)], axis=-1)
 
 
 def _normalized(triple):
-    return triple / triple.sum()
+    return triple / triple.sum(axis=-1, keepdims=True)
 
 
 # --- individual formulas ---------------------------------------------------
 
 _X1 = _cyclic(lambda a, b, c: a)
-_X2 = _cyclic(lambda a, b, c: 1.0)
+_X2 = _cyclic(lambda a, b, c: a / a)  # 1, shaped like the sides
 _X3 = _cyclic(lambda a, b, c: a * a * _sa(a, b, c))
 _X4 = _cyclic(lambda a, b, c: _sa(b, c, a) * _sa(c, a, b))
 _X6 = _cyclic(lambda a, b, c: a * a)
@@ -74,9 +75,9 @@ def _soddy_pencil(mu):
     def f(a, b, c):
         area = core.heron(a, b, c)
         s = 0.5 * (a + b + c)
-        return np.array([a + mu * area / (s - a),
+        return np.stack([a + mu * area / (s - a),
                          b + mu * area / (s - b),
-                         c + mu * area / (s - c)])
+                         c + mu * area / (s - c)], axis=-1)
     return f
 
 
@@ -106,7 +107,7 @@ _X3053 = _brocard_pencil(0.0, -0.25)  # = [a^2 (3a^2 - b^2 - c^2)] up to sign
 def _X279(a, b, c):
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
-    return np.array([(v * w) ** 2, (w * u) ** 2, (u * v) ** 2])
+    return np.stack([core.mathmap(pow, x, 2) for x in (v * w, w * u, u * v)], axis=-1)
 
 
 def _X390(a, b, c):
@@ -131,8 +132,8 @@ def _X516(a, b, c):
 def _X1323(a, b, c):
     # Fletcher point: Soddy line meets the Gergonne line (trilinear polar of X7)
     s = 0.5 * (a + b + c)
-    soddy = core.cross(_X1(a, b, c).tolist(), _X7(a, b, c).tolist())
-    return np.array(core.cross(soddy, (s - a, s - b, s - c)))
+    soddy = np.cross(_X1(a, b, c), _X7(a, b, c))
+    return np.cross(soddy, np.stack([s - a, s - b, s - c], axis=-1))
 
 
 def _X1350(a, b, c):
@@ -147,8 +148,7 @@ CONSTRUCTED = "constructed"
 TRANSCRIBED = "transcription-trusted"
 
 
-@dataclass(frozen=True)
-class CenterDef:
+class CenterDef(NamedTuple):
     index: int
     fn: object
     name: str
@@ -226,8 +226,8 @@ def correspondence_pairs() -> tuple[tuple[int, int], ...]:
 @functools.cache
 def _data_only(name: str) -> brocard.Check:
     """The skipped check of a pair with an index outside the registry; it
-    is the same for every triangle, so it is built once."""
-    return brocard.skip(name, "data-only")
+    is the same for every batch, so it is built once."""
+    return brocard.check(name, 0.0, 0.0, skipped=True, note="data-only")
 
 
 def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocard.Report:
@@ -250,11 +250,11 @@ def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocar
         p1 = core.convert_bary(center(i, tri1), tri1, t)
         p2 = core.convert_bary(center(i, tri2), tri2, t)
         ref = center(k, t)
-        residual = max(
-            core.sin_angle(p1, p2),
-            core.sin_angle(p1, ref),
-            core.sin_angle(p2, ref),
-        )
+        residual = np.maximum.reduce([
+            core.sin_angles(p1, p2),
+            core.sin_angles(p1, ref),
+            core.sin_angles(p2, ref),
+        ])
         checks.append(brocard.check(name, residual, 1e-9))
     n_data = sum(c.skipped for c in checks)
     return brocard.Report(name="center-correspondences", checks=tuple(checks),

@@ -80,7 +80,7 @@ def _shared_block(tri, vm1) -> dict:
         "brocard_angle": frame.omega,
         "lemoine": problemfile.canonical_line(
             core.line_cart_to_bary(frame.lemoine_cart, tri)),
-        "axis": None if frame.axis_cart is None else problemfile.canonical_line(
+        "axis": None if frame.degenerate else problemfile.canonical_line(
             core.line_cart_to_bary(frame.axis_cart, tri)),
         "inellipse_matrix": problemfile.canonical_matrix(ell.conic.m),
     }
@@ -204,23 +204,27 @@ def _twenty_three_claim(tri) -> brocard.Report:
     gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
     mats = {(tag, vm.label): vm.rows
             for tag in core.CIRCLE_TAGS for vm in st.solutions(tag)}
-    worst = max(core.sin_angle(gv.coords, mats[(gv.circle, gv.label)][gv.row])
-                for gv in gen)
+    worst = 0.0
+    for gv in gen:
+        worst = np.maximum(worst, core.sin_angles(np.stack(gv.coords, axis=-1),
+                                                  mats[(gv.circle, gv.label)][..., gv.row, :]))
     return brocard.Report(name="twenty-three-from-one",
                           checks=(brocard.check("all-24-vertices-from-one", worst, 1e-10),),
                           note="24 vertices")
 
 
-def _verify_one(tri) -> list[tuple[str, bool, float, str]]:
-    rows = []
-    st = brocard.SolvedTriangle(tri)
-    for claim in (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
-                  centers.verify_correspondences, _twenty_three_claim):
-        rep = claim(st)
-        rows.append((rep.name, rep.passed, rep.max_residual,
-                     rep.note or f"{len(rep.checks)} checks"))
-        rows += [(f"  {c.name}", False, c.residual, f"tol {c.tolerance:g}")
-                 for c in rep.checks if not c.passed]
+def _failed_rows(rep: brocard.Report, t: core.TriangleData) -> list:
+    """One row per failing check: its largest failing residual and the
+    triangle that has it, by index in the batch (0 is the input) and sides."""
+    rows, n = [], len(t.a)
+    for c in rep.checks:
+        failed = np.broadcast_to(np.logical_not(c.passed), (n,))
+        if failed.any():
+            residual = np.broadcast_to(c.residual, (n,))
+            i = int(np.argmax(np.where(failed, residual, -np.inf)))
+            sides = ", ".join(repr(float(x[i])) for x in t.sides)
+            rows.append((f"  {c.name}", False, residual[i],
+                         f"worst triangle {i} (sides {sides}), tol {c.tolerance:g}"))
     return rows
 
 
@@ -236,24 +240,22 @@ def cmd_verify(args) -> int:
         from .sampling import random_triangle
         triangles += [random_triangle(rng) for _ in range(args.sweep)]
 
-    all_ok = True
-    agg: dict[str, tuple[bool, float, str]] = {}
-    for tri in triangles:
-        for name, ok, residual, note in _verify_one(tri):
-            prev = agg.get(name)
-            if prev is None:
-                agg[name] = (ok, residual, note)
-            else:
-                agg[name] = (prev[0] and ok, max(prev[1], residual), prev[2])
-            all_ok = all_ok and ok
-    width = max(len(k) for k in agg)
+    st = brocard.SolvedTriangle(core.stack_triangles(triangles))
+    rows = []
+    for claim in (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
+                  centers.verify_correspondences, _twenty_three_claim):
+        rep = claim(st)
+        rows.append((rep.name, rep.passed, rep.max_residual,
+                     rep.note or f"{len(rep.checks)} checks"))
+        rows += _failed_rows(rep, st.triangle)
+    width = max(len(row[0]) for row in rows)
     if args.sweep:
         print(f"verified on {len(triangles)} triangles "
               f"(input + {args.sweep} random, seed {os.environ.get('CASTILLON_SEED', '0')})")
-    for name, (ok, residual, note) in agg.items():
+    for name, ok, residual, note in rows:
         status = "PASS" if ok else "FAIL"
         print(f"{name:<{width}}  {status}  max-residual {residual:.3e}  {note}")
-    return EXIT_OK if all_ok else EXIT_CLAIM_FAILED
+    return EXIT_OK if all(row[1] for row in rows) else EXIT_CLAIM_FAILED
 
 
 # ---------------------------------------------------------------------------

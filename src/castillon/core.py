@@ -1,10 +1,14 @@
 """Numeric foundation: triangles, barycentric coordinates, lines, circles, conics.
 
-Everything operates on small numpy arrays, except the float kernels shared
-with the solvers (`cross`, `foot_on_line`, `CircleData.xyr`) and the
-verifiers (`sin_angle`, `convert_bary`), which take and return plain floats
-because numpy's per-call dispatch on 2- and 3-vectors costs more than the
-arithmetic.  Homogeneous quantities
+Everything operates on small numpy arrays, except the float kernels of the
+solvers (`cross`, `line_through`, `foot_on_line`, `CircleData.xyr`), which
+take and return plain floats because numpy's per-call dispatch on 2- and
+3-vectors costs more than the arithmetic.  The verify path works on batches
+instead: a `TriangleData` whose fields are arrays with a leading batch axis
+(`stack_triangles`), and the conversions, centers and residuals below take
+that axis, row by row.  Their stacked products (`dot`, `@`, `solve`, `inv`)
+round each row exactly as one triangle alone, so a batch and a single
+triangle agree to the bit.  Homogeneous quantities
 (barycentric points, line coefficient triples, conic matrices) are defined up
 to a nonzero scale; equality checks therefore use the sine of the angle
 between coordinate vectors, never componentwise differences.
@@ -16,8 +20,8 @@ half-plane, unless a triangle is built from explicit vertices.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,29 +44,51 @@ AREA_CUTOFF = 1e-12
 # homogeneous-coordinate helpers
 
 
-def _flat(p) -> list | tuple:
-    """The entries of a vector or matrix as plain floats; tuples pass as is."""
-    return p if isinstance(p, tuple) else np.asarray(p, dtype=float).ravel().tolist()
+def dot(p, q):
+    """Dot product along the last axis, row by row; bit-identical to
+    `np.dot` of one pair of vectors."""
+    return (p[..., None, :] @ q[..., :, None])[..., 0, 0]
 
 
-def sin_angle(p, q) -> float:
-    """Sine of the angle between two coordinate vectors of equal shape.
+def norm(p):
+    """Euclidean norm along the last axis; bit-identical to `np.linalg.norm`
+    of one vector."""
+    return np.sqrt(dot(p, p))
+
+
+def mathmap(fn, *args):
+    """A function of plain floats (`math`'s, or `pow`) on floats, and
+    elementwise on arrays.  numpy's own atan2, atan, hypot and power loops
+    (and sin, where numpy has a SIMD one) round differently from C's, so
+    this keeps a batch, a single triangle and the `solve` documents on one
+    rounding."""
+    if np.ndim(args[0]):
+        shape = np.shape(args[0])
+        return np.array(list(map(fn, *(np.broadcast_to(x, shape).tolist() for x in args))))
+    return fn(*args)
+
+
+def sin_angles(p, q):
+    """Sine of the angle between coordinate vectors along the last axis,
+    row by row over any leading (batch) axes.
 
     Scale (and sign) invariant; this is the canonical equality residual for
     homogeneous objects.  Computed as the norm of the component of q
-    orthogonal to p (the cross-product form for 3-vectors), which stays
-    accurate down to machine precision for nearly parallel vectors, unlike
-    sqrt(1 - cos^2).  Returns 1.0 if either vector is zero.  Runs on plain
-    floats, for vectors of any length and for matrices.
+    orthogonal to p, which stays accurate down to machine precision for
+    nearly parallel vectors, unlike sqrt(1 - cos^2).  Reads 1.0 where either
+    vector is zero.
     """
-    p, q = _flat(p), _flat(q)
-    norm_p, norm_q = math.hypot(*p), math.hypot(*q)
-    if norm_p == 0.0 or norm_q == 0.0:
-        return 1.0
-    p = [x / norm_p for x in p]
-    q = [y / norm_q for y in q]
-    dot = sum(map(operator.mul, p, q))
-    return min(1.0, math.hypot(*[y - dot * x for x, y in zip(p, q, strict=True)]))
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    norm_p, norm_q = norm(p), norm(q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, q = p / norm_p[..., None], q / norm_q[..., None]
+        orth = norm(q - dot(p, q)[..., None] * p)
+    return np.where((norm_p == 0.0) | (norm_q == 0.0), 1.0, np.minimum(1.0, orth))
+
+
+def sin_angle(p, q) -> float:
+    """`sin_angles` of one pair of vectors or matrices, compared entrywise."""
+    return float(sin_angles(np.ravel(p), np.ravel(q)))
 
 
 def normalize_bary(p) -> Array:
@@ -85,21 +111,21 @@ def is_infinite_bary(p) -> bool:
 
 
 def homog(P) -> Array:
-    """Cartesian point -> homogeneous (x, y, 1)."""
+    """Cartesian point(s) -> homogeneous (x, y, 1), along the last axis."""
     P = np.asarray(P, dtype=float)
-    return np.array([P[0], P[1], 1.0])
+    return np.concatenate([P, np.ones(P.shape[:-1] + (1,))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # triangles
 
 
-@dataclass(frozen=True)
-class TriangleData:
+class TriangleData(NamedTuple):
     """Immutable triangle: sidelengths, derived metric data, an embedding.
 
     a, b, c are the lengths of the sides opposite A, B, C;  s is the
-    semiperimeter and u = s - a, v = s - b, w = s - c.
+    semiperimeter and u = s - a, v = s - b, w = s - c.  In a batch
+    (`stack_triangles`) each field is an array with a leading batch axis.
     """
 
     a: float
@@ -116,15 +142,15 @@ class TriangleData:
 
     @property
     def A(self) -> Array:
-        return self.vertices[0]
+        return self.vertices[..., 0, :]
 
     @property
     def B(self) -> Array:
-        return self.vertices[1]
+        return self.vertices[..., 1, :]
 
     @property
     def C(self) -> Array:
-        return self.vertices[2]
+        return self.vertices[..., 2, :]
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -132,24 +158,29 @@ class TriangleData:
 
     def bary_matrix(self) -> Array:
         """3x3 matrix V with V @ [x,y,z] = (sum-weighted) homogeneous cartesian."""
-        V = np.ones((3, 3))
-        V[:2, :] = self.vertices.T
+        V = np.ones(self.vertices.shape[:-2] + (3, 3))
+        V[..., :2, :] = np.swapaxes(self.vertices, -1, -2)
         return V
+
+
+def stack_triangles(triangles) -> TriangleData:
+    """N triangles as one batch: each field an array with a leading axis of N."""
+    return TriangleData(*(np.array(field) for field in zip(*triangles)))
 
 
 def heron(a: float, b: float, c: float) -> float:
     """Triangle area from the sidelengths (Heron's formula)."""
     s = 0.5 * (a + b + c)
-    return math.sqrt(s * (s - a) * (s - b) * (s - c))
+    return mathmap(math.sqrt, s * (s - a) * (s - b) * (s - c))
 
 
 def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
-    if min(a, b, c) <= 0.0 or min(u, v, w) <= 0.0:
+    if np.min((a, b, c, u, v, w)) <= 0.0:
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
     area = heron(a, b, c)
-    if area < AREA_CUTOFF * s * s:
+    if np.any(area < AREA_CUTOFF * s * s):
         raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
     return TriangleData(
         a=a, b=b, c=c, s=s, u=u, v=v, w=w,
@@ -171,13 +202,12 @@ def triangle_from_sides(a: float, b: float, c: float) -> TriangleData:
 
 
 def triangle_from_vertices(pts) -> TriangleData:
-    """Build a triangle from an explicit 3x2 vertex array (A, B, C rows)."""
-    P = np.asarray(pts, dtype=float).reshape(3, 2).copy()
+    """Build a triangle from an explicit 3x2 vertex array (A, B, C rows), or
+    a batch of them (N x 3 x 2)."""
+    P = np.array(pts, dtype=float).reshape(np.shape(pts)[:-2] + (3, 2))
     if not np.all(np.isfinite(P)):
         raise DegenerateTriangle("non-finite vertex")
-    a = float(np.linalg.norm(P[1] - P[2]))
-    b = float(np.linalg.norm(P[2] - P[0]))
-    c = float(np.linalg.norm(P[0] - P[1]))
+    a, b, c = (norm(P[..., i, :] - P[..., j, :]) for i, j in ((1, 2), (2, 0), (0, 1)))
     return _derive(a, b, c, P)
 
 
@@ -188,10 +218,10 @@ def triangle_from_vertices(pts) -> TriangleData:
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
     """Map a finite homogeneous barycentric triple to a cartesian point."""
     p = np.asarray(p, dtype=float)
-    total = p.sum()
-    if abs(total) <= 1e-14 * np.abs(p).max():
+    total = p.sum(axis=-1)
+    if (abs(total) <= 1e-14 * abs(p).max(axis=-1)).any():
         raise InfinitePoint("barycentric point at infinity has no cartesian image")
-    return (p @ tri.vertices) / total
+    return (p[..., None, :] @ tri.vertices)[..., 0, :] / total[..., None]
 
 
 def _signed2(P, Q, R) -> float:
@@ -210,20 +240,15 @@ def cartesian_to_bary(P, tri: TriangleData) -> Array:
     ])
 
 
-def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> tuple[float, float, float]:
-    """Re-express a barycentric triple w.r.t. another triangle, on plain floats.
+def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
+    """Re-express a barycentric triple w.r.t. another triangle.
 
-    Works projectively: the point's homogeneous cartesian image under
-    `tri_from` times the adjugate of `tri_to.bary_matrix()` over its
-    determinant, so points at infinity convert to points at infinity.
+    Works projectively: solves `tri_to.bary_matrix()` x = h for the point's
+    homogeneous cartesian image h under `tri_from`, so points at infinity
+    convert to points at infinity.
     """
-    x, y, z = _flat(p)
-    (xa, ya), (xb, yb), (xc, yc) = tri_from.vertices.tolist()
-    h = (x * xa + y * xb + z * xc, x * ya + y * yb + z * yc, x + y + z)
-    xs, ys = tri_to.vertices.T.tolist()
-    c0, c1, c2 = _adjugate_columns(xs, ys, (1.0, 1.0, 1.0))
-    det = xs[0] * c0[0] + xs[1] * c0[1] + xs[2] * c0[2]
-    return tuple([(i * h[0] + j * h[1] + k * h[2]) / det for i, j, k in zip(c0, c1, c2)])
+    h = tri_from.bary_matrix() @ np.asarray(p, dtype=float)[..., None]
+    return np.linalg.solve(tri_to.bary_matrix(), h)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +284,7 @@ def incidence_residual(line, p) -> float:
     """|<line, p>| / (|line| |p|): scale-invariant incidence defect."""
     line = np.asarray(line, dtype=float)
     p = np.asarray(p, dtype=float)
-    return float(abs(np.dot(line, p)) / (np.linalg.norm(line) * np.linalg.norm(p)))
+    return abs(dot(line, p)) / (norm(line) * norm(p))
 
 
 def cart_line(P, Q) -> Array:
@@ -269,8 +294,9 @@ def cart_line(P, Q) -> Array:
 
 def point_line_distance(P, line) -> float:
     """Euclidean distance of a cartesian point to a cartesian homogeneous line."""
-    l, m, n = np.asarray(line, dtype=float)
-    return abs(l * P[0] + m * P[1] + n) / math.hypot(l, m)
+    line, P = np.asarray(line, dtype=float), np.asarray(P, dtype=float)
+    l, m, n = line[..., 0], line[..., 1], line[..., 2]
+    return abs(l * P[..., 0] + m * P[..., 1] + n) / mathmap(math.hypot, l, m)
 
 
 def foot_on_line(P, Q, X) -> tuple[float, float]:
@@ -285,7 +311,8 @@ def foot_on_line(P, Q, X) -> tuple[float, float]:
 
 
 def line_bary_to_cart(line, tri: TriangleData) -> Array:
-    return np.linalg.solve(tri.bary_matrix().T, np.asarray(line, float))
+    V = tri.bary_matrix()
+    return np.linalg.solve(np.swapaxes(V, -1, -2), np.asarray(line, float)[..., None])[..., 0]
 
 
 def line_cart_to_bary(line, tri: TriangleData) -> Array:
@@ -293,33 +320,39 @@ def line_cart_to_bary(line, tri: TriangleData) -> Array:
 
 
 def side_lines(tri: TriangleData) -> Array:
-    """Cartesian homogeneous lines of the sides (BC, CA, AB), i.e. opposite A, B, C."""
-    A, B, C = tri.vertices
-    return np.array([cart_line(B, C), cart_line(C, A), cart_line(A, B)])
+    """Cartesian homogeneous lines of the sides (BC, CA, AB), i.e. opposite
+    A, B, C, as the rows of a 3x3 matrix."""
+    H = homog(tri.vertices)
+    return np.cross(H[..., [1, 2, 0], :], H[..., [2, 0, 1], :])
 
 
 # ---------------------------------------------------------------------------
 # circles
 
 
-@dataclass(frozen=True)
-class CircleData:
-    """Circle by cartesian center and radius.
+class _Circle(NamedTuple):
+    center: Array
+    radius: float
+
+
+class CircleData(_Circle):
+    """Circle by cartesian center and radius, or a batch of circles.
 
     Radius 0 is tolerated only as the degenerate point-circle that shows up
     in equilateral Brocard frames; proper constructions always yield > 0.
     """
 
-    center: Array
-    radius: float
-    # (center x, center y, radius) as plain floats, for the float kernels
-    xyr: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    def __new__(cls, center, radius):
+        if not all(0.0 <= r < math.inf for r in np.ravel(radius).tolist()):
+            raise GeometryError(f"invalid circle radius {radius}")
+        return super().__new__(cls, center, radius)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise GeometryError(f"invalid circle radius {self.radius}")
+    @cached_property
+    def xyr(self) -> tuple[float, float, float]:
+        """(center x, center y, radius) of one circle as plain floats, for
+        the float kernels."""
         cx, cy = np.asarray(self.center, dtype=float).tolist()
-        object.__setattr__(self, "xyr", (cx, cy, float(self.radius)))
+        return cx, cy, float(self.radius)
 
     def point_at(self, theta: float) -> Array:
         return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
@@ -362,9 +395,9 @@ def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
     raise GeometryError(f"unknown circle tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class VertexMatrix:
-    """One inscribed solution triangle, rows = vertices in reference barycentrics."""
+class VertexMatrix(NamedTuple):
+    """One inscribed solution triangle, rows = vertices in reference
+    barycentrics; in a batch, N x 3 x 3 rows of N reference triangles."""
 
     rows: Array  # 3x3
     label: str  # "T1" | "T2"
@@ -374,10 +407,10 @@ class VertexMatrix:
         """All three rows through one matmul; bit-identical to calling
         `bary_to_cartesian` on each row."""
         rows = self.rows
-        totals = rows.sum(axis=1)
-        if np.any(np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=1)):
+        totals = rows.sum(axis=-1)
+        if np.any(np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=-1)):
             raise InfinitePoint("barycentric point at infinity has no cartesian image")
-        return (rows @ tri.vertices) / totals[:, None]
+        return (rows @ tri.vertices) / totals[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +420,42 @@ POINT_CONIC = "point"
 LINE_CONIC = "line"
 
 
-@dataclass(frozen=True)
-class ConicMatrix:
-    """Symmetric homogeneous 3x3 conic matrix.
+class _Conic(NamedTuple):
+    m: Array
+    kind: str
+
+
+class ConicMatrix(_Conic):
+    """Symmetric homogeneous 3x3 conic matrix, or a batch (N x 3 x 3).
 
     kind 'point': x^T M x = 0 for points on the conic.
     kind 'line':  l^T M l = 0 for tangent lines (dual form).
     """
 
-    m: Array
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3) or np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
+    def __new__(cls, m, kind):
+        m = np.asarray(m, dtype=float)
+        if m.shape[-2:] != (3, 3):
             raise GeometryError("conic matrix must be 3x3 symmetric")
-        object.__setattr__(self, "m", 0.5 * (m + m.T))
-        if self.kind not in (POINT_CONIC, LINE_CONIC):
-            raise GeometryError(f"unknown conic kind {self.kind!r}")
+        mt = np.swapaxes(m, -1, -2)
+        if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-12 * np.abs(m).max(axis=(-2, -1))):
+            raise GeometryError("conic matrix must be 3x3 symmetric")
+        if kind not in (POINT_CONIC, LINE_CONIC):
+            raise GeometryError(f"unknown conic kind {kind!r}")
+        return super().__new__(cls, 0.5 * (m + mt), kind)
 
     def dual(self) -> "ConicMatrix":
         kind = LINE_CONIC if self.kind == POINT_CONIC else POINT_CONIC
         return ConicMatrix(adjugate3(self.m), kind)
 
 
-def _adjugate_columns(r0, r1, r2):
-    """Columns of the adjugate of the 3x3 matrix with rows r0, r1, r2: the
-    cross products of cyclically consecutive rows."""
-    return cross(r1, r2), cross(r2, r0), cross(r0, r1)
-
-
 def adjugate3(M) -> Array:
-    """Adjugate (cofactor transpose) of a 3x3 matrix."""
-    return np.array(list(zip(*_adjugate_columns(*np.asarray(M, dtype=float).tolist()))))
+    """Adjugate (cofactor transpose) of a 3x3 matrix, or of each in a batch:
+    its columns are the cross products of cyclically consecutive rows."""
+    M = np.asarray(M, dtype=float)
+    r0, r1, r2 = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
 
 
 def circle_to_conic(circle: CircleData) -> ConicMatrix:
@@ -461,8 +497,8 @@ def conic_line_residual(conic: ConicMatrix, line) -> float:
     """Scale-invariant tangency residual of a homogeneous line."""
     n = conic.m if conic.kind == LINE_CONIC else adjugate3(conic.m)
     line = np.asarray(line, dtype=float)
-    val = float(line @ n @ line)
-    return abs(val) / (np.linalg.norm(n) * float(line @ line))
+    val = dot((line[..., None, :] @ n)[..., 0, :], line)
+    return abs(val) / (norm(n.reshape(n.shape[:-2] + (9,))) * dot(line, line))
 
 
 def conic_bary_to_cart(conic: ConicMatrix, tri: TriangleData) -> ConicMatrix:

@@ -10,7 +10,7 @@ emitted with y negated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ def _pt(P) -> str:
     return f"{_fmt(P[0])},{_fmt(-P[1])}"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     x0: float
     y0: float
     width: float
@@ -169,7 +168,7 @@ def render_brocard(tri: TriangleData) -> str:
     ]
     if f.circle.radius > 1e-9 * f.R:
         body.append(_circle(f.circle, "circle"))
-    if f.axis_cart is not None:
+    if not f.degenerate:
         body.append(_clipped_line(f.axis_cart, frame, "axis"))
         body.append(_clipped_line(f.lemoine_cart, frame, "axis"))
     body.append(_marker(f.Omega1_cart, "omega1", 0.012 * frame.width))
@@ -189,7 +188,7 @@ def render_excircles(tri: TriangleData) -> str:
         body.append(_polygon(vm1.cartesian(tri), "solution-1"))
         body.append(_polygon(vm2.cartesian(tri), "solution-2"))
         f = brocard.brocard_frame(core.triangle_from_vertices(vm1.cartesian(tri)))
-        if f.axis_cart is not None:
+        if not f.degenerate:
             axes.append(_clipped_line(f.axis_cart, frame, "axis"))
     body += axes
     from . import centers

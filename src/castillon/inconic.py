@@ -14,7 +14,7 @@ circle; it draws the image panel of the inconic figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .errors import GeometryError, NonEllipse
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class InconicSpec:
+class InconicSpec(NamedTuple):
     perspector: Array            # positive barycentric triple
     conic: ConicMatrix           # point-conic, cartesian frame
 
@@ -73,8 +72,7 @@ def circularizing_map(spec: InconicSpec) -> tuple[Array, Array]:
     return W, center
 
 
-@dataclass(frozen=True)
-class InconicSolutions:
+class InconicSolutions(NamedTuple):
     triangles: tuple[Array, Array]     # two 3x2 cartesian vertex arrays
     conic: ConicMatrix                 # the common circumscribed conic (point kind)
     tangency_residual: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -92,8 +92,7 @@ class ProblemFileError(ValueError):
     """Invalid problem document (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     kind: str
     raw: dict
     triangle: TriangleData | None

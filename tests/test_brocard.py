@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from castillon import brocard, ccp_closed, centers, cli, core
+from castillon import brocard, ccp_closed, centers, cli, core, sampling
 from castillon.errors import OutOfRange
 
 
@@ -165,3 +165,160 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
             assert scaled.keys() == base.keys()
             for key, (r1, tol) in base.items():
                 assert abs(scaled[key][0] - r1) <= 0.1 * tol, (key, t.sides, k)
+
+
+# --- batches ----------------------------------------------------------------
+
+
+def _reference_rows(sd):
+    """`ccp_closed.incircle_rows` as written before it took batches."""
+    g = ccp_closed.golden_constants()
+    vw, uw, uv = sd.v * sd.w, sd.u * sd.w, sd.u * sd.v
+    t1 = np.array([[g.sq_phi * vw, uw, g.sq_phi_m1 * uv],
+                   [g.sq_phi_m2 * vw, uw, g.sq_phi_m1 * uv],
+                   [g.sq_phi_m2 * vw, g.sq_2phi_m3 * uw, g.sq_phi_m1 * uv]])
+    t2 = np.array([[vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
+                   [g.sq_2phi_p1 * vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
+                   [g.sq_2phi_p1 * vw, g.sq_3phi_p2 * uw, g.sq_phi_p1 * uv]])
+    return t1, t2
+
+
+def _reference_printed(tri, rows):
+    """The objects `solve` and `render` print for one solution (vertex
+    matrix rows of `tri`), by the scalar formulas used before the frames
+    took batches: numpy on one triangle, `math` for the angles."""
+    verts = (rows @ tri.vertices) / rows.sum(axis=1)[:, None]
+    a, b, c = (float(np.linalg.norm(verts[i] - verts[j])) for i, j in ((1, 2), (2, 0), (0, 1)))
+    s = 0.5 * (a + b + c)
+    area = math.sqrt(s * (s - a) * (s - b) * (s - c))
+    R = a * b * c / (4.0 * area)
+    a2, b2, c2 = a * a, b * b, c * c
+
+    def cart(p):
+        return (p @ verts) / p.sum()
+
+    def sa(x, y, z):
+        return 0.5 * (y * y + z * z - x * x)
+
+    x3 = cart(np.array([a * a * sa(a, b, c), b * b * sa(b, c, a), c * c * sa(c, a, b)]))
+    x6 = cart(np.array([a * a, b * b, c * c]))
+    omega = math.atan2(4.0 * area, a2 + b2 + c2)
+    f1 = cart(np.array([a2 * c2, a2 * b2, b2 * c2]))
+    f2 = cart(np.array([a2 * b2, b2 * c2, c2 * a2]))
+    a_e, b_e = R * math.sin(omega), 2.0 * R * math.sin(omega) ** 2
+    gap = np.linalg.norm(f2 - f1)
+    ca, sn = (1.0, 0.0) if gap <= brocard.DEGENERATE_DELTA * R else (f2 - f1) / gap
+    T = np.eye(3)
+    T[:2, :2] = np.array([[ca, -sn], [sn, ca]])
+    T[:2, 2] = 0.5 * (f1 + f2)
+    Tinv = np.linalg.inv(T)
+    m = Tinv.T @ np.diag([1.0 / (a_e * a_e), 1.0 / (b_e * b_e), -1.0]) @ Tinv
+    B = np.ones((3, 3))
+    B[:2, :] = verts.T
+    w = [float(np.sum((verts[i] - verts[j]) ** 2)) for i, j in ((1, 2), (2, 0), (0, 1))]
+    symmedian = (w[0] * verts[0] + w[1] * verts[1] + w[2] * verts[2]) / sum(w)
+    return {
+        "sides": (a, b, c),
+        "omega": omega,
+        "delta": float(np.linalg.norm(x6 - x3)),
+        "lemoine_cart": np.linalg.solve(B.T, np.array([1.0 / a2, 1.0 / b2, 1.0 / c2])),
+        "axis_cart": np.array(core.cross((*x3, 1.0), (*x6, 1.0))),
+        "Omega1_cart": f1,
+        "inellipse": 0.5 * (m + m.T),
+        "symmedian": core.cartesian_to_bary(symmedian, tri),
+    }
+
+
+def _printed(frame, i=...):
+    """The same objects from the library; row i of a batch."""
+    return {
+        "sides": tuple(np.asarray(x)[i] for x in frame.triangle.sides),
+        "omega": np.asarray(frame.omega)[i],
+        "delta": np.asarray(frame.delta)[i],
+        "lemoine_cart": frame.lemoine_cart[i],
+        "axis_cart": frame.axis_cart[i],
+        "Omega1_cart": frame.Omega1_cart[i],
+        "inellipse": brocard.brocard_inellipse(frame).conic.m[i],
+    }
+
+
+def test_printed_objects_bit_identical_to_scalar_formulas(triangles_100, tri6913):
+    # solve and render print these objects of one frame; the frames now take
+    # batches, and one triangle and each row of a batch must still give the
+    # bits of the scalar formulas
+    tris = triangles_100[:40] + [tri6913]
+    batch = core.stack_triangles(tris)
+    for tag in core.CIRCLE_TAGS:
+        vm_batch = ccp_closed.solutions_for(batch, tag)[0]
+        frames = brocard.brocard_frame(core.triangle_from_vertices(vm_batch.cartesian(batch)))
+        for i, t in enumerate(tris):
+            sd = ccp_closed.SignedSides.from_triangle(t)
+            sd = sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
+            for got, want in zip(ccp_closed.incircle_rows(sd), _reference_rows(sd)):
+                assert np.array_equal(got, want)
+            vm = ccp_closed.solutions_for(t, tag)[0]
+            assert np.array_equal(vm_batch.rows[i], vm.rows)
+            want = _reference_printed(t, vm.rows)
+            alone = _printed(brocard.brocard_frame(core.triangle_from_vertices(vm.cartesian(t))))
+            alone["symmedian"] = ccp_closed.solution_symmedian(vm, t)
+            row = _printed(frames, i)
+            for key, value in want.items():
+                assert np.array_equal(alone[key], value), (tag, t.sides, key)
+                assert key not in row or np.array_equal(row[key], value), (tag, t.sides, key)
+
+
+def test_batch_squares_and_angles_round_like_plain_floats():
+    # a float's x ** 2 is C pow, which differs from x * x (np.square) on
+    # about 89 of 100,000 draws, and numpy's atan2 loop differs from math's
+    # (its sin loop can too, where numpy has a SIMD sin); over 3,000
+    # triangles every printed square and angle of a batch must still equal
+    # the plain-float formula of its triangle
+    rng = np.random.default_rng(7)
+    tris = [sampling.random_triangle(rng) for _ in range(3000)]
+    batch = core.stack_triangles(tris)
+    frame = brocard.brocard_frame(core.triangle_from_vertices(
+        ccp_closed.incircle_solutions(batch)[0].cartesian(batch)))
+    a_e, b_e = brocard.brocard_inellipse(frame).semi_axes
+    first, _ = brocard.shared_brocard_points(batch)
+    x279 = centers.center(279, batch)
+    for i, t in enumerate(tris):
+        sol = frame.triangle
+        R, area = float(sol.R[i]), float(sol.area[i])
+        w = math.atan2(4.0 * area, float(frame.a2[i] + frame.b2[i] + frame.c2[i]))
+        assert frame.omega[i] == w
+        assert (a_e[i], b_e[i]) == (R * math.sin(w), 2.0 * R * math.sin(w) ** 2)
+        a, b, c = t.sides
+        assert first[i, 0] == ((a - b) ** 2 - (a + b) * c) / t.u
+        assert np.array_equal(x279[i], [(t.v * t.w) ** 2, (t.w * t.u) ** 2, (t.u * t.v) ** 2])
+
+
+def _assert_rows_match_alone(claims, tris):
+    """Every check's residual and skip flag for row i of one batch equal the
+    triangle evaluated alone, bit for bit, and as a batch of one."""
+    st = brocard.SolvedTriangle(core.stack_triangles(tris))
+    reports = [claim(st) for claim in claims]
+    for i, t in enumerate(tris):
+        alone = brocard.SolvedTriangle(t)
+        one = brocard.SolvedTriangle(core.stack_triangles([t])) if i < 20 else None
+        for claim, rep in zip(claims, reports):
+            for other in (alone, one) if one else (alone,):
+                single = claim(other)
+                assert [c.name for c in single.checks] == [c.name for c in rep.checks]
+                for c, s in zip(rep.checks, single.checks):
+                    n = len(tris)
+                    assert np.broadcast_to(c.residual, (n,))[i] == np.ravel(s.residual)[0], \
+                        (c.name, t.sides)
+                    assert np.broadcast_to(c.skipped, (n,))[i] == np.ravel(s.skipped)[0]
+
+
+def test_batch_rows_match_single_triangles(tri6913, equilateral):
+    # the row products are stacked matmul, solve and inv, and the angles go
+    # through `math` elementwise, so the batch size changes no bit; the
+    # equilateral row skips its axis checks in that row only
+    rng = np.random.default_rng(20261018)
+    tris = [sampling.random_triangle(rng) for _ in range(300)] + [tri6913, equilateral]
+    _assert_rows_match_alone((brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
+                              cli._twenty_three_claim), tris)
+    st = brocard.SolvedTriangle(core.stack_triangles(tris))
+    skipped = {c.name: c.skipped for c in brocard.verify_shared_objects(st).checks}
+    assert list(np.flatnonzero(skipped["axis-shared"])) == [len(tris) - 1]

@@ -250,3 +250,35 @@ def test_core_imports_only_errors():
                                "print(*sorted(m for m in sys.modules if m.startswith('castillon')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["castillon", "castillon.core", "castillon.errors"]
+
+
+def test_registry_batch_rows_match_single_triangles(triangles_100):
+    # every formula is elementwise in the sides, so row i of a batch is the
+    # triangle alone to the bit; _normalized sums per triangle, X1323 takes
+    # its cross products per row
+    batch = core.stack_triangles(triangles_100)
+    for idx in centers.registry_indices():
+        rows = centers.center(idx, batch)
+        assert rows.shape == (100, 3), idx
+        for i, t in enumerate(triangles_100):
+            assert np.array_equal(rows[i], centers.center(idx, t)), (idx, t.sides)
+
+
+def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
+    # 300 draws: each check's residual for row i of one batch equals the
+    # triangle evaluated alone, bit for bit; the equilateral row fails its
+    # undefined pairs in that row only
+    from castillon import sampling
+    rng = np.random.default_rng(20261018)
+    tris = [sampling.random_triangle(rng) for _ in range(300)] + [tri6913, equilateral]
+    rep = centers.verify_correspondences(core.stack_triangles(tris))
+    assert rep.note == "11 verified, 45 data-only"
+    for i, t in enumerate(tris):
+        alone = centers.verify_correspondences(t)
+        for c, s in zip(rep.checks, alone.checks, strict=True):
+            assert c.name == s.name
+            assert np.broadcast_to(c.residual, (len(tris),))[i] == s.residual, (c.name, t.sides)
+    failed = {c.name: np.flatnonzero(np.logical_not(c.passed)) for c in rep.checks}
+    assert {name for name, rows in failed.items() if len(rows)} == {
+        "pair [187,1323]", "pair [511,516]", "pair [512,514]"}
+    assert all(list(rows) in ([], [len(tris) - 1]) for rows in failed.values())

@@ -322,38 +322,35 @@ def test_console_script_declared():
 
 
 def test_verify_solves_each_circle_once(tmp_path, capsys, monkeypatch):
-    # one frame per solution triangle: 4 circles x 2 solutions
+    # one frame batch per solution triangle: 4 circles x 2 solutions, each
+    # over all 81 triangles of the sweep
     from castillon import brocard
     calls = []
     frame = brocard.brocard_frame
 
     def counted_frame(tri):
-        calls.append(tri)
+        calls.append(len(tri.a))
         return frame(tri)
 
     monkeypatch.setattr(brocard, "brocard_frame", counted_frame)
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
-    assert run(["verify", path]) == 0
+    assert run(["verify", path, "--sweep", "80"]) == 0
     capsys.readouterr()
-    assert len(calls) == 8
+    assert calls == [81] * 8
 
 
-def test_verify_runs_float_kernels_and_lazy_frames(monkeypatch):
-    # one triangle through the four claims: the 24-vertex generator permutes
-    # tuples instead of calling np.roll, convert_bary never solves a linear
-    # system, and the six excircle frames build only what the de Longchamps
-    # check reads (the axis), never their Brocard points or Lemoine line
+def test_verify_builds_lazy_frames_once_per_sweep(tmp_path, capsys, monkeypatch):
+    # the whole sweep is one batch, the 24-vertex generator permutes tuples
+    # instead of calling np.roll, and the six excircle frames build only
+    # what the de Longchamps check reads (the axis), never their Brocard
+    # points or Lemoine line
     from castillon import brocard
-    rolls, solvers, solved = [], [], []
-    roll, solve = np.roll, np.linalg.solve
+    rolls, solved = [], []
+    roll = np.roll
 
     def counted_roll(*args, **kwargs):
         rolls.append(args)
         return roll(*args, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        solvers.append(sys._getframe(1).f_code.co_name)
-        return solve(*args, **kwargs)
 
     class Recorded(brocard.SolvedTriangle):
         def __init__(self, triangle):
@@ -361,13 +358,13 @@ def test_verify_runs_float_kernels_and_lazy_frames(monkeypatch):
             solved.append(self)
 
     monkeypatch.setattr(np, "roll", counted_roll)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(brocard, "SolvedTriangle", Recorded)
-    rows = cli._verify_one(core.triangle_from_sides(6, 9, 13))
-    assert [row[1] for row in rows] == [True] * 4
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
+    assert run(["verify", path, "--sweep", "80"]) == 0
+    capsys.readouterr()
     assert rolls == []
-    assert solvers and "convert_bary" not in solvers  # the Lemoine lines still solve
     (st,) = solved
+    assert len(st.triangle.a) == 81
     for tag in core.CIRCLE_TAGS[1:]:
         for frame in st.frames(tag):
             built = set(vars(frame)) - {"triangle", "R", "a2", "b2", "c2"}
@@ -496,13 +493,39 @@ def test_verify_exit_one_on_failed_claim(tmp_path, capsys, monkeypatch):
 
     failing = brocard.Report(
         name="shared-brocard-objects",
-        checks=(brocard.Check(name="forced", residual=1.0, tolerance=1e-9,
-                              passed=False),),
+        checks=(brocard.check("forced", np.array([1.0]), 1e-9),),
     )
     monkeypatch.setattr(cli.brocard, "verify_shared_objects", lambda tri: failing)
     path = write(tmp_path, "p.json", {"triangle": {"a": 3, "b": 4, "c": 5}})
     assert run(["verify", path]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_names_worst_triangle_of_failed_check(tmp_path, capsys, monkeypatch):
+    # a failing check row names the triangle with its largest failing
+    # residual, by index in the sweep (0 is the input) and sides, so it can
+    # be rerun; here the forced residual is side a, so the largest a fails
+    from castillon import brocard
+    claim = brocard.verify_shared_objects
+    seen = []
+
+    def forced(st):
+        seen.append(st.triangle)
+        rep = claim(st)
+        return rep._replace(checks=rep.checks + (brocard.check("forced", st.triangle.a, 5.0),))
+
+    monkeypatch.setattr(cli.brocard, "verify_shared_objects", forced)
+    monkeypatch.setenv("CASTILLON_SEED", "3")
+    path = write(tmp_path, "p.json", {"triangle": {"a": 3, "b": 4, "c": 5}})
+    assert run(["verify", path, "--sweep", "40"]) == 1
+    out = capsys.readouterr().out
+    (t,) = seen
+    i = int(np.argmax(t.a))
+    assert t.a[i] > 5.0
+    sides = ", ".join(repr(float(x[i])) for x in t.sides)
+    row = f"FAIL  max-residual {t.a[i]:.3e}  worst triangle {i} (sides {sides}), tol 5"
+    assert re.search(r"^  forced\s+" + re.escape(row) + "$", out, re.MULTILINE), out
+    assert out.count("FAIL") == 2  # the claim's row and the check's row
 
 
 def test_clockwise_vertex_input(tmp_path, capsys):
@@ -528,3 +551,15 @@ def test_render_inconic(tmp_path):
     # missing perspector -> invalid input
     bare = write(tmp_path, "bare.json", {"triangle": {"a": 3, "b": 4, "c": 5}})
     assert run(["render", bare, "--figure", "inconic", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("seed", ["0", "424242"])
+def test_verify_sweep_2000_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
+    # 2,001 triangles in one batch: a wrong verdict on any of them shows as
+    # a FAIL row, which the benchmark's checker rejects
+    checks = _bench_checks(monkeypatch)
+    monkeypatch.setenv("CASTILLON_SEED", seed)
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
+    assert run(["verify", path, "--sweep", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert checks.check_verify(out.encode(), 2001) == [], out

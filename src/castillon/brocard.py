@@ -90,30 +90,41 @@ def brocard_frame(t: TriangleData) -> BrocardFrame:
 
 
 class SolvedTriangle:
-    """A reference triangle, or a batch of them, with the closed-form
-    solution pair of each circle and the Brocard frames of the two solution
-    triangles, each built on first use.  The claim verifiers take one of
-    these or a bare TriangleData, so a caller checking several claims solves
-    each circle once.  Every residual has the triangle's batch shape: one
-    entry per triangle, or a scalar for a single one.
+    """A reference triangle, or a batch of them, with what the closed form
+    gives for each circle: the two solutions, their cartesian vertices and
+    the Brocard frame of each solution, each built on first use.  `solve`,
+    `render` and the claim verifiers read these, so a caller solves each
+    circle and builds each frame once.  Every residual has the triangle's
+    batch shape: one entry per triangle, or a scalar for a single one.
     """
 
     def __init__(self, triangle: TriangleData):
         self.triangle = triangle
-        self._pairs: dict[str, tuple[VertexMatrix, VertexMatrix]] = {}
-        self._frames: dict[str, tuple[BrocardFrame, BrocardFrame]] = {}
+        self._built: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def solutions(self, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-        if tag not in self._pairs:
-            self._pairs[tag] = ccp_closed.solutions_for(self.triangle, tag)
-        return self._pairs[tag]
+        t = self.triangle
+        return self._once(("solutions", tag), lambda: (
+            ccp_closed.incircle_solutions(t) if tag == core.INCIRCLE
+            else ccp_closed.excircle_solutions(t, tag[-1])))
+
+    def vertices(self, tag: str) -> tuple[Array, Array]:
+        """Cartesian vertices of the two solutions."""
+        return self._once(("vertices", tag), lambda: tuple(
+            vm.cartesian(self.triangle) for vm in self.solutions(tag)))
+
+    def frame(self, tag: str, k: int = 0) -> BrocardFrame:
+        """Brocard frame of solution k: 0 for T1, 1 for T2."""
+        return self._once(("frame", tag, k), lambda: brocard_frame(
+            core.triangle_from_vertices(self.vertices(tag)[k])))
 
     def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
-        if tag not in self._frames:
-            self._frames[tag] = tuple(
-                brocard_frame(core.triangle_from_vertices(vm.cartesian(self.triangle)))
-                for vm in self.solutions(tag))
-        return self._frames[tag]
+        return self.frame(tag, 0), self.frame(tag, 1)
 
 
 def solved(tri) -> SolvedTriangle:

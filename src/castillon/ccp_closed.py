@@ -222,11 +222,6 @@ def solution_symmedian(vm: VertexMatrix, tri: TriangleData) -> Array:
     return core.cartesian_to_bary(point, tri)
 
 
-def gergonne_rows(sd: SignedSides) -> Array:
-    """Cleared coordinates of [1/u : 1/v : 1/w] on a signed context."""
-    return np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
-
-
 # ---------------------------------------------------------------------------
 # twenty-three vertices from one
 
@@ -239,14 +234,12 @@ class GeneratedVertex(NamedTuple):
     coords: tuple[float, float, float]
 
 
-_G = golden_constants()
-
-
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
     """Row 3 of `incircle_rows(sd)[1]` on plain floats (or on arrays of a
-    batch), from the same products, so bit-identical to it."""
+    batch), from the same coefficients and products, so bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w
-    return (_G.sq_2phi_p1 * (v * w), _G.sq_3phi_p2 * (u * w), _G.sq_phi_p1 * (u * v))
+    k1, k2, k3 = _golden_coefficients(PHI)[1][2].tolist()
+    return (k1 * (v * w), k2 * (u * w), k3 * (u * v))
 
 
 _ROLL = operator.itemgetter(2, 0, 1)     # np.roll(v, 1) on a tuple

@@ -73,13 +73,6 @@ class MobiusMap(NamedTuple):
     m10: float
     m11: float
 
-    @property
-    def m(self) -> Array:
-        """The matrix as a read-only 2x2 array."""
-        m = np.array(self, dtype=float).reshape(2, 2)
-        m.flags.writeable = False
-        return m
-
     def __call__(self, pq) -> tuple[float, float]:
         a, b, c, d = self
         p, q = pq
@@ -89,11 +82,6 @@ class MobiusMap(NamedTuple):
             # the continuous extension is the map's constant image direction
             x, y = a * -q + b * p, c * -q + d * p
         return _unit(x, y)
-
-    def apply_t(self, t: float) -> float:
-        """Scalar convenience for finite parameters."""
-        a, b, c, d = self
-        return (a * t + b) / (c * t + d)
 
     def _times(self, inner: "MobiusMap") -> tuple[float, float, float, float]:
         a, b, c, d = self
@@ -107,14 +95,6 @@ class MobiusMap(NamedTuple):
             # two pivots on the circle that the chord walk joins
             raise DegenerateComposition("composed chord map is zero")
         return MobiusMap(p00 / scale, p01 / scale, p10 / scale, p11 / scale)
-
-    def det(self) -> float:
-        a, b, c, d = self
-        return a * d - b * c
-
-    def involution_defect(self) -> float:
-        """Relative distance of M^2 from a multiple of the identity."""
-        return MobiusMap(*self._times(self)).identity_defect()
 
     def identity_defect(self) -> float:
         a, b, c, d = self
@@ -170,16 +150,9 @@ class CcpSolution(NamedTuple):
 
     def max_residuals(self, prob: CcpProblem) -> tuple[float, float]:
         """(on-circle, side-incidence) residuals, both in length units."""
-        on_circle = max(
-            abs(np.linalg.norm(V - prob.circle.center) - prob.circle.radius)
-            for V in self.vertices
-        )
-        n = len(self.vertices)
-        incidence = 0.0
-        for i in range(n):
-            side = core.cart_line(self.vertices[i], self.vertices[(i + 1) % n])
-            incidence = max(incidence, core.point_line_distance(prob.points[i], side))
-        return on_circle, incidence
+        center, radius = prob.circle
+        on_circle = max(abs(np.linalg.norm(V - center) - radius) for V in self.vertices)
+        return on_circle, core.side_incidence(self.vertices, prob.points)[0]
 
 
 def _first_vertex_angle(center, vertices) -> float:

@@ -153,13 +153,14 @@ class CenterDef(NamedTuple):
     fn: object
     name: str
     provenance: str
+    equilateral_undefined: bool  # the zero triple on an equilateral triangle
 
 
 _REGISTRY: dict[int, CenterDef] = {}
 
 
-def _register(index, fn, name, provenance):
-    _REGISTRY[index] = CenterDef(index=index, fn=fn, name=name, provenance=provenance)
+def _register(index, fn, name, provenance, equilateral_undefined=False):
+    _REGISTRY[index] = CenterDef(index, fn, name, provenance, equilateral_undefined)
 
 
 _register(1, _X1, "incenter", PROPERTY_TESTED)
@@ -169,24 +170,24 @@ _register(4, _X4, "orthocenter", PROPERTY_TESTED)
 _register(6, _X6, "symmedian point", PROPERTY_TESTED)
 _register(7, _X7, "Gergonne point", PROPERTY_TESTED)
 _register(15, _X15, "first isodynamic point", PROPERTY_TESTED)
-_register(16, _X16, "second isodynamic point", PROPERTY_TESTED)
+_register(16, _X16, "second isodynamic point", PROPERTY_TESTED, equilateral_undefined=True)
 _register(20, _X20, "de Longchamps point", CONSTRUCTED)
 _register(175, _X175, "isoperimetric point", PROPERTY_TESTED)
 _register(176, _X176, "equal detour point", PROPERTY_TESTED)
-_register(187, _X187, "Schoute center", PROPERTY_TESTED)
+_register(187, _X187, "Schoute center", PROPERTY_TESTED, equilateral_undefined=True)
 _register(279, _X279, "Gergonne-square point", TRANSCRIBED)
 _register(371, _X371, "Kenmotu point", TRANSCRIBED)
 _register(372, _X372, "second Kenmotu point", TRANSCRIBED)
 _register(390, _X390, "X7-reflection of X1", CONSTRUCTED)
 _register(481, _X481, "first Eppstein point", TRANSCRIBED)
 _register(482, _X482, "second Eppstein point", TRANSCRIBED)
-_register(511, _X511, "Brocard axis infinity", CONSTRUCTED)
-_register(512, _X512, "Lemoine axis infinity", PROPERTY_TESTED)
-_register(514, _X514, "Gergonne-line infinity", PROPERTY_TESTED)
-_register(516, _X516, "Soddy line infinity", CONSTRUCTED)
+_register(511, _X511, "Brocard axis infinity", CONSTRUCTED, equilateral_undefined=True)
+_register(512, _X512, "Lemoine axis infinity", PROPERTY_TESTED, equilateral_undefined=True)
+_register(514, _X514, "Gergonne-line infinity", PROPERTY_TESTED, equilateral_undefined=True)
+_register(516, _X516, "Soddy line infinity", CONSTRUCTED, equilateral_undefined=True)
 _register(1151, _X1151, "Brocard-axis half-Kenmotu", TRANSCRIBED)
 _register(1152, _X1152, "Brocard-axis half-Kenmotu mate", TRANSCRIBED)
-_register(1323, _X1323, "Fletcher point", CONSTRUCTED)
+_register(1323, _X1323, "Fletcher point", CONSTRUCTED, equilateral_undefined=True)
 _register(1350, _X1350, "X6-reflection of X3", CONSTRUCTED)
 _register(3053, _X3053, "Brocard-axis quarter point", TRANSCRIBED)
 
@@ -236,11 +237,15 @@ def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocar
 
     Points at infinity are compared as directions (the angular residual is
     already direction-based).  Pairs with a missing index are skipped
-    checks noted data-only, so they never fail.
+    checks noted data-only, so they never fail.  A pair with a center that
+    vanishes on an equilateral triangle skips the triangles whose incircle
+    solutions are equilateral.
     """
     st = brocard.solved(tri)
     t = st.triangle
-    tri1, tri2 = (f.triangle for f in st.frames(core.INCIRCLE))
+    f1, f2 = st.frames(core.INCIRCLE)
+    tri1, tri2 = f1.triangle, f2.triangle
+    flat = f1.degenerate | f2.degenerate
     checks = []
     for i, k in correspondence_pairs():
         name = f"pair [{i},{k}]"
@@ -255,7 +260,10 @@ def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocar
             core.sin_angles(p1, ref),
             core.sin_angles(p2, ref),
         ])
-        checks.append(brocard.check(name, residual, 1e-9))
-    n_data = sum(c.skipped for c in checks)
+        if _REGISTRY[i].equilateral_undefined or _REGISTRY[k].equilateral_undefined:
+            checks.append(brocard.check(name, residual, 1e-9, flat, brocard.EQUILATERAL))
+        else:
+            checks.append(brocard.check(name, residual, 1e-9))
+    n_data = sum(i not in _REGISTRY or k not in _REGISTRY for i, k in correspondence_pairs())
     return brocard.Report(name="center-correspondences", checks=tuple(checks),
                           note=f"{len(checks) - n_data} verified, {n_data} data-only")

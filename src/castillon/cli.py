@@ -69,12 +69,13 @@ def _solution_entry(verts, tri=None, multiplicity=ccp_general.TWO_DISTINCT) -> d
     return entry
 
 
-def _shared_block(tri, vm1) -> dict:
-    frame = brocard.brocard_frame(core.triangle_from_vertices(vm1.cartesian(tri)))
+def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
+    tri, frame = st.triangle, st.frame(tag)
     ell = brocard.brocard_inellipse(frame)
     first, second = brocard.shared_brocard_points(tri)
-    block = {
-        "symmedian": list(core.normalize_bary(ccp_closed.solution_symmedian(vm1, tri))),
+    return {
+        "symmedian": list(core.normalize_bary(
+            ccp_closed.solution_symmedian(st.solutions(tag)[0], tri))),
         "brocard_points": [list(core.normalize_bary(first)),
                            list(core.normalize_bary(second))],
         "brocard_angle": frame.omega,
@@ -84,20 +85,16 @@ def _shared_block(tri, vm1) -> dict:
             core.line_cart_to_bary(frame.axis_cart, tri)),
         "inellipse_matrix": problemfile.canonical_matrix(ell.conic.m),
     }
-    return block
 
 
 def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
-    tri = spec.triangle
-    circle = spec.circle
-    prob = CcpProblem.on_triangle(tri, circle)
-
-    closed = ccp_closed.solutions_for(tri, spec.circle_tag)
+    tri, circle = spec.triangle, spec.circle
+    st = brocard.SolvedTriangle(tri)
     outputs = {}
     if solver in ("closed", "all"):
-        outputs["closed"] = [vm.cartesian(tri) for vm in closed]
+        outputs["closed"] = list(st.vertices(spec.circle_tag))
     if solver in ("mobius", "all"):
-        sols = ccp_general.solve_ccp_mobius(prob)
+        sols = ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circle))
         outputs["mobius"] = [s.vertices for s in sols]
     if solver in ("perspectrix", "all"):
         vms = ccp_general.solve_ccp_perspectrix(tri, circle)
@@ -113,19 +110,14 @@ def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
         "solver": solver,
         "circle": {"center": list(circle.center), "radius": circle.radius},
         "solutions": [_solution_entry(verts, tri) for verts in primary],
-        "shared": _shared_block(tri, closed[0]),
+        "shared": _shared_block(st, spec.circle_tag),
     }
     on_circle = max(
         abs(np.linalg.norm(V - circle.center) - circle.radius)
         for verts in primary for V in verts
     ) / circle.radius
-    incidence = 0.0
-    for verts in primary:
-        for i in range(3):
-            side = core.cart_line(verts[i], verts[(i + 1) % 3])
-            incidence = max(incidence, min(
-                core.point_line_distance(P, side) for P in tri.vertices
-            ) / circle.radius)
+    incidence = max(core.side_incidence(verts, tri.vertices, nearest=True)[0]
+                    for verts in primary) / circle.radius
     doc["residuals"] = {"on_circle": on_circle, "incidence": incidence}
     if solver == "all":
         doc["residuals"]["cross_solver_max_deviation"] = _vertex_set_deviation(
@@ -273,11 +265,16 @@ def cmd_centers(args) -> int:
             status = "verified" if (i in registry and k in registry) else "data-only"
             print(f"{i} {k} {status}")
         return EXIT_OK
-    indices = args.index or centers.registry_indices()
-    for idx in indices:
-        bary = core.normalize_bary(centers.center(int(idx), tri))
+    rows = []
+    for idx in args.index or centers.registry_indices():
+        bary = centers.center(int(idx), tri)
+        try:
+            bary = core.normalize_bary(bary)
+        except GeometryError as exc:
+            raise GeometryError(f"X{idx} is undefined on this triangle ({exc})") from exc
         x, y, z = (float(f"{v:.15g}") for v in bary)
-        print(f"X{idx} {x:.15g} {y:.15g} {z:.15g}")
+        rows.append(f"X{idx} {x:.15g} {y:.15g} {z:.15g}")
+    print("\n".join(rows))
     return EXIT_OK
 
 

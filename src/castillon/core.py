@@ -31,6 +31,7 @@ from .errors import (
     DegenerateTriangle,
     GeometryError,
     InfinitePoint,
+    NonEllipse,
 )
 
 Array = np.ndarray
@@ -95,14 +96,14 @@ def normalize_bary(p) -> Array:
     """Canonical representative: component sum 1 for finite points,
     max |component| = 1 (first nonzero component positive) at infinity."""
     p = np.asarray(p, dtype=float)
+    scale = np.abs(p).max()
+    if scale == 0.0:
+        raise GeometryError("zero barycentric triple")
     total = p.sum()
-    if abs(total) > 1e-14 * np.abs(p).max():
+    if abs(total) > 1e-14 * scale:
         return p / total
-    q = p / np.abs(p).max()
-    for x in q:
-        if x != 0.0:
-            return q if x > 0 else -q
-    raise GeometryError("zero barycentric triple")
+    q = p / scale
+    return q if q[np.flatnonzero(q)[0]] > 0 else -q
 
 
 def is_infinite_bary(p) -> bool:
@@ -299,6 +300,22 @@ def point_line_distance(P, line) -> float:
     return abs(l * P[..., 0] + m * P[..., 1] + n) / mathmap(math.hypot, l, m)
 
 
+def side_incidence(vertices, points, nearest: bool = False) -> tuple[float, set[int]]:
+    """Largest distance of side i (vertex i to vertex i + 1) from point i,
+    and the set of the points measured.  With `nearest`, each side is
+    measured from whichever point is nearest it instead, so the set shows
+    whether the sides pass through every point in some order."""
+    n = len(vertices)
+    worst, hit = 0.0, set()
+    for i in range(n):
+        side = cart_line(vertices[i], vertices[(i + 1) % n])
+        dists = [point_line_distance(P, side) for P in (points if nearest else points[i:i + 1])]
+        k = int(np.argmin(dists))
+        hit.add(k if nearest else i)
+        worst = max(worst, dists[k])
+    return worst, hit
+
+
 def foot_on_line(P, Q, X) -> tuple[float, float]:
     """Foot of the perpendicular from X onto the line through P and Q, as a
     float pair."""
@@ -471,20 +488,6 @@ def circle_to_conic(circle: CircleData) -> ConicMatrix:
     return ConicMatrix(m, POINT_CONIC)
 
 
-def circle_from_conic(conic: ConicMatrix) -> CircleData:
-    """Inverse of circle_to_conic (the matrix must be a circle)."""
-    if conic.kind != POINT_CONIC:
-        raise GeometryError("circle extraction requires a point-conic")
-    m = conic.m / conic.m[0, 0]
-    if abs(m[0, 1]) > 1e-10 or abs(m[0, 0] - m[1, 1]) > 1e-10:
-        raise GeometryError("conic is not a circle")
-    cx, cy = -m[0, 2], -m[1, 2]
-    r2 = cx * cx + cy * cy - m[2, 2]
-    if r2 <= 0.0:
-        raise GeometryError("conic is an imaginary circle")
-    return CircleData(center=np.array([cx, cy]), radius=math.sqrt(r2))
-
-
 def conic_point_residual(conic: ConicMatrix, Ph) -> float:
     """Scale-invariant on-conic residual of a homogeneous point."""
     if conic.kind != POINT_CONIC:
@@ -528,19 +531,24 @@ def conic_from_tangent_lines(lines) -> ConicMatrix:
     return ConicMatrix(np.array([[A, B, C], [B, D, E], [C, E, F]]), LINE_CONIC)
 
 
-def conic_center(conic: ConicMatrix) -> Array:
-    """Cartesian center of a central point-conic."""
+class Ellipse(NamedTuple):
+    center: Array
+    semi_axes: tuple[float, float]  # (major, minor)
+    axes: Array                     # 2x2, columns the major and minor directions
+
+
+def ellipse_axes(conic: ConicMatrix) -> Ellipse:
+    """Centre, semi-axes and axis directions of a real ellipse given as a
+    cartesian point-conic, from one `solve` and one `eigh`."""
     if conic.kind != POINT_CONIC:
-        raise GeometryError("center requires a point-conic")
+        raise GeometryError("ellipse axes require a point-conic")
     M = conic.m
-    return np.linalg.solve(M[:2, :2], -M[:2, 2])
-
-
-def conic_semi_axes(conic: ConicMatrix) -> tuple[float, float]:
-    """Semi-axis lengths (major, minor) of a real central point-conic."""
-    M = conic.m
-    center = conic_center(conic)
-    val = float(M[2, 2] + M[:2, 2] @ center)
-    eigvals = np.linalg.eigvalsh(M[:2, :2])
-    axes = sorted((math.sqrt(abs(val / ev)) for ev in eigvals), reverse=True)
-    return (axes[0], axes[1])
+    center = np.linalg.solve(M[:2, :2], -M[:2, 2])
+    Q, val = M[:2, :2], float(M[2, 2] + M[:2, 2] @ center)
+    if np.trace(Q) < 0:
+        Q, val = -Q, -val  # sign Q positive: its smallest eigenvalue marks the major axis
+    eigvals, eigvecs = np.linalg.eigh(Q)
+    if val >= 0.0 or eigvals[0] <= 0.0:
+        raise NonEllipse("conic is not a real ellipse")
+    major, minor = (math.sqrt(-val / ev) for ev in eigvals)
+    return Ellipse(center=center, semi_axes=(major, minor), axes=eigvecs)

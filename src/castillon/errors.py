@@ -38,8 +38,8 @@ class NoRealIntersection(GeometryError):
 
 
 class NonEllipse(GeometryError):
-    """Inconic is not a real ellipse: its perspector is not interior.
-    Conics tangent to the extended sides are out of scope."""
+    """Conic is not a real ellipse, such as an inconic whose perspector is
+    not interior.  Conics tangent to the extended sides are out of scope."""
 
 
 class UnknownCenter(GeometryError):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import brocard, ccp_closed, core, inconic
+from . import brocard, centers, core, inconic
 from .core import TriangleData
 
 STYLE = (
@@ -112,15 +112,11 @@ def _clipped_line(line, frame: Frame, cls: str) -> str:
 
 def _ellipse_element(conic, cls: str) -> str:
     """Point-conic (real ellipse) as an SVG ellipse with a rotate transform."""
-    center = core.conic_center(conic)
-    a_e, b_e = core.conic_semi_axes(conic)
-    M = conic.m[:2, :2]
-    if np.trace(M) < 0:
-        M = -M  # canonical sign so the smallest eigenvalue marks the major axis
-    eigvals, eigvecs = np.linalg.eigh(M)
-    major = eigvecs[:, 0]  # smallest eigenvalue -> major axis
+    ellipse = core.ellipse_axes(conic)
+    major = ellipse.axes[:, 0]
     angle = math.degrees(math.atan2(major[1], major[0])) % 180.0
-    cx, cy = center[0], -center[1]
+    a_e, b_e = ellipse.semi_axes
+    cx, cy = ellipse.center[0], -ellipse.center[1]
     return (f'<ellipse class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'rx="{_fmt(a_e)}" ry="{_fmt(b_e)}" '
             f'transform="rotate({_fmt(-angle)} {_fmt(cx)} {_fmt(cy)})"/>')
@@ -139,33 +135,24 @@ def _document(frame: Frame, body: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _incircle_body(st: brocard.SolvedTriangle) -> list[str]:
+    V1, V2 = st.vertices(core.INCIRCLE)
+    return [_circle(core.incircle(st.triangle), "circle"),
+            _polygon(st.triangle.vertices, "reference"),
+            _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
+
+
 def render_incircle(tri: TriangleData) -> str:
     """Reference triangle, incircle, and the two solutions: 3 polygons, 1 circle."""
-    frame = shared_frame(tri)
-    vm1, vm2 = ccp_closed.incircle_solutions(tri)
-    body = [
-        _circle(core.incircle(tri), "circle"),
-        _polygon(tri.vertices, "reference"),
-        _polygon(vm1.cartesian(tri), "solution-1"),
-        _polygon(vm2.cartesian(tri), "solution-2"),
-    ]
-    return _document(frame, body)
+    return _document(shared_frame(tri), _incircle_body(brocard.SolvedTriangle(tri)))
 
 
 def render_brocard(tri: TriangleData) -> str:
     """Incircle figure plus the shared Brocard objects of the solutions."""
     frame = shared_frame(tri)
-    vm1, vm2 = ccp_closed.incircle_solutions(tri)
-    sol1 = core.triangle_from_vertices(vm1.cartesian(tri))
-    f = brocard.brocard_frame(sol1)
-    ell = brocard.brocard_inellipse(f)
-    body = [
-        _circle(core.incircle(tri), "circle"),
-        _polygon(tri.vertices, "reference"),
-        _polygon(vm1.cartesian(tri), "solution-1"),
-        _polygon(vm2.cartesian(tri), "solution-2"),
-        _ellipse_element(ell.conic, "conic"),
-    ]
+    st = brocard.SolvedTriangle(tri)
+    f = st.frame(core.INCIRCLE)
+    body = _incircle_body(st) + [_ellipse_element(brocard.brocard_inellipse(f).conic, "conic")]
     if f.circle.radius > 1e-9 * f.R:
         body.append(_circle(f.circle, "circle"))
     if not f.degenerate:
@@ -180,18 +167,17 @@ def render_excircles(tri: TriangleData) -> str:
     """All four circles with their solution pairs, the four shared axes and
     the de Longchamps point they concur on."""
     frame = shared_frame(tri)
+    st = brocard.SolvedTriangle(tri)
     body = [_polygon(tri.vertices, "reference")]
     axes = []
     for tag in core.CIRCLE_TAGS:
-        body.append(_circle(core.tagged_circle(tri, tag), "circle"))
-        vm1, vm2 = ccp_closed.solutions_for(tri, tag)
-        body.append(_polygon(vm1.cartesian(tri), "solution-1"))
-        body.append(_polygon(vm2.cartesian(tri), "solution-2"))
-        f = brocard.brocard_frame(core.triangle_from_vertices(vm1.cartesian(tri)))
+        V1, V2 = st.vertices(tag)
+        body += [_circle(core.tagged_circle(tri, tag), "circle"),
+                 _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
+        f = st.frame(tag)
         if not f.degenerate:
             axes.append(_clipped_line(f.axis_cart, frame, "axis"))
     body += axes
-    from . import centers
     X20 = core.bary_to_cartesian(centers.center(20, tri), tri)
     body.append(_marker(X20, "x20", 0.012 * frame.width))
     return _document(frame, body)
@@ -224,17 +210,15 @@ def render_inconic(tri: TriangleData, perspector) -> str:
     ]
     tx = top.x0 - scale * (min(img_xs) - pad)
     ty = offset_y + scale * (max(img_ys) + pad)
-    body.append(f'<g id="panel-image" '
-                f'transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">')
-    body.append(_polygon(image.vertices, "reference"))
-    body.append(_circle(core.CircleData(np.zeros(2), 1.0), "circle"))
-    vms = ccp_closed.incircle_solutions(image)
-    body.append(_polygon(vms[0].cartesian(image), "solution-1"))
-    body.append(_polygon(vms[1].cartesian(image), "solution-2"))
-    img_ell = brocard.brocard_inellipse(brocard.brocard_frame(
-        core.triangle_from_vertices(vms[0].cartesian(image))))
-    body.append(_ellipse_element(img_ell.conic, "conic"))
-    body.append("</g>")
+    solved = brocard.SolvedTriangle(image)
+    V1, V2 = solved.vertices(core.INCIRCLE)
+    img_ell = brocard.brocard_inellipse(solved.frame(core.INCIRCLE))
+    body += [f'<g id="panel-image" '
+             f'transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">',
+             _polygon(image.vertices, "reference"),
+             _circle(core.CircleData(np.zeros(2), 1.0), "circle"),
+             _polygon(V1, "solution-1"), _polygon(V2, "solution-2"),
+             _ellipse_element(img_ell.conic, "conic"), "</g>"]
 
     img_height = scale * (max(img_ys) - min(img_ys) + 2 * pad)
     full = Frame(x0=top.x0, y0=top.y0,

@@ -58,18 +58,8 @@ def inconic_from_perspector(p, tri: TriangleData) -> InconicSpec:
 def circularizing_map(spec: InconicSpec) -> tuple[Array, Array]:
     """Linear part W and center of the affine map P -> W @ P - W @ center,
     which sends the inconic to the unit circle at the origin."""
-    M = spec.conic.m
-    Q0 = M[:2, :2]
-    center = np.linalg.solve(Q0, -M[:2, 2])
-    val = float(M[2, 2] + M[:2, 2] @ center)
-    if val == 0.0:
-        raise NonEllipse("inconic is degenerate")
-    Q = -Q0 / val
-    eigvals, eigvecs = np.linalg.eigh(Q)
-    if np.any(eigvals <= 0.0):
-        raise NonEllipse("inconic is not a real ellipse")
-    W = eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T
-    return W, center
+    ellipse = core.ellipse_axes(spec.conic)
+    return (ellipse.axes / ellipse.semi_axes) @ ellipse.axes.T, ellipse.center
 
 
 class InconicSolutions(NamedTuple):
@@ -94,26 +84,16 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
         ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T, core.POINT_CONIC), tri)
 
     dual = conic.dual()
-    tangency = 0.0
-    for verts in triangles:
-        for i in range(3):
-            side = core.cart_line(verts[i], verts[(i + 1) % 3])
-            tangency = max(tangency, core.conic_line_residual(dual, side))
+    tangency = max(core.conic_line_residual(dual, core.cart_line(v[i], v[(i + 1) % 3]))
+                   for v in triangles for i in range(3))
     if tangency > 1e-8:
         raise GeometryError(f"common conic misses a solution side ({tangency:.2e})")
 
-    incidence = 0.0
     scale = float(np.max(np.abs(tri.vertices))) or 1.0
-    for verts in triangles:
-        hit = set()
-        for i in range(3):
-            side = core.cart_line(verts[i], verts[(i + 1) % 3])
-            dists = [core.point_line_distance(V, side) / scale for V in tri.vertices]
-            k = int(np.argmin(dists))
-            hit.add(k)
-            incidence = max(incidence, dists[k])
-        if hit != {0, 1, 2} or incidence > 1e-9:
-            raise GeometryError("solution sides do not pass cyclically through A, B, C")
+    found = [core.side_incidence(verts, tri.vertices, nearest=True) for verts in triangles]
+    incidence = max(dist for dist, _ in found) / scale
+    if incidence > 1e-9 or any(hit != {0, 1, 2} for _, hit in found):
+        raise GeometryError("solution sides do not pass cyclically through A, B, C")
 
     return InconicSolutions(
         triangles=(triangles[0], triangles[1]),

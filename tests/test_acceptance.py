@@ -39,8 +39,19 @@ def sweep_triangles():
 
 
 @pytest.fixture(scope="module")
-def shared_reports(sweep_triangles):
-    return [brocard.verify_shared_objects(t) for t in sweep_triangles]
+def solved_sweep(sweep_triangles):
+    """The sweep as one batch; each row is bit-identical to its triangle
+    alone, so every residual below is the one-at-a-time value."""
+    return brocard.SolvedTriangle(core.stack_triangles(sweep_triangles))
+
+
+@pytest.fixture(scope="module")
+def shared_report(solved_sweep):
+    return brocard.verify_shared_objects(solved_sweep)
+
+
+def _failures(check) -> int:
+    return int(np.count_nonzero(np.logical_not(check.passed)))
 
 
 def test_criterion_01_cross_oracle_agreement(sweep_triangles):
@@ -112,50 +123,41 @@ def test_criterion_03_symmedian_is_gergonne(sweep_triangles):
                    f"(tol 1e-10); (6,9,13) direction [1/8:1/5:1] residual {explicit:.2e}")
 
 
-def test_criterion_04_shared_object_suite(shared_reports):
-    failures = [c.name for rep in shared_reports for c in rep.checks if not c.passed]
-    worst = max(rep.max_residual for rep in shared_reports)
+def test_criterion_04_shared_object_suite(shared_report):
+    failures = sum(_failures(c) for c in shared_report.checks)
+    worst = shared_report.max_residual
     ok = not failures
     _report(4, ok, f"verify_shared_objects over 1000 triangles: "
-                   f"{len(failures)} failed checks, max residual {worst:.2e}")
+                   f"{failures} failed checks, max residual {worst:.2e}")
 
 
-def test_criterion_05_brocard_point_closed_form(shared_reports):
+def test_criterion_05_brocard_point_closed_form(shared_report):
     names = ("brocard-point-1-closed-form", "brocard-point-2-closed-form")
-    worst = 0.0
-    bad = 0
-    for rep in shared_reports:
-        for c in rep.checks:
-            if c.name in names:
-                worst = max(worst, c.residual)
-                bad += 0 if c.passed else 1
+    checks = [c for c in shared_report.checks if c.name in names]
+    worst = max(float(np.max(c.residual)) for c in checks)
+    bad = sum(_failures(c) for c in checks)
     ok = bad == 0 and worst <= 1e-9
     _report(5, ok, f"alpha/beta/gamma barycentrics vs direct computation: "
                    f"max {worst:.2e} (tol 1e-9), {bad} failures")
 
 
-def test_criterion_06_de_longchamps(sweep_triangles):
-    worst = 0.0
-    for tri in sweep_triangles:
-        rep = brocard.de_longchamps_concurrence(tri)
-        assert rep.passed, [(c.name, c.residual) for c in rep.checks if not c.passed]
-        worst = max(worst, rep.max_residual)
+def test_criterion_06_de_longchamps(solved_sweep):
+    rep = brocard.de_longchamps_concurrence(solved_sweep)
+    assert rep.passed, [(c.name, np.max(c.residual)) for c in rep.checks if _failures(c)]
+    worst = rep.max_residual
     ok = worst <= 1e-9
     _report(6, ok, f"four axes contain X20; incircle axis contains X1, X7: "
                    f"max residual {worst:.2e} (tol 1e-9)")
 
 
-def test_criterion_07_twenty_three_from_one(sweep_triangles):
-    worst = 0.0
-    for tri in sweep_triangles:
-        gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(tri), tri)
-        mats = {}
-        for tag in core.CIRCLE_TAGS:
-            for vm in ccp_closed.solutions_for(tri, tag):
-                mats[(tag, vm.label)] = vm.rows
-        for g in gen:
-            worst = max(worst, core.sin_angle(
-                g.coords, mats[(g.circle, g.label)][g.row]))
+def test_criterion_07_twenty_three_from_one(solved_sweep):
+    t = solved_sweep.triangle
+    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
+    mats = {(tag, vm.label): vm.rows
+            for tag in core.CIRCLE_TAGS for vm in solved_sweep.solutions(tag)}
+    worst = max(float(np.max(core.sin_angles(np.stack(g.coords, axis=-1),
+                                             mats[(g.circle, g.label)][:, g.row])))
+                for g in gen)
     ok = worst <= 1e-10
     _report(7, ok, f"24 generated vertices vs matrix rows: max {worst:.2e} (tol 1e-10)")
 
@@ -184,16 +186,12 @@ def test_criterion_08_inconic_transport():
 
 def test_criterion_09_correspondence_pairs():
     rng = np.random.default_rng(SWEEP_SEED + 2)
-    worst = 0.0
-    n_verified = None
-    n_total = None
-    for _ in range(100):
-        tri = random_triangle(rng)
-        rep = centers.verify_correspondences(tri)
-        assert rep.passed
-        worst = max(worst, rep.max_residual)
-        n_verified = sum(not c.skipped for c in rep.checks)
-        n_total = len(rep.checks)
+    batch = core.stack_triangles([random_triangle(rng) for _ in range(100)])
+    rep = centers.verify_correspondences(brocard.SolvedTriangle(batch))
+    assert rep.passed
+    worst = rep.max_residual
+    n_verified = sum(c.note != "data-only" for c in rep.checks)
+    n_total = len(rep.checks)
     ok = worst <= 1e-9 and n_verified >= 10 and n_total == 56
     _report(9, ok, f"{n_verified} verified pairs over 100 triangles, "
                    f"max {worst:.2e} (tol 1e-9); "
@@ -231,7 +229,8 @@ def _family_discriminant(scale):
     m = maps[0]
     for nxt in maps[1:]:
         m = nxt.compose(m)
-    a, b, c = m.m[1, 0], m.m[1, 1] - m.m[0, 0], -m.m[0, 1]
+    m00, m01, m10, m11 = m
+    a, b, c = m10, m11 - m00, -m01
     return b * b - 4.0 * a * c
 
 

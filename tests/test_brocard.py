@@ -72,7 +72,7 @@ def test_inellipse_345(tri345):
     for line in core.side_lines(tri345):
         assert core.conic_line_residual(e.conic, line) < 1e-10
     # extracting the axes back from the matrix agrees
-    got = core.conic_semi_axes(e.conic)
+    got = core.ellipse_axes(e.conic).semi_axes
     assert abs(got[0] - a_e) < 1e-10 * a_e
     assert abs(got[1] - b_e) < 1e-10 * a_e
 

@@ -99,7 +99,7 @@ def test_exversion_of_gergonne_matches_displayed_triple(tri6913):
     # A-exverted [1/u : 1/v : 1/w] equals [(b-s)(c-s), (b-s)s, (c-s)s]
     t = tri6913
     sd = SignedSides.from_triangle(t).exverted("A")
-    exverted = ccp_closed.gergonne_rows(sd)
+    exverted = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
     s = t.s
     displayed = np.array([(t.b - s) * (t.c - s), (t.b - s) * s, (t.c - s) * s])
     assert core.sin_angle(exverted, displayed) < 1e-14

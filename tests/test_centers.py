@@ -266,7 +266,7 @@ def test_registry_batch_rows_match_single_triangles(triangles_100):
 
 def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
     # 300 draws: each check's residual for row i of one batch equals the
-    # triangle evaluated alone, bit for bit; the equilateral row fails its
+    # triangle evaluated alone, bit for bit; the equilateral row skips its
     # undefined pairs in that row only
     from castillon import sampling
     rng = np.random.default_rng(20261018)
@@ -278,7 +278,27 @@ def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
         for c, s in zip(rep.checks, alone.checks, strict=True):
             assert c.name == s.name
             assert np.broadcast_to(c.residual, (len(tris),))[i] == s.residual, (c.name, t.sides)
-    failed = {c.name: np.flatnonzero(np.logical_not(c.passed)) for c in rep.checks}
-    assert {name for name, rows in failed.items() if len(rows)} == {
+    assert rep.passed
+    skipped = {c.name: np.flatnonzero(np.broadcast_to(c.skipped, (len(tris),)))
+               for c in rep.checks if c.note != "data-only"}
+    assert {name for name, rows in skipped.items() if len(rows)} == {
         "pair [187,1323]", "pair [511,516]", "pair [512,514]"}
-    assert all(list(rows) in ([], [len(tris) - 1]) for rows in failed.values())
+    assert all(list(rows) in ([], [len(tris) - 1]) for rows in skipped.values())
+
+
+def test_equilateral_skips_only_its_own_row(equilateral, rng):
+    # the pairs with a center that vanishes on an equilateral triangle skip
+    # exactly the rows whose incircle solutions are equilateral
+    from castillon import brocard, sampling
+    tris = [equilateral] + [sampling.random_triangle(rng) for _ in range(20)]
+    rep = centers.verify_correspondences(brocard.SolvedTriangle(core.stack_triangles(tris)))
+    assert rep.passed and rep.note == "11 verified, 45 data-only"
+    skipped = np.zeros(len(tris), dtype=bool)
+    for c in rep.checks:
+        if c.note != "data-only":
+            skipped |= c.skipped
+    assert np.flatnonzero(skipped).tolist() == [0]
+    undefined = {i for i in centers.registry_indices()
+                 if centers.center_definition(i).equilateral_undefined}
+    assert undefined == {16, 187, 511, 512, 514, 516, 1323}
+    assert all(np.abs(centers.center(i, equilateral)).max() == 0.0 for i in undefined)

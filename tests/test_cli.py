@@ -196,6 +196,30 @@ def test_centers_command(tmp_path, capsys):
     assert run(["centers", path, "--index", "99999"]) == 2
 
 
+@pytest.mark.parametrize("side", [2, 3.7])
+def test_verify_equilateral_passes(tmp_path, capsys, side):
+    # the correspondence pairs with a center that vanishes on an
+    # equilateral triangle skip it, as the Brocard-axis checks do
+    path = write(tmp_path, "p.json", {"triangle": {"a": side, "b": side, "c": side}})
+    assert run(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 4 and out.count("  PASS  ") == 4
+
+
+def test_centers_undefined_center_exits_degenerate(tmp_path, capsys):
+    # X16 is the zero triple on an equilateral triangle: exit 4 naming it,
+    # with no partial listing and no numpy warning
+    import warnings
+    path = write(tmp_path, "p.json", {"triangle": {"a": 2, "b": 2, "c": 2}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["centers", path]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "X16 is undefined on this triangle" in err
+    assert run(["centers", path, "--index", "1"]) == 0
+    assert capsys.readouterr().out == "X1 0.333333333333333 0.333333333333333 0.333333333333333\n"
+
+
 def test_solution_file_residuals_reproducible(tmp_path, capsys):
     path = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "incircle"})
@@ -390,18 +414,18 @@ def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
     # one closed-form pair serves both the solutions and the shared block
     from castillon import ccp_closed
     calls = []
-    solutions_for = ccp_closed.solutions_for
+    excircle_solutions = ccp_closed.excircle_solutions
 
-    def counted(tri, tag):
-        calls.append(tag)
-        return solutions_for(tri, tag)
+    def counted(tri, which):
+        calls.append(which)
+        return excircle_solutions(tri, which)
 
-    monkeypatch.setattr(ccp_closed, "solutions_for", counted)
+    monkeypatch.setattr(ccp_closed, "excircle_solutions", counted)
     path = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
     assert run(["solve", path, "--solver", solver]) == 0
     capsys.readouterr()
-    assert calls == ["excircle-B"]
+    assert calls == ["B"]
 
 
 def _traced_layers() -> dict:

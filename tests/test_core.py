@@ -10,6 +10,7 @@ from castillon.errors import (
     CoincidentPoints,
     DegenerateConic,
     DegenerateTriangle,
+    GeometryError,
     InfinitePoint,
 )
 
@@ -247,9 +248,6 @@ def test_conic_fit_solution_sides(tri6913):
 def test_circle_conic_round_trip(rng):
     circ = core.CircleData(np.array([0.4, -1.3]), 2.2)
     conic = core.circle_to_conic(circ)
-    back = core.circle_from_conic(conic)
-    assert np.linalg.norm(back.center - circ.center) < 1e-12
-    assert abs(back.radius - circ.radius) < 1e-12
     for _ in range(30):
         theta = rng.uniform(0, 2 * math.pi)
         # tangent line at angle theta
@@ -266,6 +264,8 @@ def test_normalize_bary():
     inf = core.normalize_bary(np.array([-1.0, 2.0, -1.0]))
     assert abs(np.abs(inf).max() - 1) < 1e-15
     assert core.is_infinite_bary(inf)
+    with pytest.raises(GeometryError, match="zero barycentric triple"):
+        core.normalize_bary(np.zeros(3))
 
 
 def test_bary_round_trip_other_direction(tri6913, rng):

@@ -12,6 +12,7 @@ from castillon.errors import (
     DegenerateTriangle,
     GeometryError,
     InfinitePoint,
+    NonEllipse,
 )
 
 
@@ -256,6 +257,22 @@ def test_circle_conic_round_trip(rng):
         line = np.array([n[0], n[1], -float(n @ P)])
         assert core.conic_line_residual(conic, line) < 1e-10
         assert core.circle_tangency_residual(circ, line) < 1e-10
+
+
+def test_ellipse_axes_of_a_rotated_ellipse():
+    # x'^2/9 + y'^2/4 = 1 turned by 30 degrees about (1, -2), matrix scaled by -2
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    T = np.array([[c, -s, 1.0], [s, c, -2.0], [0.0, 0.0, 1.0]])
+    Tinv = np.linalg.inv(T)
+    M = -2.0 * Tinv.T @ np.diag([1 / 9, 1 / 4, -1.0]) @ Tinv
+    e = core.ellipse_axes(core.ConicMatrix(M, core.POINT_CONIC))
+    assert np.linalg.norm(e.center - [1.0, -2.0]) < 1e-12
+    assert abs(e.semi_axes[0] - 3.0) < 1e-12 and abs(e.semi_axes[1] - 2.0) < 1e-12
+    assert abs(abs(e.axes[:, 0] @ [c, s]) - 1.0) < 1e-12
+    assert abs(e.axes[:, 1] @ [c, s]) < 1e-12
+    for not_ellipse in (np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1.0, 1.0])):
+        with pytest.raises(NonEllipse):
+            core.ellipse_axes(core.ConicMatrix(not_ellipse, core.POINT_CONIC))
 
 
 def test_normalize_bary():

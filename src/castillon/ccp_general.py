@@ -11,6 +11,8 @@ Two independent algorithms are provided.
 * `solve_ccp_perspectrix` (triangle/incircle-or-excircle case only) runs the
   classical axis construction: three seeded chord paths, the two cross
   intersections on the homography axis, and the axis-circle intersection.
+  Newton steps with the exact derivative polish the intersections, one
+  chord walk per step; fallback seedings are built only when needed.
 
 Both run on plain Python floats and tuples, not numpy arrays: the 2x2 maps,
 the circle parameters, the chord walk and the circle identification.  On 2-
@@ -130,7 +132,7 @@ class CcpProblem(_Problem):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
             raise GeometryError("a problem needs at least three cartesian points")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise CenterPoint("problem points must be finite")
         return super().__new__(cls, circle, pts)
 
@@ -315,35 +317,41 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _closure_gap(circ, pivots, theta: float) -> float:
-    """Angular defect of the three-chord walk starting at angle theta."""
+def _closure_gap(circ, pivots, theta: float) -> tuple[float, float]:
+    """Angular defect of the three-chord walk starting at angle theta, and
+    its derivative.  A chord through a pivot P outside the circle (a triangle
+    vertex, for its incircle and excircles) maps the arc at Q onto the arc at
+    Q' reversed and scaled by |PQ'| / |PQ|; the walk multiplies these."""
     cx, cy, r = circ
     P = (cx + r * math.cos(theta), cy + r * math.sin(theta))
+    slope = 1.0
     for pivot in pivots:
-        P = _second_intersection(circ, P, pivot)
-    return _wrap_angle(math.atan2(P[1] - cy, P[0] - cx) - theta)
+        Q = _second_intersection(circ, P, pivot)
+        slope *= -math.dist(pivot, Q) / math.dist(pivot, P)
+        P = Q
+    return _wrap_angle(math.atan2(P[1] - cy, P[0] - cx) - theta), slope - 1.0
 
 
 def _polish_fixed_point(circ, pivots, P0) -> tuple[float, float]:
     """Newton-polish an approximate solution vertex on the closure gap.
 
-    Uses only geometric chord steps; refines the axis construction's
-    intersection points without touching the parameter-map machinery.
+    Uses only geometric chord steps, one walk per step; refines the axis
+    construction's intersection points without touching the parameter-map
+    machinery.  Newton with the exact derivative converges quadratically, so
+    after a step of at most 1e-9 rad the next one would be below rounding.
     """
     cx, cy, r = circ
     theta = math.atan2(P0[1] - cy, P0[0] - cx)
-    step_h = 1e-7
     for _ in range(4):
-        g = _closure_gap(circ, pivots, theta)
-        if abs(g) < 1e-15:
-            break
-        gp = (_closure_gap(circ, pivots, theta + step_h) - g) / step_h
-        if abs(gp) < 1e-8:
+        g, gp = _closure_gap(circ, pivots, theta)
+        if abs(g) < 1e-15 or abs(gp) < 1e-8:
             break
         step = -g / gp
         if abs(step) > 0.05:
             break  # stay local: never hop to the other fixed point
         theta += step
+        if abs(step) <= 1e-9:
+            break
     return cx + r * math.cos(theta), cy + r * math.sin(theta)
 
 
@@ -360,6 +368,20 @@ def _line_circle_points(circ, line):
     return (fx + half * dx, fy + half * dy), (fx - half * dx, fy - half * dy)
 
 
+def _seed_ladder(circ, touchpoints):
+    """The seedings to try, in order, built one at a time: two touchpoints
+    plus the antipode of the third, then two antipodal variants, then the
+    three touchpoints rotated about the center by 0.37, 0.91 and 1.53 rad."""
+    cx, cy, _ = circ
+    antipode = lambda P: (2.0 * cx - P[0], 2.0 * cy - P[1])
+    t_a, t_b, t_c = touchpoints
+    yield antipode(t_a), t_b, t_c
+    yield t_a, antipode(t_b), antipode(t_c)
+    yield antipode(t_a), antipode(t_b), t_c
+    for angle in (0.37, 0.91, 1.53):
+        yield tuple(_rotate_about(circ, P, angle) for P in touchpoints)
+
+
 def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[VertexMatrix, VertexMatrix]:
     """Axis construction on the incircle or an excircle of `tri`.
 
@@ -371,42 +393,25 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[Vertex
     """
     tag = identify_circle(tri, circle)
     circ = circle.xyr
-    cx, cy, _ = circ
     A, B, C = map(tuple, tri.vertices.tolist())
-    t_a, t_b, t_c = _touchpoints(circ, A, B, C)
-    antipode = lambda P: (2.0 * cx - P[0], 2.0 * cy - P[1])
     pivots = (B, C, A)
 
-    seed_choices = [
-        (antipode(t_a), t_b, t_c),
-        (t_a, antipode(t_b), antipode(t_c)),
-        (antipode(t_a), antipode(t_b), t_c),
-    ]
-    seed_choices += [
-        tuple(_rotate_about(circ, P, angle) for P in (t_a, t_b, t_c))
-        for angle in (0.37, 0.91, 1.53)
-    ]
-
-    axis = None
-    for seeds in seed_choices:
+    for seeds in _seed_ladder(circ, _touchpoints(circ, A, B, C)):
         axis = _axis_from_seeds(circ, pivots, seeds)
         if axis is not None:
             break
-    if axis is None:
+    else:
         raise PathClosed("all seed ladders degenerated; cannot build the axis")
 
-    m1, m4 = _line_circle_points(circ, axis)
-    m1 = _polish_fixed_point(circ, pivots, m1)
-    m4 = _polish_fixed_point(circ, pivots, m4)
+    m1, m4 = (_polish_fixed_point(circ, pivots, M) for M in _line_circle_points(circ, axis))
 
     def triangle_of(M):
         v2 = _second_intersection(circ, M, B)
         return M, v2, _second_intersection(circ, v2, C)
 
     v1, v4 = sorted((triangle_of(m1), triangle_of(m4)),
-                    key=lambda verts: _first_vertex_angle((cx, cy), verts))
-    # one call converts all six vertices: cartesian_to_bary broadcasts over
-    # a 2 x n coordinate array
+                    key=lambda verts: _first_vertex_angle(circ, verts))
+    # one call converts all six vertices, as a 2 x n coordinate array
     rows = core.cartesian_to_bary(np.array(v1 + v4).T, tri).T
     return (VertexMatrix(rows=rows[:3], label="T1", circle=tag),
             VertexMatrix(rows=rows[3:], label="T2", circle=tag))

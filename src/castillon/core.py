@@ -230,15 +230,15 @@ def _signed2(P, Q, R) -> float:
 
 
 def cartesian_to_bary(P, tri: TriangleData) -> Array:
-    """Inverse of bary_to_cartesian; returns the sum-1 representative."""
+    """Inverse of bary_to_cartesian; returns the sum-1 representative.  P is
+    one point or a 2 x n array (then 3 x n), taken point by point on floats:
+    the array formula's IEEE operations, bit for bit, without its dispatch."""
     P = np.asarray(P, dtype=float)
-    A, B, C = tri.vertices
+    A, B, C = tri.vertices.tolist()
     full = _signed2(A, B, C)
-    return np.array([
-        _signed2(P, B, C) / full,
-        _signed2(A, P, C) / full,
-        _signed2(A, B, P) / full,
-    ])
+    rows = [(_signed2(Q, B, C) / full, _signed2(A, Q, C) / full, _signed2(A, B, Q) / full)
+            for Q in P.reshape(2, -1).T.tolist()]
+    return np.array(rows).T.reshape((3,) + P.shape[1:])
 
 
 def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
@@ -425,7 +425,7 @@ class VertexMatrix(NamedTuple):
         `bary_to_cartesian` on each row."""
         rows = self.rows
         totals = rows.sum(axis=-1)
-        if np.any(np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=-1)):
+        if (np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=-1)).any():
             raise InfinitePoint("barycentric point at infinity has no cartesian image")
         return (rows @ tri.vertices) / totals[..., None]
 

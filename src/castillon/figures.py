@@ -113,12 +113,14 @@ def _clipped_line(line, frame: Frame, cls: str) -> str:
 def _ellipse_element(conic, cls: str) -> str:
     """Point-conic (real ellipse) as an SVG ellipse with a rotate transform."""
     ellipse = core.ellipse_axes(conic)
+    rx, ry = map(_fmt, ellipse.semi_axes)
+    # a printed circle has no axis direction: the eigenvectors of a double
+    # eigenvalue are rounding noise, so it is drawn unrotated
     major = ellipse.axes[:, 0]
-    angle = math.degrees(math.atan2(major[1], major[0])) % 180.0
-    a_e, b_e = ellipse.semi_axes
+    angle = 0.0 if rx == ry else math.degrees(math.atan2(major[1], major[0])) % 180.0
     cx, cy = ellipse.center[0], -ellipse.center[1]
     return (f'<ellipse class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'rx="{_fmt(a_e)}" ry="{_fmt(b_e)}" '
+            f'rx="{rx}" ry="{ry}" '
             f'transform="rotate({_fmt(-angle)} {_fmt(cx)} {_fmt(cy)})"/>')
 
 

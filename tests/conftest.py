@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,3 +40,14 @@ def set_deviation(pts_a, pts_b) -> float:
 @pytest.fixture
 def triangles_100(rng):
     return [random_triangle(rng) for _ in range(100)]
+
+
+def bench_checks(monkeypatch):
+    """The benchmark's output checkers, loaded from their file, which is
+    neither changed nor given a bytecode cache."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

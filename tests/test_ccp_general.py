@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from castillon import ccp_closed, ccp_general, core
+from castillon import ccp_closed, ccp_general, core, sampling
 from castillon.ccp_general import CcpProblem, chord_involution, param_from_point, point_from_param
 from castillon.errors import CenterPoint, DegenerateComposition, PathClosed
 
-from conftest import set_deviation
+from conftest import bench_checks, set_deviation
 
 UNIT = core.CircleData(np.zeros(2), 1.0)
 
@@ -424,3 +424,97 @@ def test_perspectrix_raises_when_every_rung_degenerates(tri6913, monkeypatch):
     with pytest.raises(PathClosed):
         ccp_general.solve_ccp_perspectrix(tri6913, core.incircle(tri6913))
     assert len(calls) == 6
+
+
+def test_perspectrix_first_rung_builds_no_rotated_seeds(tri6913, monkeypatch):
+    # the ladder is lazy: rungs 4-6 rotate the touchpoints only when the
+    # rungs before them degenerate
+    calls = []
+    monkeypatch.setattr(ccp_general, "_rotate_about", lambda *args: calls.append(args))
+    for tri in (tri6913, core.triangle_from_sides(3, 4, 5)):
+        for tag in core.CIRCLE_TAGS:
+            ccp_general.solve_ccp_perspectrix(tri, core.tagged_circle(tri, tag))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the Newton polish on the closure gap
+
+
+@pytest.mark.parametrize("sides", [(6, 9, 13), (3, 4, 5)])
+@pytest.mark.parametrize("tag", core.CIRCLE_TAGS)
+def test_closure_gap_derivative_matches_central_difference(sides, tag):
+    tri = core.triangle_from_sides(*sides)
+    circ = core.tagged_circle(tri, tag).xyr
+    A, B, C = map(tuple, tri.vertices.tolist())
+    pivots, h = (B, C, A), 1e-5
+    checked = 0
+    for theta in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+        g, gp = ccp_general._closure_gap(circ, pivots, theta)
+        lo, _ = ccp_general._closure_gap(circ, pivots, theta - h)
+        hi, _ = ccp_general._closure_gap(circ, pivots, theta + h)
+        if max(abs(g), abs(lo), abs(hi)) > 3.0:
+            continue  # the wrapped gap jumps by 2 pi here
+        assert gp == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
+        checked += 1
+    assert checked >= 12
+
+
+def test_polish_takes_one_walk_per_vertex(monkeypatch):
+    # one exact-derivative Newton step lands below 1e-9 rad, so the polish
+    # stops after it
+    gaps, polishes = [], []
+    real_gap, real_polish = ccp_general._closure_gap, ccp_general._polish_fixed_point
+    monkeypatch.setattr(ccp_general, "_closure_gap",
+                        lambda *args: gaps.append(args) or real_gap(*args))
+    monkeypatch.setattr(ccp_general, "_polish_fixed_point",
+                        lambda *args: polishes.append(args) or real_polish(*args))
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        tri = sampling.random_triangle(rng)
+        for tag in core.CIRCLE_TAGS:
+            ccp_general.solve_ccp_perspectrix(tri, core.tagged_circle(tri, tag))
+    assert len(polishes) == 800
+    assert len(gaps) <= 1.01 * len(polishes)
+
+
+@pytest.mark.parametrize("gap, steps", [
+    ((0.3, 0.0), 1),     # |gp| < 1e-8: flat gap, no step
+    ((0.3, -1.0), 1),    # |step| = 0.3 > 0.05: never hop to the other root
+    ((1e-10, 1.0), 1),   # a step of at most 1e-9 rad is the last
+    ((1e-16, 1.0), 1),   # |g| < 1e-15: already closed
+    ((1e-6, 1.0), 4),    # larger steps run to the iteration cap
+])
+def test_polish_exits(monkeypatch, gap, steps):
+    calls = []
+    monkeypatch.setattr(ccp_general, "_closure_gap", lambda *args: calls.append(args) or gap)
+    circ, P0 = (1.0, 2.0, 3.0), (1.0 + 3.0 * math.cos(0.4), 2.0 + 3.0 * math.sin(0.4))
+    x, y = ccp_general._polish_fixed_point(circ, (), P0)
+    assert len(calls) == steps
+    g, gp = gap
+    moved = 0.0 if abs(g) < 1e-15 or abs(gp) < 1e-8 or abs(g / gp) > 0.05 else -g / gp
+    assert math.atan2(y - 2.0, x - 1.0) == pytest.approx(0.4 + steps * moved, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# criterion 01's loop against the benchmark's oracle checker
+
+
+@pytest.mark.parametrize("seed", [1, 424242])
+def test_oracle_sweep_meets_benchmark_checker(monkeypatch, seed):
+    # the oracle-sweep problems: closed form, mobius and perspectrix on each
+    # circle of a sampled triangle; every one must pass the checker
+    checks = bench_checks(monkeypatch)
+    rng = np.random.default_rng(seed)
+    errors = []
+    for _ in range(250):
+        tri = sampling.random_triangle(rng)
+        for tag in core.CIRCLE_TAGS:
+            circ = core.tagged_circle(tri, tag)
+            closed = [vm.cartesian(tri) for vm in ccp_closed.solutions_for(tri, tag)]
+            mobius = [s.vertices for s in
+                      ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circ))]
+            persp = [vm.cartesian(tri)
+                     for vm in ccp_general.solve_ccp_perspectrix(tri, circ)]
+            errors += checks.check_oracle(tri.vertices, tag, closed, mobius, persp)[0]
+    assert errors == []

@@ -11,6 +11,8 @@ import pytest
 from castillon import cli, core
 from castillon.problemfile import ProblemFileError, parse_problem_text
 
+from conftest import bench_checks
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -401,7 +403,7 @@ def test_verify_builds_lazy_frames_once_per_sweep(tmp_path, capsys, monkeypatch)
 def test_verify_sweep_80_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
     # the sweeps the benchmark runs (CASTILLON_SEED = seed * 1000 + i); every
     # claim row must read PASS on each
-    checks = _bench_checks(monkeypatch)
+    checks = bench_checks(monkeypatch)
     monkeypatch.setenv("CASTILLON_SEED", str(seed))
     path = write(tmp_path, "p.json",
                  {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]}})
@@ -465,20 +467,8 @@ def test_traced_functions_have_one_name():
     assert homes and not second
 
 
-def _bench_checks(monkeypatch):
-    """The benchmark's output checkers, loaded from their file, which is
-    neither changed nor given a bytecode cache."""
-    import importlib.util
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_verify_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
-    checks = _bench_checks(monkeypatch)
+    checks = bench_checks(monkeypatch)
     monkeypatch.setenv("CASTILLON_SEED", "1")
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path, "--sweep", "20"]) == 0
@@ -488,7 +478,7 @@ def test_verify_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
-    checks = _bench_checks(monkeypatch)
+    checks = bench_checks(monkeypatch)
     problem = {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]},
                "circle": "excircle-B"}
     path = write(tmp_path, "p.json", problem)
@@ -577,11 +567,26 @@ def test_render_inconic(tmp_path):
     assert run(["render", bare, "--figure", "inconic", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("sides", [(6, 9, 13), (3, 4, 5)])
+def test_render_inconic_draws_image_circle_unrotated(tmp_path, sides):
+    # with the centroid as perspector the image panel's inellipse is a
+    # circle, whose eigenvectors carry no direction
+    a, b, c = sides
+    prob = write(tmp_path, "p.json", {"triangle": {"a": a, "b": b, "c": c},
+                                      "inconic_perspector": [1, 1, 1]})
+    out = tmp_path / "fig.svg"
+    assert run(["render", prob, "--figure", "inconic", "--out", str(out)]) == 0
+    image = out.read_text().split('id="panel-image"')[1]
+    ellipse = re.search(r'<ellipse class="conic" [^>]*/>', image).group(0)
+    assert 'rx="0.500000" ry="0.500000"' in ellipse
+    assert 'transform="rotate(0.000000 ' in ellipse
+
+
 @pytest.mark.parametrize("seed", ["0", "424242"])
 def test_verify_sweep_2000_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
     # 2,001 triangles in one batch: a wrong verdict on any of them shows as
     # a FAIL row, which the benchmark's checker rejects
-    checks = _bench_checks(monkeypatch)
+    checks = bench_checks(monkeypatch)
     monkeypatch.setenv("CASTILLON_SEED", seed)
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path, "--sweep", "2000"]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from castillon import ccp_closed, core
+from castillon import ccp_closed, core, sampling
 from castillon.errors import (
     CoincidentPoints,
     DegenerateConic,
@@ -74,6 +74,31 @@ def test_cartesian_to_bary_vertices_and_centroid(tri6913):
     assert core.sin_angle(core.cartesian_to_bary(t.A, t), [1, 0, 0]) < 1e-14
     assert core.sin_angle(core.cartesian_to_bary(t.vertices.mean(axis=0), t),
                           [1, 1, 1]) < 1e-13
+
+
+def _cartesian_to_bary_array_formula(P, tri):
+    """Signed-area ratios with numpy broadcasting, one point or 2 x n."""
+    P = np.asarray(P, dtype=float)
+    A, B, C = tri.vertices
+
+    def signed2(P, Q, R):
+        return (Q[0] - P[0]) * (R[1] - P[1]) - (Q[1] - P[1]) * (R[0] - P[0])
+
+    full = signed2(A, B, C)
+    return np.array([signed2(P, B, C) / full, signed2(A, P, C) / full,
+                     signed2(A, B, P) / full])
+
+
+def test_cartesian_to_bary_bit_identical_to_array_formula(rng):
+    for tri in (core.triangle_from_sides(6, 9, 13), sampling.random_triangle(rng)):
+        pts = rng.normal(size=(2, 10_000)) * rng.uniform(0.1, 20, size=10_000)
+        got = core.cartesian_to_bary(pts, tri)
+        assert got.shape == (3, 10_000)
+        assert np.array_equal(got, _cartesian_to_bary_array_formula(pts, tri))
+        for P in pts.T:
+            one = core.cartesian_to_bary(P, tri)
+            assert one.shape == (3,)
+            assert np.array_equal(one, _cartesian_to_bary_array_formula(P, tri))
 
 
 @settings(max_examples=60, deadline=None)

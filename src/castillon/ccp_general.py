@@ -17,8 +17,9 @@ Two independent algorithms are provided.
 Both run on plain Python floats and tuples, not numpy arrays: the 2x2 maps,
 the circle parameters, the chord walk and the circle identification.  On 2-
 and 3-vectors numpy's per-call dispatch costs several times the arithmetic,
-and one solve takes a few dozen such steps.  Numpy arrays are built only for
-the returned vertices.
+and one solve takes a few dozen such steps.  Both return `CcpSolution`s,
+whose `.cartesian(tri)` is the vertices as the walk computed them, the one
+numpy array a solve builds; callers read them like a `VertexMatrix`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import CircleData, TriangleData, VertexMatrix
+from .core import CircleData, TriangleData
 from .errors import (
     CenterPoint,
     DegenerateComposition,
@@ -149,6 +150,10 @@ SINGLE = "single"  # the root left alone after the kernel root is dropped
 class CcpSolution(NamedTuple):
     vertices: Array  # Nx2 on the circle, side i..i+1 passes through point i
     multiplicity: str = TWO_DISTINCT
+
+    def cartesian(self, tri: TriangleData) -> Array:
+        """The vertices, already cartesian; read like `VertexMatrix.cartesian`."""
+        return self.vertices
 
     def max_residuals(self, prob: CcpProblem) -> tuple[float, float]:
         """(on-circle, side-incidence) residuals, both in length units."""
@@ -382,16 +387,18 @@ def _seed_ladder(circ, touchpoints):
         yield tuple(_rotate_about(circ, P, angle) for P in touchpoints)
 
 
-def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[VertexMatrix, VertexMatrix]:
+def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolution]:
     """Axis construction on the incircle or an excircle of `tri`.
 
     Seeds follow the constructive recipe: two touchpoints plus the reflection
     of the third touchpoint through the circle center; every path is chained
     by chords through B, then C, then A.  If a seeding degenerates (a path
     closes or the two axis points collapse) the construction retries with a
-    deterministic ladder of alternative seeds.
+    deterministic ladder of alternative seeds.  Returns two `CcpSolution`s,
+    ordered as `solve_ccp_mobius` orders its own, holding the walk's vertices
+    as they are: a detour through barycentrics would only add rounding.
     """
-    tag = identify_circle(tri, circle)
+    identify_circle(tri, circle)
     circ = circle.xyr
     A, B, C = map(tuple, tri.vertices.tolist())
     pivots = (B, C, A)
@@ -411,7 +418,4 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> tuple[Vertex
 
     v1, v4 = sorted((triangle_of(m1), triangle_of(m4)),
                     key=lambda verts: _first_vertex_angle(circ, verts))
-    # one call converts all six vertices, as a 2 x n coordinate array
-    rows = core.cartesian_to_bary(np.array(v1 + v4).T, tri).T
-    return (VertexMatrix(rows=rows[:3], label="T1", circle=tag),
-            VertexMatrix(rows=rows[3:], label="T2", circle=tag))
+    return [CcpSolution(vertices=v) for v in np.array([v1, v4])]

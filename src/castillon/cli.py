@@ -90,15 +90,13 @@ def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
 def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
     tri, circle = spec.triangle, spec.circle
     st = brocard.SolvedTriangle(tri)
-    outputs = {}
-    if solver in ("closed", "all"):
-        outputs["closed"] = list(st.vertices(spec.circle_tag))
-    if solver in ("mobius", "all"):
-        sols = ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circle))
-        outputs["mobius"] = [s.vertices for s in sols]
-    if solver in ("perspectrix", "all"):
-        vms = ccp_general.solve_ccp_perspectrix(tri, circle)
-        outputs["perspectrix"] = [vm.cartesian(tri) for vm in vms]
+    solvers = {
+        "closed": lambda: st.solutions(spec.circle_tag),
+        "mobius": lambda: ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circle)),
+        "perspectrix": lambda: ccp_general.solve_ccp_perspectrix(tri, circle),
+    }
+    outputs = {name: [sol.cartesian(tri) for sol in solve()]
+               for name, solve in solvers.items() if solver in (name, "all")}
 
     primary = outputs.get("closed") or outputs.get("perspectrix") or outputs.get("mobius")
     if not primary:

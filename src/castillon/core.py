@@ -178,10 +178,10 @@ def heron(a: float, b: float, c: float) -> float:
 def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
-    if np.min((a, b, c, u, v, w)) <= 0.0:
+    if np.array((a, b, c, u, v, w)).min() <= 0.0:
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
     area = heron(a, b, c)
-    if np.any(area < AREA_CUTOFF * s * s):
+    if np.asarray(area < AREA_CUTOFF * s * s).any():
         raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
     return TriangleData(
         a=a, b=b, c=c, s=s, u=u, v=v, w=w,
@@ -216,13 +216,23 @@ def triangle_from_vertices(pts) -> TriangleData:
 # barycentric <-> cartesian
 
 
+def _finite_totals(p: Array) -> Array:
+    """Sums of the barycentric triples along the last axis of `p`, kept as an
+    axis of 1; InfinitePoint where one is at most 1e-14 max |component|.  On
+    floats, left to right as numpy sums three entries: bit-identical."""
+    totals = []
+    for x, y, z in p.reshape(-1, 3).tolist():
+        total = x + y + z
+        if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
+            raise InfinitePoint("barycentric point at infinity has no cartesian image")
+        totals.append(total)
+    return np.array(totals).reshape(p.shape[:-1] + (1,))
+
+
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
     """Map a finite homogeneous barycentric triple to a cartesian point."""
     p = np.asarray(p, dtype=float)
-    total = p.sum(axis=-1)
-    if (abs(total) <= 1e-14 * abs(p).max(axis=-1)).any():
-        raise InfinitePoint("barycentric point at infinity has no cartesian image")
-    return (p[..., None, :] @ tri.vertices)[..., 0, :] / total[..., None]
+    return (p[..., None, :] @ tri.vertices)[..., 0, :] / _finite_totals(p)
 
 
 def _signed2(P, Q, R) -> float:
@@ -360,7 +370,7 @@ class CircleData(_Circle):
     """
 
     def __new__(cls, center, radius):
-        if not all(0.0 <= r < math.inf for r in np.ravel(radius).tolist()):
+        if not all(0.0 <= r < math.inf for r in np.asarray(radius).ravel().tolist()):
             raise GeometryError(f"invalid circle radius {radius}")
         return super().__new__(cls, center, radius)
 
@@ -421,13 +431,10 @@ class VertexMatrix(NamedTuple):
     circle: str  # one of CIRCLE_TAGS
 
     def cartesian(self, tri: TriangleData) -> Array:
-        """All three rows through one matmul; bit-identical to calling
-        `bary_to_cartesian` on each row."""
-        rows = self.rows
-        totals = rows.sum(axis=-1)
-        if (np.abs(totals) <= 1e-14 * np.abs(rows).max(axis=-1)).any():
-            raise InfinitePoint("barycentric point at infinity has no cartesian image")
-        return (rows @ tri.vertices) / totals[..., None]
+        """All rows through one matmul, bit-identical to `bary_to_cartesian`
+        per row; numpy's kernel rounds each entry as a chain of fused
+        multiply-adds, which float arithmetic cannot reproduce."""
+        return (self.rows @ tri.vertices) / _finite_totals(self.rows)
 
 
 # ---------------------------------------------------------------------------

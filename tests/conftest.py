@@ -42,12 +42,20 @@ def triangles_100(rng):
     return [random_triangle(rng) for _ in range(100)]
 
 
-def bench_checks(monkeypatch):
-    """The benchmark's output checkers, loaded from their file, which is
-    neither changed nor given a bytecode cache."""
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_module(monkeypatch, name):
+    """A benchmark module, loaded from its file, which is neither changed nor
+    given a bytecode cache.  The benchmark's sibling modules it imports are
+    found on a sys.path entry and dropped from sys.modules after the test."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for sibling in ("checks", "reference", "shim"):
+        # recorded as absent, so undoing the patch removes what gets imported
+        monkeypatch.setitem(sys.modules, sibling, None)
+        del sys.modules[sibling]
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

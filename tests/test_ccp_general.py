@@ -6,10 +6,12 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_general import CcpProblem, chord_involution, param_from_point, point_from_param
+from castillon.ccp_general import (
+    CcpProblem, CcpSolution, chord_involution, param_from_point, point_from_param,
+)
 from castillon.errors import CenterPoint, DegenerateComposition, PathClosed
 
-from conftest import bench_checks, set_deviation
+from conftest import bench_module, set_deviation
 
 UNIT = core.CircleData(np.zeros(2), 1.0)
 
@@ -282,6 +284,21 @@ def test_perspectrix_equilateral_reflection_symmetry(equilateral):
     assert set_deviation(mirrored, v2) < 1e-10
 
 
+def test_perspectrix_returns_what_mobius_returns(tri6913):
+    circ = core.excircle(tri6913, "B")
+    persp = ccp_general.solve_ccp_perspectrix(tri6913, circ)
+    mobius = ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri6913, circ))
+    assert type(persp) is type(mobius) is list
+    assert [type(sol) for sol in persp] == [type(sol) for sol in mobius] == [CcpSolution] * 2
+    for sol in persp + mobius:
+        assert sol.multiplicity == ccp_general.TWO_DISTINCT
+        assert sol.vertices.shape == (3, 2)
+        assert sol.cartesian(tri6913) is sol.vertices
+    # each list in the order of its vertex 0's angle about the center
+    angles = [ccp_general._first_vertex_angle(circ.center, sol.vertices) for sol in persp]
+    assert angles == sorted(angles)
+
+
 def test_perspectrix_rejects_foreign_circle(tri345):
     from castillon.errors import GeometryError
     with pytest.raises(GeometryError):
@@ -502,19 +519,20 @@ def test_polish_exits(monkeypatch, gap, steps):
 
 @pytest.mark.parametrize("seed", [1, 424242])
 def test_oracle_sweep_meets_benchmark_checker(monkeypatch, seed):
-    # the oracle-sweep problems: closed form, mobius and perspectrix on each
-    # circle of a sampled triangle; every one must pass the checker
-    checks = bench_checks(monkeypatch)
+    # the oracle-sweep problems, solved by the benchmark's own worker: closed
+    # form, mobius and perspectrix on each circle of a sampled triangle.
+    # Every one must pass the checker, and every perspectrix vertex, the
+    # chord walk's own, lie on its circle to rounding
+    worker = bench_module(monkeypatch, "oracle_worker")
     rng = np.random.default_rng(seed)
-    errors = []
+    errors, off_circle = [], 0.0
     for _ in range(250):
         tri = sampling.random_triangle(rng)
         for tag in core.CIRCLE_TAGS:
-            circ = core.tagged_circle(tri, tag)
-            closed = [vm.cartesian(tri) for vm in ccp_closed.solutions_for(tri, tag)]
-            mobius = [s.vertices for s in
-                      ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circ))]
-            persp = [vm.cartesian(tri)
-                     for vm in ccp_general.solve_ccp_perspectrix(tri, circ)]
-            errors += checks.check_oracle(tri.vertices, tag, closed, mobius, persp)[0]
+            closed, mobius, persp = worker.solve(tri, tag)
+            errors += worker.checks.check_oracle(tri.vertices, tag, closed, mobius, persp)[0]
+            center, radius = core.tagged_circle(tri, tag)
+            dist = np.linalg.norm(np.array(persp) - center, axis=-1)
+            off_circle = max(off_circle, np.abs(dist - radius).max() / radius)
     assert errors == []
+    assert off_circle <= 2e-14

@@ -11,7 +11,7 @@ import pytest
 from castillon import cli, core
 from castillon.problemfile import ProblemFileError, parse_problem_text
 
-from conftest import bench_checks
+from conftest import bench_module
 
 
 def write(tmp_path, name, doc):
@@ -403,7 +403,7 @@ def test_verify_builds_lazy_frames_once_per_sweep(tmp_path, capsys, monkeypatch)
 def test_verify_sweep_80_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
     # the sweeps the benchmark runs (CASTILLON_SEED = seed * 1000 + i); every
     # claim row must read PASS on each
-    checks = bench_checks(monkeypatch)
+    checks = bench_module(monkeypatch, "checks")
     monkeypatch.setenv("CASTILLON_SEED", str(seed))
     path = write(tmp_path, "p.json",
                  {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]}})
@@ -468,7 +468,7 @@ def test_traced_functions_have_one_name():
 
 
 def test_verify_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
-    checks = bench_checks(monkeypatch)
+    checks = bench_module(monkeypatch, "checks")
     monkeypatch.setenv("CASTILLON_SEED", "1")
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path, "--sweep", "20"]) == 0
@@ -478,7 +478,7 @@ def test_verify_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_output_meets_benchmark_checker(tmp_path, capsys, monkeypatch):
-    checks = bench_checks(monkeypatch)
+    checks = bench_module(monkeypatch, "checks")
     problem = {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]},
                "circle": "excircle-B"}
     path = write(tmp_path, "p.json", problem)
@@ -586,7 +586,7 @@ def test_render_inconic_draws_image_circle_unrotated(tmp_path, sides):
 def test_verify_sweep_2000_meets_benchmark_checker(tmp_path, capsys, monkeypatch, seed):
     # 2,001 triangles in one batch: a wrong verdict on any of them shows as
     # a FAIL row, which the benchmark's checker rejects
-    checks = bench_checks(monkeypatch)
+    checks = bench_module(monkeypatch, "checks")
     monkeypatch.setenv("CASTILLON_SEED", seed)
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path, "--sweep", "2000"]) == 0

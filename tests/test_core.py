@@ -48,6 +48,17 @@ def test_flat_triangle_rejected():
         core.triangle_from_vertices([[0, 0], [1, 0], [2, 1e-14]])
 
 
+@pytest.mark.parametrize("bad, reason", [
+    ([[1e-10, 1e-12], [0, 0], [1, 0]], "is numerically flat"),
+    ([[0, 0], [1, 0], [2, 1e-14]], "violate the triangle inequality"),
+])
+def test_batch_with_one_degenerate_triangle_rejected(bad, reason):
+    # one triangle and a batch holding it fail the same check
+    for pts in (bad, [[[0, 0], [1, 0], [0, 1]], bad]):
+        with pytest.raises(DegenerateTriangle, match=reason):
+            core.triangle_from_vertices(pts)
+
+
 def test_bary_to_cartesian_basics(tri345):
     t = tri345
     centroid = core.bary_to_cartesian(np.array([1.0, 1, 1]), t)
@@ -216,6 +227,74 @@ def test_vertex_matrix_cartesian_matches_rowwise(triangles_100):
             for vm in ccp_closed.solutions_for(t, tag):
                 rowwise = np.array([core.bary_to_cartesian(row, t) for row in vm.rows])
                 assert np.array_equal(vm.cartesian(t), rowwise)
+
+
+def _random_bary_rows(rng, n):
+    return rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+
+
+def _bary_to_cartesian_array_formula(p, tri):
+    """Rows summed and divided with numpy, through the same matmul."""
+    return (p[..., None, :] @ tri.vertices)[..., 0, :] / p.sum(axis=-1)[..., None]
+
+
+def test_bary_to_cartesian_bit_identical_to_array_formula(rng):
+    p = _random_bary_rows(rng, 10_000)
+    tri = core.triangle_from_sides(6, 9, 13)
+    for row in p:
+        one = core.bary_to_cartesian(row, tri)
+        assert one.shape == (2,)
+        assert np.array_equal(one, _bary_to_cartesian_array_formula(row, tri))
+    batch = core.triangle_from_vertices(rng.normal(size=(10_000, 3, 2)))
+    got = core.bary_to_cartesian(p, batch)
+    assert got.shape == (10_000, 2)
+    assert np.array_equal(got, _bary_to_cartesian_array_formula(p, batch))
+
+
+def test_vertex_matrix_cartesian_bit_identical_to_array_formula(rng):
+    rows = _random_bary_rows(rng, 9_999).reshape(-1, 3, 3)
+    tri = core.triangle_from_sides(6, 9, 13)
+    expected = (rows @ tri.vertices) / rows.sum(axis=-1)[..., None]
+    for one, want in zip(rows, expected):
+        got = core.VertexMatrix(one, "T1", core.INCIRCLE).cartesian(tri)
+        assert got.shape == (3, 2)
+        assert np.array_equal(got, want)
+    batch = core.triangle_from_vertices(rng.normal(size=(len(rows), 3, 2)))
+    got = core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(batch)
+    assert got.shape == (3_333, 3, 2)
+    assert np.array_equal(got, (rows @ batch.vertices) / rows.sum(axis=-1)[..., None])
+
+
+@pytest.mark.parametrize("total, infinite", [
+    (1e-14, True), (-1e-14, True), (0.0, True),
+    (np.nextafter(1e-14, 1.0), False), (np.nextafter(-1e-14, -1.0), False),
+])
+def test_point_at_infinity_threshold(tri345, total, infinite):
+    # (1, -1, t) sums to t exactly, and its largest |component| is 1
+    row = np.array([1.0, -1.0, total])
+    rows = np.array([[1.0, 0.0, 0.0], row, [0.0, 0.0, 1.0]])
+    batch = core.stack_triangles([tri345, tri345])
+    calls = (lambda: core.bary_to_cartesian(row, tri345),
+             lambda: core.bary_to_cartesian(np.array([[1.0, 1.0, 1.0], row]), batch),
+             lambda: core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(tri345),
+             lambda: core.VertexMatrix(np.array([np.eye(3), rows]), "T1",
+                                       core.INCIRCLE).cartesian(batch))
+    for call in calls:
+        if infinite:
+            with pytest.raises(InfinitePoint):
+                call()
+        else:
+            assert np.isfinite(call()).all()
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_circle_radius_rejected(bad):
+    for radius in (bad, np.float64(bad), np.array([1.0, bad])):
+        with pytest.raises(GeometryError) as err:
+            core.CircleData(np.zeros(2), radius)
+        assert str(err.value) == f"invalid circle radius {radius}"
+    for radius in (0.0, np.float64(2.5), np.array([0.0, 1.0])):
+        assert core.CircleData(np.zeros(2), radius).radius is radius
 
 
 def test_vertex_matrix_cartesian_rejects_row_at_infinity(tri345):

@@ -116,7 +116,7 @@ class SolvedTriangle:
     def vertices(self, tag: str) -> tuple[Array, Array]:
         """Cartesian vertices of the two solutions."""
         return self._once(("vertices", tag), lambda: tuple(
-            vm.cartesian(self.triangle) for vm in self.solutions(tag)))
+            vm.vertices for vm in self.solutions(tag)))
 
     def frame(self, tag: str, k: int = 0) -> BrocardFrame:
         """Brocard frame of solution k: 0 for T1, 1 for T2."""

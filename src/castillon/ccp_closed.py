@@ -7,7 +7,8 @@ The golden-ratio matrices are written out once, for the incircle.  Every
 excircle matrix is an incircle matrix evaluated with one sidelength negated
 (exversion, `SignedSides.exverted`: a -> -a for the A-excircle), with the
 two solutions' labels swapped and the rows put in the excircle's letter
-order (`_LETTER_ROW`).
+order (`_LETTER_ROW`).  Each circle's two coefficient matrices are built
+once, as one 2 x 3 x 3 array, and both solutions are evaluated together.
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -116,22 +117,13 @@ class SignedSides(NamedTuple):
 # Row index holding the A-, B-, C-lettered vertex of each circle's matrices
 # (a vertex's letter is the reference vertex its opposite side crosses).
 # Determined once numerically from the side-incidence patterns.  The table is
-# the one source of row order: `excircle_solutions` builds its rows in it and
+# the one source of row order: `_coefficient_pair` builds its rows in it and
 # `twenty_three_from_one` reports rows by it.
 _LETTER_ROW = {
     core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
     core.EXCIRCLE_A: {"A": 0, "B": 1, "C": 2},
     core.EXCIRCLE_B: {"A": 2, "B": 0, "C": 1},
     core.EXCIRCLE_C: {"A": 1, "B": 2, "C": 0},
-}
-
-
-# Incircle row indices in each excircle's letter order: row `_LETTER_ROW[tag][L]`
-# of an excircle matrix is row `_LETTER_ROW[INCIRCLE][L]` of the exverted
-# incircle one ([2, 0, 1] for A, the identity for B, [1, 2, 0] for C).
-_EXCIRCLE_ROW_ORDER = {
-    tag: np.array([_LETTER_ROW[core.INCIRCLE][letter] for letter in sorted(rows, key=rows.get)])
-    for tag, rows in _LETTER_ROW.items() if tag != core.INCIRCLE
 }
 
 
@@ -153,13 +145,37 @@ def _golden_coefficients(phi: float) -> tuple[Array, Array]:
     return t1, t2
 
 
-def incircle_rows(sd: SignedSides, phi: float = PHI) -> tuple[Array, Array]:
-    """Cleared vertex-matrix rows of both incircle solutions: golden
-    coefficients times the column products (vw, uw, uv)."""
+@functools.cache
+def _coefficient_pair(tag: str, phi: float) -> Array:
+    """A circle's two coefficient matrices, T1 then T2, as one 2 x 3 x 3
+    array.  An excircle's are the incircle's with the labels swapped (its T1
+    is the incircle's T2) and the rows in the excircle's letter order."""
+    t1, t2 = _golden_coefficients(phi)
+    if tag == core.INCIRCLE:
+        return np.array([t1, t2])
+    rows = _LETTER_ROW[tag]
+    order = [_LETTER_ROW[core.INCIRCLE][letter] for letter in sorted(rows, key=rows.get)]
+    return np.array([t2[order], t1[order]])
+
+
+def pair_rows(sd: SignedSides, tag: str, phi: float = PHI) -> Array:
+    """Cleared vertex-matrix rows of a circle's two solutions, stacked as
+    (..., 2, 3, 3): its coefficient pair times the column products
+    (vw, uw, uv) of `sd`, which is exverted for an excircle."""
     u, v, w = sd.u, sd.v, sd.w
-    products = np.array([v * w, u * w, u * v]).T[..., None, :]
-    # C order, so a batch's matmuls round each row as one triangle's
-    return tuple(np.ascontiguousarray(t * products) for t in _golden_coefficients(phi))
+    products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
+    # C order, so a batch's matmuls round each matrix as one triangle's
+    return np.ascontiguousarray(_coefficient_pair(tag, phi) * products)
+
+
+def solution_pair(sd: SignedSides, tri: TriangleData, tag: str,
+                  phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
+    """Both solutions of a circle in one pass: the rows of `pair_rows` and
+    their cartesian vertices from one stacked matmul and one division."""
+    rows = pair_rows(sd, tag, phi)
+    vertices = core.rows_to_cartesian(rows, tri.vertices[..., None, :, :])
+    return (VertexMatrix(rows[..., 0, :, :], "T1", tag, vertices[..., 0, :, :]),
+            VertexMatrix(rows[..., 1, :, :], "T2", tag, vertices[..., 1, :, :]))
 
 
 def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
@@ -169,31 +185,18 @@ def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatri
     label is the reference vertex its opposite side passes through); side
     row1-row2 passes through A, row2-row3 through B, row3-row1 through C.
     """
-    t1, t2 = incircle_rows(SignedSides.from_triangle(tri), phi)
-    return (
-        VertexMatrix(rows=t1, label="T1", circle=core.INCIRCLE),
-        VertexMatrix(rows=t2, label="T2", circle=core.INCIRCLE),
-    )
+    return solution_pair(SignedSides.from_triangle(tri), tri, core.INCIRCLE, phi)
 
 
 def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, VertexMatrix]:
-    """The two inscribed solution triangles on the chosen excircle.
-
-    Exversion: the excircle matrices are the incircle rows evaluated with
-    the chosen side negated.  The labels swap (incircle T2 becomes excircle
-    T1, T1 becomes T2) and the rows are put in the circle's letter order, so
-    the row holding each lettered vertex is the one `_LETTER_ROW` names.
-    """
+    """The two inscribed solution triangles on the chosen excircle, by
+    exversion: its coefficient pair (`_coefficient_pair`) evaluated with the
+    chosen side negated."""
     which = which.upper()
     tag = f"excircle-{which}"
-    order = _EXCIRCLE_ROW_ORDER.get(tag)
-    if order is None:
+    if tag not in _LETTER_ROW:
         raise ValueError(f"which must be A, B or C, got {which!r}")
-    in_t1, in_t2 = incircle_rows(SignedSides.from_triangle(tri).exverted(which))
-    return (
-        VertexMatrix(rows=in_t2.take(order, axis=-2), label="T1", circle=tag),
-        VertexMatrix(rows=in_t1.take(order, axis=-2), label="T2", circle=tag),
-    )
+    return solution_pair(SignedSides.from_triangle(tri).exverted(which), tri, tag)
 
 
 def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
@@ -235,8 +238,9 @@ class GeneratedVertex(NamedTuple):
 
 
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of `incircle_rows(sd)[1]` on plain floats (or on arrays of a
-    batch), from the same coefficients and products, so bit-identical to it."""
+    """Row 3 of the incircle's T2 in `pair_rows` of `sd` on plain floats (or on
+    arrays of a batch), from the same coefficients and products, so
+    bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w
     k1, k2, k3 = _golden_coefficients(PHI)[1][2].tolist()
     return (k1 * (v * w), k2 * (u * w), k3 * (u * v))

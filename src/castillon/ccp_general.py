@@ -14,12 +14,15 @@ Two independent algorithms are provided.
   Newton steps with the exact derivative polish the intersections, one
   chord walk per step; fallback seedings are built only when needed.
 
-Both run on plain Python floats and tuples, not numpy arrays: the 2x2 maps,
-the circle parameters, the chord walk and the circle identification.  On 2-
-and 3-vectors numpy's per-call dispatch costs several times the arithmetic,
-and one solve takes a few dozen such steps.  Both return `CcpSolution`s,
-whose `.cartesian(tri)` is the vertices as the walk computed them, the one
-numpy array a solve builds; callers read them like a `VertexMatrix`.
+Both walk their chords in the circle's own frame, on Python complex numbers:
+the point (x, y) is z = ((x - cx) + i (y - cy)) / r, so the circle is the
+unit circle at the origin wherever the triangle lies and whatever its size,
+and every threshold is measured in radii.  There the chord through a pivot
+p is the Moebius involution z -> (p - z) / (1 - conj(p) z), `_chord`, the
+one chord formula of both solvers.  The mobius solver keeps its composite,
+quadratic and root filter on the real tan-half-angle maps, where their
+tolerances are defined.  Both return `CcpSolution`s, whose `.cartesian(tri)`
+is the vertices as the walk computed them, (cx + r Re z, cy + r Im z).
 """
 
 from __future__ import annotations
@@ -43,6 +46,34 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# the chord walk in the circle's frame, z = ((x - cx) + i (y - cy)) / r
+
+
+def _chord(z: complex, p: complex) -> complex:
+    """Other end of the chord from z on the unit circle through the pivot p:
+    the involution (p - z) / (1 - conj(p) z), snapped back onto the circle so
+    that long walks do not drift.  PathClosed where p is within 1e-14 of z."""
+    d = p - z
+    if abs(d) <= 1e-14:
+        raise PathClosed("chord pivot coincides with the current point")
+    w = d / (1.0 - p.conjugate() * z)
+    return w / abs(w)
+
+
+def _walk(z: complex, pivots) -> list[complex]:
+    """The chord walk from z through each pivot in turn.  A pivot on the
+    circle is the next vertex from anywhere, so the walk meets it there."""
+    vertices = [z]
+    for p in pivots:
+        try:
+            z = _chord(z, p)
+        except PathClosed:
+            z = p / abs(p)
+        vertices.append(z)
+    return vertices
+
+
+# ---------------------------------------------------------------------------
 # circle parameter:  point at angle theta <-> t = tan(theta/2), kept as a
 # homogeneous pair (p : q) with t = p/q so that theta = pi (t = infinity)
 # needs no special casing.
@@ -53,20 +84,6 @@ def _unit(p: float, q: float) -> tuple[float, float]:
     return p / norm, q / norm
 
 
-def param_from_point(circle: CircleData, P) -> tuple[float, float]:
-    cx, cy, r = circle.xyr
-    x, y = map(float, P)
-    c, s = (x - cx) / r, (y - cy) / r
-    return _unit(s, 1.0 + c) if 1.0 + c >= 0.5 else _unit(1.0 - c, s)
-
-
-def point_from_param(circle: CircleData, pq) -> tuple[float, float]:
-    cx, cy, r = circle.xyr
-    p, q = pq
-    den = p * p + q * q
-    return cx + r * ((q * q - p * p) / den), cy + r * (2.0 * p * q / den)
-
-
 class MobiusMap(NamedTuple):
     """Real 2x2 matrix [[m00, m01], [m10, m11]] acting projectively on the
     circle parameter; an immutable tuple of four floats."""
@@ -75,16 +92,6 @@ class MobiusMap(NamedTuple):
     m01: float
     m10: float
     m11: float
-
-    def __call__(self, pq) -> tuple[float, float]:
-        a, b, c, d = self
-        p, q = pq
-        x, y = a * p + b * q, c * p + d * q
-        if math.hypot(x, y) <= 1e-13 * math.hypot(a, b, c, d) * math.hypot(p, q):
-            # pq spans the kernel of a rank-1 chord map (pivot on the circle);
-            # the continuous extension is the map's constant image direction
-            x, y = a * -q + b * p, c * -q + d * p
-        return _unit(x, y)
 
     def _times(self, inner: "MobiusMap") -> tuple[float, float, float, float]:
         a, b, c, d = self
@@ -113,8 +120,12 @@ def chord_involution(circle: CircleData, P) -> MobiusMap:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise CenterPoint("chord pivot must be a finite point")
     cx, cy, r = circle.xyr
-    px, py = (x - cx) / r, (y - cy) / r
-    return MobiusMap(py, px - 1.0, px + 1.0, -py)
+    return _involution(complex(x - cx, y - cy) / r)
+
+
+def _involution(p: complex) -> MobiusMap:
+    """`chord_involution` of the pivot p in the circle's frame."""
+    return MobiusMap(p.imag, p.real - 1.0, p.real + 1.0, -p.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +150,9 @@ class CcpProblem(_Problem):
 
     @classmethod
     def on_triangle(cls, tri: TriangleData, circle: CircleData) -> "CcpProblem":
-        return cls(circle=circle, points=tri.vertices.copy())
+        """The triangle's vertices as the points, which `TriangleData`
+        already checked."""
+        return _Problem.__new__(cls, circle, tri.vertices)
 
 
 TWO_DISTINCT = "two-distinct"
@@ -162,9 +175,23 @@ class CcpSolution(NamedTuple):
         return on_circle, core.side_incidence(self.vertices, prob.points)[0]
 
 
-def _first_vertex_angle(center, vertices) -> float:
-    """Sort key for solutions: angle of vertex 0 about `center`, in [0, 2 pi)."""
-    return math.atan2(vertices[0][1] - center[1], vertices[0][0] - center[0]) % (2.0 * math.pi)
+def _first_vertex_angle(walk) -> float:
+    """Sort key for solutions: the angle of a walk's vertex 0, in [0, 2 pi)."""
+    z = walk[0]
+    return math.atan2(z.imag, z.real) % (2.0 * math.pi)
+
+
+def _solutions(circ, walks, multiplicity: str = TWO_DISTINCT) -> list[CcpSolution]:
+    """The walks (lists of vertices in the circle's frame) as cartesian
+    solutions, ordered by `_first_vertex_angle`: one array, built from a
+    flat list."""
+    if not walks:
+        return []
+    cx, cy, r = circ
+    walks.sort(key=_first_vertex_angle)
+    flat = [x for walk in walks for z in walk for x in (cx + r * z.real, cy + r * z.imag)]
+    return [CcpSolution(verts, multiplicity)
+            for verts in np.array(flat).reshape(len(walks), -1, 2)]
 
 
 def _projective_quadratic_roots(a: float, b: float, c: float, tol: float):
@@ -192,7 +219,9 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     Raises DegenerateComposition when the composite map is a multiple of the
     identity or zero (every inscribed polygon closes; nothing to enumerate).
     """
-    maps = [chord_involution(prob.circle, P) for P in prob.points.tolist()]
+    circ = cx, cy, r = prob.circle.xyr
+    pivots = [complex(x - cx, y - cy) / r for x, y in prob.points.tolist()]
+    maps = [_involution(p) for p in pivots]
     composite = maps[0]
     for nxt in maps[1:]:
         composite = nxt.compose(composite)
@@ -213,63 +242,27 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     genuine = [(p, q) for p, q in roots
                if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm]
 
-    walks = []
-    for root in genuine:
-        params = [root]
-        for inv in maps[:-1]:
-            params.append(inv(params[-1]))
-        walks.append([point_from_param(prob.circle, pq) for pq in params])
-    walks.sort(key=lambda verts: _first_vertex_angle(prob.circle.xyr, verts))
+    # each root t = p/q is the point (q + ip)^2 / (p^2 + q^2) of the frame
+    walks = [_walk(complex(q, p) ** 2 / (p * p + q * q), pivots[:-1]) for p, q in genuine]
     multiplicity = (TANGENT_DOUBLE if kind == "one"
                     else SINGLE if len(genuine) < len(roots) else TWO_DISTINCT)
-    return [CcpSolution(vertices=verts, multiplicity=multiplicity)
-            for verts in np.array(walks)]
+    return _solutions(circ, walks, multiplicity)
 
 
 # ---------------------------------------------------------------------------
 # axis (perspectrix) construction for the triangle / incircle-excircle case,
-# on plain floats: a circle is (cx, cy, r), a point (x, y) and a homogeneous
-# line or point (x, y, z).
-
-
-def _second_intersection(circ, Q, through) -> tuple[float, float]:
-    """Other intersection of the circle with the chord from Q through `through`."""
-    cx, cy, r = circ
-    qx, qy = Q
-    dx, dy = through[0] - qx, through[1] - qy
-    norm = math.sqrt(dx * dx + dy * dy)
-    if norm <= 1e-14 * r:
-        raise PathClosed("chord pivot coincides with the current point")
-    dx, dy = dx / norm, dy / norm
-    k = 2.0 * ((qx - cx) * dx + (qy - cy) * dy)
-    # snap back onto the circle so four-step paths do not drift
-    rx, ry = qx - k * dx - cx, qy - k * dy - cy
-    norm = math.sqrt(rx * rx + ry * ry)
-    return cx + r * rx / norm, cy + r * ry / norm
-
-
-def _touchpoints(circ, A, B, C) -> list[tuple[float, float]]:
-    """Tangency points of the circle with lines BC, CA, AB."""
-    center = circ[:2]
-    return [core.foot_on_line(P, Q, center) for P, Q in ((B, C), (C, A), (A, B))]
-
-
-def _rotate_about(circ, P, angle: float) -> tuple[float, float]:
-    cx, cy, _ = circ
-    ca, sa = math.cos(angle), math.sin(angle)
-    rx, ry = P[0] - cx, P[1] - cy
-    return cx + (ca * rx - sa * ry), cy + (sa * rx + ca * ry)
+# in the circle's frame
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
     """Match a circle against the triangle's incircle/excircles.
 
-    The centres come from the barycentric weights (a, b, c), with the weight
-    of the excircle's vertex negated; the radii are area / s and area / (s - a)
-    etc., as in `core.incircle` and `core.excircle`.
+    The radii are area / s and area / (s - a) etc., as in `core.incircle`
+    and `core.excircle`; only a candidate of the circle's radius builds its
+    centre, from the barycentric weights (a, b, c) with the weight of the
+    excircle's vertex negated.
     """
     a, b, c = tri.sides
-    A, B, C = tri.vertices.tolist()
     cx, cy, r = circle.xyr
     candidates = (
         (core.INCIRCLE, (a, b, c), tri.r),
@@ -278,113 +271,111 @@ def identify_circle(tri: TriangleData, circle: CircleData) -> str:
         (core.EXCIRCLE_C, (a, b, -c), tri.area / tri.w),
     )
     for tag, (wa, wb, wc), radius in candidates:
+        if abs(radius - r) > 1e-9 * radius:
+            continue
+        A, B, C = tri.vertices.tolist()
         total = wa + wb + wc
         ox = (wa * A[0] + wb * B[0] + wc * C[0]) / total
         oy = (wa * A[1] + wb * B[1] + wc * C[1]) / total
-        if (math.hypot(ox - cx, oy - cy) <= 1e-9 * radius
-                and abs(radius - r) <= 1e-9 * radius):
+        if math.hypot(ox - cx, oy - cy) <= 1e-9 * radius:
             return tag
     raise GeometryError("circle is neither the incircle nor an excircle")
 
 
-def _meet(p, q, tol: float):
-    """Cross product of two homogeneous 3-vectors (their join or meet), or
-    None when the sine of the angle between them is at most `tol`."""
-    x = core.cross(p, q)
-    return None if math.hypot(*x) <= tol * math.hypot(*p) * math.hypot(*q) else x
+def _touchpoints(A: complex, B: complex, C: complex) -> list[complex]:
+    """Tangency points of the unit circle with lines BC, CA, AB: the feet of
+    the perpendiculars from the origin."""
+    return [P - (Q - P) * (P / (Q - P)).real for P, Q in ((B, C), (C, A), (A, B))]
 
 
-def _axis_from_seeds(circ, pivots, seeds):
-    """Walk the three seed paths and intersect cross-chords; returns the
-    homogeneous axis line, or None if this seeding is degenerate."""
+def _cross_point(a: complex, b: complex, c: complex, d: complex) -> complex | None:
+    """Meet of the chords ab and cd of the unit circle,
+    (ab (c + d) - cd (a + b)) / (ab - cd); None where the ends of a chord
+    coincide (1e-14) or the chords are parallel to a sine of 1e-9: the sine
+    of the angle between them is |ab - cd| / 2."""
+    if abs(a - b) <= 1e-14 or abs(c - d) <= 1e-14:
+        return None
+    ab, cd = a * b, c * d
+    if abs(ab - cd) <= 2e-9:
+        return None
+    return (ab * (c + d) - cd * (a + b)) / (ab - cd)
+
+
+def _axis_from_seeds(pivots, seeds) -> tuple[complex, float] | None:
+    """Walk the three seed paths and intersect cross-chords; returns the axis
+    through the cross points h1, h2 as (h2 - h1, Im(conj(h1) h2)), or None if
+    this seeding is degenerate."""
     ends = []
     for seed in seeds:
-        P = seed
-        for pivot in pivots:
-            P = _second_intersection(circ, P, pivot)
-        if math.hypot(P[0] - seed[0], P[1] - seed[1]) <= 1e-6 * circ[2]:
+        z = seed
+        for p in pivots:
+            z = _chord(z, p)
+        if abs(z - seed) <= 1e-6:
             return None  # closed path: seed accidentally hit a solution vertex
-        ends.append(((*seed, 1.0), (*P, 1.0)))
+        ends.append((seed, z))
     (a1, a4), (b1, b4), (c1, c4) = ends
-
-    def cross_point(p, p4, q, q4):
-        l1, l2 = _meet(p, q4, 1e-14), _meet(p4, q, 1e-14)
-        if l1 is None or l2 is None:
-            return None  # seed landed on another path's endpoint
-        return _meet(l1, l2, 1e-9)
-
-    h1 = cross_point(a1, a4, b1, b4)
-    h2 = cross_point(a1, a4, c1, c4)
-    return None if h1 is None or h2 is None else _meet(h1, h2, 1e-9)
-
-
-def _wrap_angle(x: float) -> float:
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
+    # a None: a seed landed on another path's endpoint, or parallel chords
+    h1 = _cross_point(a1, b4, a4, b1)
+    h2 = _cross_point(a1, c4, a4, c1)
+    if h1 is None or h2 is None:
+        return None
+    # sine between (x, y, 1) and (x', y', 1): |(-Im d, Re d, moment)| over their norms
+    d, moment = h2 - h1, (h1.conjugate() * h2).imag
+    norms = math.hypot(abs(h1), 1.0) * math.hypot(abs(h2), 1.0)
+    if math.hypot(d.real, d.imag, moment) <= 1e-9 * norms:
+        return None
+    return d, moment
 
 
-def _closure_gap(circ, pivots, theta: float) -> tuple[float, float]:
-    """Angular defect of the three-chord walk starting at angle theta, and
-    its derivative.  A chord through a pivot P outside the circle (a triangle
-    vertex, for its incircle and excircles) maps the arc at Q onto the arc at
-    Q' reversed and scaled by |PQ'| / |PQ|; the walk multiplies these."""
-    cx, cy, r = circ
-    P = (cx + r * math.cos(theta), cy + r * math.sin(theta))
-    slope = 1.0
-    for pivot in pivots:
-        Q = _second_intersection(circ, P, pivot)
-        slope *= -math.dist(pivot, Q) / math.dist(pivot, P)
-        P = Q
-    return _wrap_angle(math.atan2(P[1] - cy, P[0] - cx) - theta), slope - 1.0
+def _closure_gap(pivots, z: complex) -> tuple[float, float]:
+    """Angular defect of the chord walk from z through the pivots, the phase
+    of z3 conj(z), and its derivative.  A chord through a pivot p outside
+    the circle (a triangle vertex, for its incircle and excircles) maps the
+    arc at z onto the arc at its other end w reversed and scaled by
+    |p - w| / |p - z|; the walk multiplies these."""
+    w, slope = z, 1.0
+    for p in pivots:
+        nxt = _chord(w, p)
+        slope *= -abs(p - nxt) / abs(p - w)
+        w = nxt
+    w *= z.conjugate()
+    return math.atan2(w.imag, w.real), slope - 1.0
 
 
-def _polish_fixed_point(circ, pivots, P0) -> tuple[float, float]:
+def _polish_fixed_point(pivots, z: complex) -> complex:
     """Newton-polish an approximate solution vertex on the closure gap.
 
-    Uses only geometric chord steps, one walk per step; refines the axis
+    Uses only chord steps, one walk per step; refines the axis
     construction's intersection points without touching the parameter-map
     machinery.  Newton with the exact derivative converges quadratically, so
     after a step of at most 1e-9 rad the next one would be below rounding.
     """
-    cx, cy, r = circ
-    theta = math.atan2(P0[1] - cy, P0[0] - cx)
     for _ in range(4):
-        g, gp = _closure_gap(circ, pivots, theta)
+        g, gp = _closure_gap(pivots, z)
         if abs(g) < 1e-15 or abs(gp) < 1e-8:
             break
         step = -g / gp
         if abs(step) > 0.05:
             break  # stay local: never hop to the other fixed point
-        theta += step
+        z *= complex(math.cos(step), math.sin(step))
         if abs(step) <= 1e-9:
             break
-    return cx + r * math.cos(theta), cy + r * math.sin(theta)
+    return z
 
 
-def _line_circle_points(circ, line):
-    cx, cy, r = circ
-    l, m, n = line
-    norm = math.hypot(l, m)
-    signed = (l * cx + m * cy + n) / norm
-    if abs(signed) > r * (1.0 + 1e-9):
-        raise NoRealIntersection("axis does not meet the circle")
-    fx, fy = cx - signed * l / norm, cy - signed * m / norm
-    half = math.sqrt(max(r ** 2 - signed * signed, 0.0))
-    dx, dy = -m / norm, l / norm
-    return (fx + half * dx, fy + half * dy), (fx - half * dx, fy - half * dy)
+_TURNS = tuple(complex(math.cos(angle), math.sin(angle)) for angle in (0.37, 0.91, 1.53))
 
 
-def _seed_ladder(circ, touchpoints):
+def _seed_ladder(touchpoints):
     """The seedings to try, in order, built one at a time: two touchpoints
     plus the antipode of the third, then two antipodal variants, then the
     three touchpoints rotated about the center by 0.37, 0.91 and 1.53 rad."""
-    cx, cy, _ = circ
-    antipode = lambda P: (2.0 * cx - P[0], 2.0 * cy - P[1])
     t_a, t_b, t_c = touchpoints
-    yield antipode(t_a), t_b, t_c
-    yield t_a, antipode(t_b), antipode(t_c)
-    yield antipode(t_a), antipode(t_b), t_c
-    for angle in (0.37, 0.91, 1.53):
-        yield tuple(_rotate_about(circ, P, angle) for P in touchpoints)
+    yield -t_a, t_b, t_c
+    yield t_a, -t_b, -t_c
+    yield -t_a, -t_b, t_c
+    for turn in _TURNS:
+        yield t_a * turn, t_b * turn, t_c * turn
 
 
 def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolution]:
@@ -399,23 +390,28 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolu
     as they are: a detour through barycentrics would only add rounding.
     """
     identify_circle(tri, circle)
-    circ = circle.xyr
-    A, B, C = map(tuple, tri.vertices.tolist())
+    circ = cx, cy, r = circle.xyr
+    A, B, C = [complex(x - cx, y - cy) / r for x, y in tri.vertices.tolist()]
     pivots = (B, C, A)
 
-    for seeds in _seed_ladder(circ, _touchpoints(circ, A, B, C)):
-        axis = _axis_from_seeds(circ, pivots, seeds)
+    for seeds in _seed_ladder(_touchpoints(A, B, C)):
+        axis = _axis_from_seeds(pivots, seeds)
         if axis is not None:
             break
     else:
         raise PathClosed("all seed ladders degenerated; cannot build the axis")
 
-    m1, m4 = (_polish_fixed_point(circ, pivots, M) for M in _line_circle_points(circ, axis))
+    # unit direction u, signed distance dist: it meets the circle at u (+-half - i dist)
+    d, moment = axis
+    u, dist = d / abs(d), moment / abs(d)
+    if abs(dist) > 1.0 + 1e-9:
+        raise NoRealIntersection("axis does not meet the circle")
+    half = math.sqrt(max(1.0 - dist * dist, 0.0))
 
     def triangle_of(M):
-        v2 = _second_intersection(circ, M, B)
-        return M, v2, _second_intersection(circ, v2, C)
+        M = _polish_fixed_point(pivots, M)
+        v2 = _chord(M, B)
+        return M, v2, _chord(v2, C)
 
-    v1, v4 = sorted((triangle_of(m1), triangle_of(m4)),
-                    key=lambda verts: _first_vertex_angle(circ, verts))
-    return [CcpSolution(vertices=v) for v in np.array([v1, v4])]
+    return _solutions(circ, [triangle_of(u * complex(half, -dist)),
+                             triangle_of(u * complex(-half, -dist))])

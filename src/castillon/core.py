@@ -1,9 +1,11 @@
 """Numeric foundation: triangles, barycentric coordinates, lines, circles, conics.
 
 Everything operates on small numpy arrays, except the float kernels of the
-solvers (`cross`, `line_through`, `foot_on_line`, `CircleData.xyr`), which
-take and return plain floats because numpy's per-call dispatch on 2- and
-3-vectors costs more than the arithmetic.  The verify path works on batches
+solvers (`cross`, `line_through`, `CircleData.xyr`), which take and return
+plain floats because numpy's per-call dispatch on 2- and 3-vectors costs
+more than the arithmetic.  The general solvers' chord walks run on complex
+numbers in the circle's own frame, where it is the unit circle, through one
+chord formula (`ccp_general._chord`).  The verify path works on batches
 instead: a `TriangleData` whose fields are arrays with a leading batch axis
 (`stack_triangles`), and the conversions, centers and residuals below take
 that axis, row by row.  Their stacked products (`dot`, `@`, `solve`, `inv`)
@@ -229,10 +231,18 @@ def _finite_totals(p: Array) -> Array:
     return np.array(totals).reshape(p.shape[:-1] + (1,))
 
 
+def rows_to_cartesian(rows: Array, vertices: Array) -> Array:
+    """Cartesian points of the barycentric rows of the matrices `rows` over
+    vertex arrays (..., 3, 2) that broadcast with them: one matmul (numpy
+    rounds each entry as a chain of fused multiply-adds, each matrix of a
+    stack as alone) and one division."""
+    return (rows @ vertices) / _finite_totals(rows)
+
+
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
     """Map a finite homogeneous barycentric triple to a cartesian point."""
     p = np.asarray(p, dtype=float)
-    return (p[..., None, :] @ tri.vertices)[..., 0, :] / _finite_totals(p)
+    return rows_to_cartesian(p[..., None, :], tri.vertices)[..., 0, :]
 
 
 def _signed2(P, Q, R) -> float:
@@ -326,17 +336,6 @@ def side_incidence(vertices, points, nearest: bool = False) -> tuple[float, set[
     return worst, hit
 
 
-def foot_on_line(P, Q, X) -> tuple[float, float]:
-    """Foot of the perpendicular from X onto the line through P and Q, as a
-    float pair."""
-    px, py = P
-    dx, dy = Q[0] - px, Q[1] - py
-    norm = math.sqrt(dx * dx + dy * dy)
-    dx, dy = dx / norm, dy / norm
-    k = (X[0] - px) * dx + (X[1] - py) * dy
-    return px + k * dx, py + k * dy
-
-
 def line_bary_to_cart(line, tri: TriangleData) -> Array:
     V = tri.bary_matrix()
     return np.linalg.solve(np.swapaxes(V, -1, -2), np.asarray(line, float)[..., None])[..., 0]
@@ -424,17 +423,18 @@ def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
 
 class VertexMatrix(NamedTuple):
     """One inscribed solution triangle, rows = vertices in reference
-    barycentrics; in a batch, N x 3 x 3 rows of N reference triangles."""
+    barycentrics, and the same vertices in cartesian coordinates; in a
+    batch, N x 3 x 3 rows and N x 3 x 2 vertices of N reference triangles."""
 
     rows: Array  # 3x3
     label: str  # "T1" | "T2"
     circle: str  # one of CIRCLE_TAGS
+    vertices: Array  # 3x2, `rows_to_cartesian` of the rows
 
     def cartesian(self, tri: TriangleData) -> Array:
-        """All rows through one matmul, bit-identical to `bary_to_cartesian`
-        per row; numpy's kernel rounds each entry as a chain of fused
-        multiply-adds, which float arithmetic cannot reproduce."""
-        return (self.rows @ tri.vertices) / _finite_totals(self.rows)
+        """The cartesian vertices, evaluated with the rows; read like
+        `CcpSolution.cartesian`."""
+        return self.vertices
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,11 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     the single conic all six of their sides touch."""
     p = spec.perspector
     u, v, w = 1.0 / p
-    t1, t2 = ccp_closed.incircle_rows(ccp_closed.SignedSides(v + w, u + w, u + v))
-    triangles = [core.VertexMatrix(rows, label, core.INCIRCLE).cartesian(tri)
-                 for rows, label in ((t1, "T1"), (t2, "T2"))]
+    t1, t2 = ccp_closed.solution_pair(ccp_closed.SignedSides(v + w, u + w, u + v),
+                                      tri, core.INCIRCLE)
+    triangles = [t1.vertices, t2.vertices]
 
-    Binv = np.linalg.inv(t1 / t1.sum(axis=1, keepdims=True))
+    Binv = np.linalg.inv(t1.rows / t1.rows.sum(axis=1, keepdims=True))
     q = p @ Binv
     conic = core.conic_bary_to_cart(
         ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T, core.POINT_CONIC), tri)

@@ -171,7 +171,8 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
 
 
 def _reference_rows(sd):
-    """`ccp_closed.incircle_rows` as written before it took batches."""
+    """The incircle rows of `ccp_closed.pair_rows` as written before it took
+    batches."""
     g = ccp_closed.golden_constants()
     vw, uw, uv = sd.v * sd.w, sd.u * sd.w, sd.u * sd.v
     t1 = np.array([[g.sq_phi * vw, uw, g.sq_phi_m1 * uv],
@@ -254,7 +255,8 @@ def test_printed_objects_bit_identical_to_scalar_formulas(triangles_100, tri6913
         for i, t in enumerate(tris):
             sd = ccp_closed.SignedSides.from_triangle(t)
             sd = sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
-            for got, want in zip(ccp_closed.incircle_rows(sd), _reference_rows(sd)):
+            rows = ccp_closed.pair_rows(sd, core.INCIRCLE)
+            for got, want in zip(rows, _reference_rows(sd)):
                 assert np.array_equal(got, want)
             vm = ccp_closed.solutions_for(t, tag)[0]
             assert np.array_equal(vm_batch.rows[i], vm.rows)

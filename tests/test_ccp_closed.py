@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from castillon import ccp_closed, ccp_general, core
+from castillon import ccp_closed, ccp_general, core, sampling
 from castillon.ccp_closed import PHI, SignedSides, golden_constants
 from castillon.errors import SeedMismatch
 
@@ -109,8 +109,8 @@ def test_double_exversion_is_identity(tri345):
     sd = SignedSides.from_triangle(tri345)
     twice = sd.exverted("B").exverted("B")
     assert (twice.a, twice.b, twice.c) == (sd.a, sd.b, sd.c)
-    assert np.allclose(ccp_closed.incircle_rows(twice)[0],
-                       ccp_closed.incircle_rows(sd)[0])
+    assert np.allclose(ccp_closed.pair_rows(twice, core.INCIRCLE)[0],
+                       ccp_closed.pair_rows(sd, core.INCIRCLE)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,11 @@ def test_all_24_vertices_match_matrix_rows(triangles_100):
 
 def _twenty_three_numpy(tri):
     """The 24 coordinates by the numpy pipeline the float one replaced:
-    `incircle_rows` rows, `np.roll` and fancy indexing, in generator order."""
+    `pair_rows` incircle rows, `np.roll` and fancy indexing, in generator
+    order."""
     cyc = lambda f: lambda sd: np.roll(f(sd.rotated()), 1)
     bic = lambda f: lambda sd: f(sd.swapped_bc())[[0, 2, 1]]
-    base = lambda sd: ccp_closed.incircle_rows(sd)[1][2]
+    base = lambda sd: ccp_closed.pair_rows(sd, core.INCIRCLE)[1][2]
     sd = SignedSides.from_triangle(tri)
     out = []
     for formula in (base, bic(base)):
@@ -216,7 +217,7 @@ def test_twenty_three_bit_identical_to_numpy_pipeline(triangles_100, equilateral
         gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
         assert [g.coords for g in gen] == [tuple(r.tolist()) for r in _twenty_three_numpy(t)]
         assert ccp_closed.generator_seed(t) == tuple(
-            ccp_closed.incircle_rows(SignedSides.from_triangle(t))[1][2].tolist())
+            ccp_closed.pair_rows(SignedSides.from_triangle(t), core.INCIRCLE)[1][2].tolist())
 
 
 def test_equilateral_four_concyclic_sextets(equilateral):
@@ -229,6 +230,26 @@ def test_equilateral_four_concyclic_sextets(equilateral):
         for P in pts:
             assert abs(np.linalg.norm(P - circ.center) - circ.radius) \
                 < 1e-10 * circ.radius
+
+
+@pytest.mark.parametrize("tag", core.CIRCLE_TAGS)
+def test_pair_in_one_pass_bit_identical(tag):
+    # both solutions of a circle come from one stacked matmul; each row of a
+    # batch, and each triangle alone, gives the bits of one solution's own
+    # matmul and division, the formula evaluated one solution at a time
+    rng = np.random.default_rng(20261019)
+    tris = [sampling.random_triangle(rng) for _ in range(81)]
+    batch = ccp_closed.solutions_for(core.stack_triangles(tris), tag)
+    for i, t in enumerate(tris):
+        alone = ccp_closed.solutions_for(t, tag)
+        assert [vm.label for vm in alone] == ["T1", "T2"]
+        for vm, vb in zip(alone, batch):
+            assert vm.circle == vb.circle == tag
+            want = (vm.rows @ t.vertices) / vm.rows.sum(axis=-1)[..., None]
+            assert vm.cartesian(t) is vm.vertices
+            assert vm.vertices.tobytes() == want.tobytes()
+            assert vb.rows[i].tobytes() == vm.rows.tobytes()
+            assert vb.vertices[i].tobytes() == vm.vertices.tobytes()
 
 
 # ---------------------------------------------------------------------------

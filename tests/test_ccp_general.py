@@ -6,9 +6,7 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_general import (
-    CcpProblem, CcpSolution, chord_involution, param_from_point, point_from_param,
-)
+from castillon.ccp_general import CcpProblem, CcpSolution, chord_involution
 from castillon.errors import CenterPoint, DegenerateComposition, PathClosed
 
 from conftest import bench_module, set_deviation
@@ -26,21 +24,37 @@ def second_intersection_oracle(circle, Q, P):
     return Q + s * d
 
 
+def _apply(inv, pq):
+    """A chord map on a homogeneous parameter pair (p, q), t = p/q."""
+    m00, m01, m10, m11 = inv
+    return m00 * pq[0] + m01 * pq[1], m10 * pq[0] + m11 * pq[1]
+
+
+def _on_unit(theta):
+    return complex(math.cos(theta), math.sin(theta))
+
+
 def test_involution_fixes_point_on_circle():
+    # a pivot on the circle is the chord's other end from anywhere, and a
+    # walk that meets it continues from it
     P = UNIT.point_at(0.0)
     inv = chord_involution(UNIT, P)
-    pq = param_from_point(UNIT, P)
-    assert core.sin_angle(inv(pq), pq) < 1e-12
+    assert core.sin_angle(_apply(inv, (0.3, 1.0)), (0.0, 1.0)) < 1e-15  # t = 0
+    p = complex(*P)
+    for theta in (0.5, 2.0, math.pi, 5.0):
+        assert abs(ccp_general._chord(_on_unit(theta), p) - p) < 1e-15
+    with pytest.raises(PathClosed):
+        ccp_general._chord(p, p)
+    assert ccp_general._walk(p, [p, 3.0 + 0j]) == [p, p, -p]
 
 
 def test_center_gives_antipodal_map():
     inv = chord_involution(UNIT, np.zeros(2))
     # t -> -1/t
-    p, q = inv((2.0, 1.0))
+    p, q = _apply(inv, (2.0, 1.0))
     assert abs(p / q + 0.5) < 1e-14
-    P = UNIT.point_at(0.7)
-    image = point_from_param(UNIT, inv(param_from_point(UNIT, P)))
-    assert np.linalg.norm(image - (2 * UNIT.center - P)) < 1e-12
+    z = _on_unit(0.7)
+    assert abs(ccp_general._chord(z, 0j) + z) < 1e-15
 
 
 def test_involution_against_line_circle_oracle():
@@ -48,10 +62,11 @@ def test_involution_against_line_circle_oracle():
     inv = chord_involution(UNIT, P)
     Q = UNIT.point_at(math.pi / 2)  # t = 1
     expected = second_intersection_oracle(UNIT, Q, P)
-    got = point_from_param(UNIT, inv(param_from_point(UNIT, Q)))
-    assert np.linalg.norm(got - expected) < 1e-12
+    got = ccp_general._chord(complex(*Q), complex(*P))
+    assert abs(got - complex(*expected)) < 1e-12
+    assert abs(got - complex(0.8, 0.6)) < 1e-15
     # and in parameter form: t = 1 -> 1/3
-    p, q = inv((1.0, 1.0))
+    p, q = _apply(inv, (1.0, 1.0))
     assert abs(p / q - 1.0 / 3.0) < 1e-14
 
 
@@ -68,8 +83,8 @@ def test_involution_self_inverse(px, py, theta):
     assume(abs(np.linalg.norm(P) - 1.0) > 1e-3)     # and off the circle itself
     inv = chord_involution(UNIT, P)
     assert inv.compose(inv).identity_defect() < 1e-12
-    pq = param_from_point(UNIT, UNIT.point_at(theta))
-    assert core.sin_angle(inv(inv(pq)), pq) < 1e-10
+    z, p = _on_unit(theta), complex(px, py)
+    assert abs(ccp_general._chord(ccp_general._chord(z, p), p) - z) < 1e-10
 
 
 def test_involution_self_inverse_on_100_params(rng):
@@ -77,9 +92,10 @@ def test_involution_self_inverse_on_100_params(rng):
     inv = chord_involution(UNIT, P)
     m00, m01, m10, m11 = inv
     assert abs(m00 * m11 - m01 * m10) > 1e-12 * (m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+    p = complex(*P)
     for theta in rng.uniform(0, 2 * math.pi, 100):
-        pq = param_from_point(UNIT, UNIT.point_at(theta))
-        assert core.sin_angle(inv(inv(pq)), pq) < 1e-10
+        z = _on_unit(theta)
+        assert abs(ccp_general._chord(ccp_general._chord(z, p), p) - z) < 1e-10
 
 
 def _solution_sets(sols):
@@ -295,8 +311,39 @@ def test_perspectrix_returns_what_mobius_returns(tri6913):
         assert sol.vertices.shape == (3, 2)
         assert sol.cartesian(tri6913) is sol.vertices
     # each list in the order of its vertex 0's angle about the center
-    angles = [ccp_general._first_vertex_angle(circ.center, sol.vertices) for sol in persp]
-    assert angles == sorted(angles)
+    for sols in (persp, mobius):
+        angles = [math.atan2(*(sol.vertices[0] - circ.center)[::-1]) % (2.0 * math.pi)
+                  for sol in sols]
+        assert angles == sorted(angles)
+
+
+def _agreement(tri, tag):
+    """Largest deviation of the mobius and perspectrix solutions from the
+    closed form's, per radius."""
+    circ = core.tagged_circle(tri, tag)
+    closed = np.vstack([vm.cartesian(tri) for vm in ccp_closed.solutions_for(tri, tag)])
+    solved = (ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circ)),
+              ccp_general.solve_ccp_perspectrix(tri, circ))
+    return max(set_deviation(closed, np.vstack([s.vertices for s in sols]))
+               for sols in solved) / circ.radius
+
+
+@pytest.mark.parametrize("k", [1e-20, 1e-12, 1e9, 1e12, 1e20])
+def test_general_solvers_at_any_scale(k):
+    # every threshold is in radii of the circle's frame, so (6, 9, 13) k
+    # solves as (6, 9, 13) does
+    tri = core.triangle_from_sides(6 * k, 9 * k, 13 * k)
+    for tag in core.CIRCLE_TAGS:
+        assert _agreement(tri, tag) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_general_solvers_far_from_the_origin(offset):
+    # the frame is centred on the circle; what is left is the rounding of
+    # the input coordinates, about 1e-16 offset
+    tri = core.triangle_from_vertices(np.array([[1.5, 4.0], [0.0, 0.0], [6.0, 0.5]]) + offset)
+    for tag in core.CIRCLE_TAGS:
+        assert _agreement(tri, tag) <= 1e-9
 
 
 def test_perspectrix_rejects_foreign_circle(tri345):
@@ -323,28 +370,36 @@ def test_solution_invariants_any_algorithm(triangles_100):
 
 
 # ---------------------------------------------------------------------------
-# the float chord walk and the perspectrix fallbacks
+# the chord walk in the circle's frame and the perspectrix fallbacks
 
 
-def _walk(circ, seed, pivots):
-    P = seed
+def _walk(seed, pivots):
+    z = seed
     for pivot in pivots:
-        P = ccp_general._second_intersection(circ, P, pivot)
-    return P
+        z = ccp_general._chord(z, pivot)
+    return z
 
 
-def _chord_setup(tri):
-    """(cx, cy, r) of the incircle, the pivots B, C, A and the touchpoints."""
-    circle = core.incircle(tri)
-    circ = (*circle.center.tolist(), circle.radius)
-    A, B, C = map(tuple, tri.vertices.tolist())
-    return circ, (B, C, A), ccp_general._touchpoints(circ, A, B, C)
+def _in_frame(circle, P):
+    return complex(*(np.asarray(P) - circle.center)) / circle.radius
+
+
+def _chord_setup(tri, tag=core.INCIRCLE):
+    """The circle, the pivots B, C, A and the touchpoints, in the circle's
+    frame."""
+    circle = core.tagged_circle(tri, tag)
+    A, B, C = (_in_frame(circle, P) for P in tri.vertices)
+    return circle, (B, C, A), ccp_general._touchpoints(A, B, C)
 
 
 def test_chord_step_rejects_pivot_at_current_point():
-    Q = (0.6, 0.8)
+    Q = complex(0.6, 0.8)
     with pytest.raises(PathClosed):
-        ccp_general._second_intersection((0.0, 0.0, 1.0), Q, Q)
+        ccp_general._chord(Q, Q)
+    # the pivot coincides within 1e-14 radii
+    with pytest.raises(PathClosed):
+        ccp_general._chord(1.0 + 0j, complex(1.0 + 0.5e-14, 0.0))
+    assert ccp_general._chord(1.0 + 0j, complex(1.0 + 2e-14, 0.0)) == -1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -354,47 +409,74 @@ def test_chord_step_against_line_circle_oracle(cx, cy, r, theta, rho, phi):
     circle = core.CircleData(np.array([cx, cy]), r)
     Q = circle.point_at(theta)
     P = circle.center + rho * r * np.array([math.cos(phi), math.sin(phi)])
-    got = ccp_general._second_intersection((cx, cy, r), tuple(Q), tuple(P))
+    w = ccp_general._chord(_in_frame(circle, Q), _in_frame(circle, P))
+    got = (cx + r * w.real, cy + r * w.imag)
     assert np.linalg.norm(np.subtract(got, second_intersection_oracle(circle, Q, P))) <= 1e-12 * r
     assert abs(math.hypot(got[0] - cx, got[1] - cy) - r) <= 1e-13 * r
 
 
 def test_axis_seed_on_solution_vertex_is_closed_path(tri6913):
-    circ, pivots, (t_a, t_b, t_c) = _chord_setup(tri6913)
-    antipode_a = (2.0 * circ[0] - t_a[0], 2.0 * circ[1] - t_a[1])
-    assert ccp_general._axis_from_seeds(circ, pivots, (antipode_a, t_b, t_c)) is not None
+    circle, pivots, (t_a, t_b, t_c) = _chord_setup(tri6913)
+    assert ccp_general._axis_from_seeds(pivots, (-t_a, t_b, t_c)) is not None
     # the closed-form vertex whose chord walk through B, C, A returns to itself
-    verts = ccp_closed.incircle_solutions(tri6913)[0].cartesian(tri6913).tolist()
-    V = min(map(tuple, verts), key=lambda V: math.dist(_walk(circ, V, pivots), V))
+    verts = ccp_closed.incircle_solutions(tri6913)[0].cartesian(tri6913)
+    V = min((_in_frame(circle, P) for P in verts), key=lambda V: abs(_walk(V, pivots) - V))
     # exactly on the vertex the cross points collapse too; 1e-9 rad off it
     # only the closed-path test rejects the seeding
-    for seed in (V, ccp_general._rotate_about(circ, V, 1e-9)):
-        assert math.dist(_walk(circ, seed, pivots), seed) <= 1e-6 * circ[2]
-        assert ccp_general._axis_from_seeds(circ, pivots, (seed, t_b, t_c)) is None
+    for seed in (V, V * _on_unit(1e-9)):
+        assert abs(_walk(seed, pivots) - seed) <= 1e-6
+        assert ccp_general._axis_from_seeds(pivots, (seed, t_b, t_c)) is None
+    # the path closes when it ends within 1e-6 radii of its seed: the gap
+    # grows by |slope - 1| per radian off the vertex
+    _, gp = ccp_general._closure_gap(pivots, V)
+    for gap, refused in ((0.5e-6, True), (2e-6, False)):
+        seed = V * _on_unit(gap / abs(gp))
+        assert abs(_walk(seed, pivots) - seed) == pytest.approx(gap, rel=0.01)
+        assert (ccp_general._axis_from_seeds(pivots, (seed, t_b, t_c)) is None) == refused
 
 
 def test_axis_seed_on_other_path_endpoint_has_no_cross_point(tri6913):
-    circ, pivots, (t_a, _, t_c) = _chord_setup(tri6913)
-    a4 = _walk(circ, t_a, pivots)
+    _, pivots, (t_a, _, t_c) = _chord_setup(tri6913)
+    a4 = _walk(t_a, pivots)
     # neither path closes, so the None comes from the coincident cross chord
-    assert math.dist(a4, t_a) > 1e-6 * circ[2]
-    assert math.dist(_walk(circ, a4, pivots), a4) > 1e-6 * circ[2]
-    assert ccp_general._axis_from_seeds(circ, pivots, (t_a, a4, t_c)) is None
+    assert abs(a4 - t_a) > 1e-6
+    assert abs(_walk(a4, pivots) - a4) > 1e-6
+    assert ccp_general._axis_from_seeds(pivots, (t_a, a4, t_c)) is None
 
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-9])
 def test_meet_sine_threshold(tol):
-    # |p x q| / (|p| |q|) is the sine of the angle between p and q
-    p = (1.0, 0.0, 0.0)
-    assert ccp_general._meet(p, (1.0, 0.5 * tol, 0.0), tol) is None
-    assert ccp_general._meet(p, (1.0, 2.0 * tol, 0.0), tol) == (0.0, 0.0, 2.0 * tol)
+    # two chords of the unit circle meet unless the ends of one coincide
+    # (to 1e-14 radii) or they are parallel (to a sine of 1e-9)
+    meet = ccp_general._cross_point
+    a, b, d = _on_unit(0.3), _on_unit(2.0), _on_unit(2.8)
+    for x, refused in ((0.5 * tol, True), (2.0 * tol, False)):
+        if tol == 1e-14:
+            near = _on_unit(0.3 + x)
+            assert abs(near - a) == pytest.approx(x, rel=0.02)
+            got = (meet(a, near, _on_unit(-0.5), d), meet(_on_unit(-0.5), d, a, near))
+        else:
+            # chord (c, d) turned by x from parallel to chord (a, b)
+            c = _on_unit(-0.5 + 2.0 * math.asin(x))
+            assert abs(a * b - c * d) / 2.0 == pytest.approx(x, rel=1e-6)
+            got = (meet(a, b, c, d),)
+        assert all((h is None) == refused for h in got)
 
 
-def _cross_point_sine(circ, pivots, a1, b1, c1):
-    """Sine between the axis points the seed pairs (a, b) and (a, c) give,
-    recomputed with numpy."""
-    ends = [(np.array([*S, 1.0]), np.array([*_walk(circ, S, pivots), 1.0]))
-            for S in (a1, b1, c1)]
+def test_cross_point_is_the_meet_of_the_chords(rng):
+    for _ in range(100):
+        a, b, c, d = (_on_unit(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
+        homog = lambda z: [z.real, z.imag, 1.0]
+        h = homog(ccp_general._cross_point(a, b, c, d))
+        for p, q in ((a, b), (c, d)):
+            assert core.incidence_residual(np.cross(homog(p), homog(q)), h) < 1e-12
+
+
+def _cross_point_sine(pivots, a1, b1, c1):
+    """Sine between the homogeneous axis points (x, y, 1) of the circle's
+    frame that the seed pairs (a, b) and (a, c) give, recomputed with numpy."""
+    homog = lambda z: np.array([z.real, z.imag, 1.0])
+    ends = [(homog(S), homog(_walk(S, pivots))) for S in (a1, b1, c1)]
     (a1, a4), (b1, b4), (c1, c4) = ends
     h1 = np.cross(np.cross(a1, b4), np.cross(a4, b1))
     h2 = np.cross(np.cross(a1, c4), np.cross(a4, c1))
@@ -405,15 +487,14 @@ def test_axis_points_sine_threshold(tri6913):
     # seed c a rotation of seed b by delta: the two axis points approach each
     # other linearly in delta, and the axis is refused once their sine is at
     # most 1e-9
-    circ, pivots, (t_a, t_b, _) = _chord_setup(tri6913)
-    a1 = (2.0 * circ[0] - t_a[0], 2.0 * circ[1] - t_a[1])
+    _, pivots, (t_a, t_b, _) = _chord_setup(tri6913)
+    a1 = -t_a
     delta0 = 1e-5
-    per_delta = _cross_point_sine(
-        circ, pivots, a1, t_b, ccp_general._rotate_about(circ, t_b, delta0)) / delta0
+    per_delta = _cross_point_sine(pivots, a1, t_b, t_b * _on_unit(delta0)) / delta0
     for sine, refused in ((0.5e-9, True), (2e-9, False)):
-        c1 = ccp_general._rotate_about(circ, t_b, sine / per_delta)
-        assert _cross_point_sine(circ, pivots, a1, t_b, c1) == pytest.approx(sine, rel=0.01)
-        axis = ccp_general._axis_from_seeds(circ, pivots, (a1, t_b, c1))
+        c1 = t_b * _on_unit(sine / per_delta)
+        assert _cross_point_sine(pivots, a1, t_b, c1) == pytest.approx(sine, rel=0.01)
+        axis = ccp_general._axis_from_seeds(pivots, (a1, t_b, c1))
         assert (axis is None) == refused
 
 
@@ -445,13 +526,36 @@ def test_perspectrix_raises_when_every_rung_degenerates(tri6913, monkeypatch):
 
 def test_perspectrix_first_rung_builds_no_rotated_seeds(tri6913, monkeypatch):
     # the ladder is lazy: rungs 4-6 rotate the touchpoints only when the
-    # rungs before them degenerate
-    calls = []
-    monkeypatch.setattr(ccp_general, "_rotate_about", lambda *args: calls.append(args))
+    # rungs before them degenerate, so none is built for these circles
+    real, built = ccp_general._seed_ladder, []
+
+    def counted(touchpoints):
+        built.append(0)
+        for rung in real(touchpoints):
+            built[-1] += 1
+            yield rung
+
+    monkeypatch.setattr(ccp_general, "_seed_ladder", counted)
     for tri in (tri6913, core.triangle_from_sides(3, 4, 5)):
         for tag in core.CIRCLE_TAGS:
             ccp_general.solve_ccp_perspectrix(tri, core.tagged_circle(tri, tag))
-    assert calls == []
+    assert len(built) == 8 and max(built) <= 3
+    # the first rung multiplies no touchpoint by a rotation
+    turns = []
+
+    class Counted(complex):
+        def __mul__(self, other):
+            turns.append(other)
+            return complex(self) * other
+
+    _, _, touch = _chord_setup(tri6913)
+    next(real([Counted(t) for t in touch]))
+    assert turns == []
+    # all six rungs, the rotated ones last, when every one degenerates
+    rungs = list(real(touch))
+    assert len(rungs) == 6
+    for rung, angle in zip(rungs[3:], (0.37, 0.91, 1.53)):
+        assert all(abs(z - t * _on_unit(angle)) < 1e-15 for z, t in zip(rung, touch))
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +566,13 @@ def test_perspectrix_first_rung_builds_no_rotated_seeds(tri6913, monkeypatch):
 @pytest.mark.parametrize("tag", core.CIRCLE_TAGS)
 def test_closure_gap_derivative_matches_central_difference(sides, tag):
     tri = core.triangle_from_sides(*sides)
-    circ = core.tagged_circle(tri, tag).xyr
-    A, B, C = map(tuple, tri.vertices.tolist())
-    pivots, h = (B, C, A), 1e-5
+    _, pivots, _ = _chord_setup(tri, tag)
+    h = 1e-5
     checked = 0
     for theta in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
-        g, gp = ccp_general._closure_gap(circ, pivots, theta)
-        lo, _ = ccp_general._closure_gap(circ, pivots, theta - h)
-        hi, _ = ccp_general._closure_gap(circ, pivots, theta + h)
+        g, gp = ccp_general._closure_gap(pivots, _on_unit(theta))
+        lo, _ = ccp_general._closure_gap(pivots, _on_unit(theta - h))
+        hi, _ = ccp_general._closure_gap(pivots, _on_unit(theta + h))
         if max(abs(g), abs(lo), abs(hi)) > 3.0:
             continue  # the wrapped gap jumps by 2 pi here
         assert gp == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
@@ -505,12 +608,12 @@ def test_polish_takes_one_walk_per_vertex(monkeypatch):
 def test_polish_exits(monkeypatch, gap, steps):
     calls = []
     monkeypatch.setattr(ccp_general, "_closure_gap", lambda *args: calls.append(args) or gap)
-    circ, P0 = (1.0, 2.0, 3.0), (1.0 + 3.0 * math.cos(0.4), 2.0 + 3.0 * math.sin(0.4))
-    x, y = ccp_general._polish_fixed_point(circ, (), P0)
+    z = ccp_general._polish_fixed_point((), _on_unit(0.4))
     assert len(calls) == steps
     g, gp = gap
     moved = 0.0 if abs(g) < 1e-15 or abs(gp) < 1e-8 or abs(g / gp) > 0.05 else -g / gp
-    assert math.atan2(y - 2.0, x - 1.0) == pytest.approx(0.4 + steps * moved, abs=1e-15)
+    assert math.atan2(z.imag, z.real) == pytest.approx(0.4 + steps * moved, abs=1e-15)
+    assert abs(abs(z) - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

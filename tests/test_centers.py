@@ -83,7 +83,8 @@ def test_gergonne_cevian_property(tri6913):
     X7 = core.bary_to_cartesian(centers.center(7, t), t)
     A, B, C = t.vertices
     for V, (P, Q) in zip((A, B, C), ((B, C), (C, A), (A, B))):
-        touch = core.foot_on_line(P, Q, inc.center)
+        d = Q - P
+        touch = P + ((inc.center - P) @ d) / (d @ d) * d  # foot from the incenter
         assert core.point_line_distance(X7, core.cart_line(V, touch)) < 1e-10
 
 

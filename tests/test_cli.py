@@ -542,6 +542,18 @@ def test_verify_names_worst_triangle_of_failed_check(tmp_path, capsys, monkeypat
     assert out.count("FAIL") == 2  # the claim's row and the check's row
 
 
+@pytest.mark.parametrize("circle", core.CIRCLE_TAGS)
+def test_solve_all_agrees_on_a_far_shifted_triangle(tmp_path, capsys, circle):
+    # the general solvers walk in the circle's frame, so a triangle 1e6 away
+    # from the origin solves as it does at the origin, up to the rounding
+    # of its input coordinates (about 1e-10)
+    vertices = [[1.5 + 1e6, 4.0 + 1e6], [1e6, 1e6], [6.0 + 1e6, 0.5 + 1e6]]
+    path = write(tmp_path, "p.json", {"triangle": {"vertices": vertices}, "circle": circle})
+    assert run(["solve", path, "--solver", "all"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residuals"]["cross_solver_max_deviation"] <= 1e-8
+
+
 def test_clockwise_vertex_input(tmp_path, capsys):
     # negatively oriented vertex triples work through every code path
     path = write(tmp_path, "p.json",

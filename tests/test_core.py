@@ -252,15 +252,19 @@ def test_bary_to_cartesian_bit_identical_to_array_formula(rng):
 
 
 def test_vertex_matrix_cartesian_bit_identical_to_array_formula(rng):
+    # the closed form's vertex matrices go through `rows_to_cartesian`, one
+    # matrix, a stacked pair or a batch of them
     rows = _random_bary_rows(rng, 9_999).reshape(-1, 3, 3)
     tri = core.triangle_from_sides(6, 9, 13)
     expected = (rows @ tri.vertices) / rows.sum(axis=-1)[..., None]
     for one, want in zip(rows, expected):
-        got = core.VertexMatrix(one, "T1", core.INCIRCLE).cartesian(tri)
+        got = core.rows_to_cartesian(one, tri.vertices)
         assert got.shape == (3, 2)
         assert np.array_equal(got, want)
+    pairs = core.rows_to_cartesian(rows[:3_332].reshape(-1, 2, 3, 3), tri.vertices[None])
+    assert np.array_equal(pairs.reshape(-1, 3, 2), expected[:3_332])
     batch = core.triangle_from_vertices(rng.normal(size=(len(rows), 3, 2)))
-    got = core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(batch)
+    got = core.rows_to_cartesian(rows, batch.vertices)
     assert got.shape == (3_333, 3, 2)
     assert np.array_equal(got, (rows @ batch.vertices) / rows.sum(axis=-1)[..., None])
 
@@ -276,9 +280,10 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
     batch = core.stack_triangles([tri345, tri345])
     calls = (lambda: core.bary_to_cartesian(row, tri345),
              lambda: core.bary_to_cartesian(np.array([[1.0, 1.0, 1.0], row]), batch),
-             lambda: core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(tri345),
-             lambda: core.VertexMatrix(np.array([np.eye(3), rows]), "T1",
-                                       core.INCIRCLE).cartesian(batch))
+             lambda: core.rows_to_cartesian(rows, tri345.vertices),
+             lambda: core.rows_to_cartesian(np.array([np.eye(3), rows]), batch.vertices),
+             # a closed-form pair, as `ccp_closed.solution_pair` evaluates it
+             lambda: core.rows_to_cartesian(np.array([np.eye(3), rows]), tri345.vertices[None]))
     for call in calls:
         if infinite:
             with pytest.raises(InfinitePoint):
@@ -300,7 +305,7 @@ def test_circle_radius_rejected(bad):
 def test_vertex_matrix_cartesian_rejects_row_at_infinity(tri345):
     rows = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 1e-15], [0.0, 0.0, 1.0]])
     with pytest.raises(InfinitePoint):
-        core.VertexMatrix(rows, "T1", core.INCIRCLE).cartesian(tri345)
+        core.rows_to_cartesian(rows, tri345.vertices)
 
 
 def test_line_incidence_by_construction(rng):

@@ -108,10 +108,8 @@ class SolvedTriangle:
         return self._built[key]
 
     def solutions(self, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-        t = self.triangle
-        return self._once(("solutions", tag), lambda: (
-            ccp_closed.incircle_solutions(t) if tag == core.INCIRCLE
-            else ccp_closed.excircle_solutions(t, tag[-1])))
+        return self._once(("solutions", tag),
+                          lambda: ccp_closed.solutions_for(self.triangle, tag))
 
     def vertices(self, tag: str) -> tuple[Array, Array]:
         """Cartesian vertices of the two solutions."""
@@ -125,11 +123,6 @@ class SolvedTriangle:
 
     def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
         return self.frame(tag, 0), self.frame(tag, 1)
-
-
-def solved(tri) -> SolvedTriangle:
-    """`tri` if it is a SolvedTriangle, else a new one of the TriangleData."""
-    return tri if isinstance(tri, SolvedTriangle) else SolvedTriangle(tri)
 
 
 def brocard_angle_from_eccentricity(delta: float, R: float) -> float:
@@ -247,13 +240,12 @@ def _radical_axis(c1: CircleData, c2: CircleData) -> Array:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def verify_shared_objects(tri: TriangleData | SolvedTriangle) -> Report:
+def verify_shared_objects(st: SolvedTriangle) -> Report:
     """Check that both incircle solutions share every Brocard-frame object.
 
     Triangles whose solution frames are degenerate (equilateral) skip the
     axis-dependent comparisons; all remaining ones must still agree.
     """
-    st = solved(tri)
     t = st.triangle
     f1, f2 = st.frames(core.INCIRCLE)
     tri1, tri2 = f1.triangle, f2.triangle
@@ -334,11 +326,10 @@ def _isodynamic_defect(frame: BrocardFrame) -> Array:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def de_longchamps_concurrence(tri: TriangleData | SolvedTriangle) -> Report:
+def de_longchamps_concurrence(st: SolvedTriangle) -> Report:
     """Check that the four shared Brocard axes (incircle + three excircles)
     all contain the reference's de Longchamps point, and that the incircle
     axis is the reference's Soddy line (through X1 and X7)."""
-    st = solved(tri)
     t = st.triangle
     X1, X7, X20 = (core.bary_to_cartesian(centers.center(k, t), t) for k in (1, 7, 20))
 

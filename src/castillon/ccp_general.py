@@ -168,12 +168,6 @@ class CcpSolution(NamedTuple):
         """The vertices, already cartesian; read like `VertexMatrix.cartesian`."""
         return self.vertices
 
-    def max_residuals(self, prob: CcpProblem) -> tuple[float, float]:
-        """(on-circle, side-incidence) residuals, both in length units."""
-        center, radius = prob.circle
-        on_circle = max(abs(np.linalg.norm(V - center) - radius) for V in self.vertices)
-        return on_circle, core.side_incidence(self.vertices, prob.points)[0]
-
 
 def _first_vertex_angle(walk) -> float:
     """Sort key for solutions: the angle of a walk's vertex 0, in [0, 2 pi)."""
@@ -252,34 +246,6 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
 # ---------------------------------------------------------------------------
 # axis (perspectrix) construction for the triangle / incircle-excircle case,
 # in the circle's frame
-
-
-def identify_circle(tri: TriangleData, circle: CircleData) -> str:
-    """Match a circle against the triangle's incircle/excircles.
-
-    The radii are area / s and area / (s - a) etc., as in `core.incircle`
-    and `core.excircle`; only a candidate of the circle's radius builds its
-    centre, from the barycentric weights (a, b, c) with the weight of the
-    excircle's vertex negated.
-    """
-    a, b, c = tri.sides
-    cx, cy, r = circle.xyr
-    candidates = (
-        (core.INCIRCLE, (a, b, c), tri.r),
-        (core.EXCIRCLE_A, (-a, b, c), tri.area / tri.u),
-        (core.EXCIRCLE_B, (a, -b, c), tri.area / tri.v),
-        (core.EXCIRCLE_C, (a, b, -c), tri.area / tri.w),
-    )
-    for tag, (wa, wb, wc), radius in candidates:
-        if abs(radius - r) > 1e-9 * radius:
-            continue
-        A, B, C = tri.vertices.tolist()
-        total = wa + wb + wc
-        ox = (wa * A[0] + wb * B[0] + wc * C[0]) / total
-        oy = (wa * A[1] + wb * B[1] + wc * C[1]) / total
-        if math.hypot(ox - cx, oy - cy) <= 1e-9 * radius:
-            return tag
-    raise GeometryError("circle is neither the incircle nor an excircle")
 
 
 def _touchpoints(A: complex, B: complex, C: complex) -> list[complex]:
@@ -389,7 +355,7 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolu
     ordered as `solve_ccp_mobius` orders its own, holding the walk's vertices
     as they are: a detour through barycentrics would only add rounding.
     """
-    identify_circle(tri, circle)
+    core.identify_circle(tri, circle)
     circ = cx, cy, r = circle.xyr
     A, B, C = [complex(x - cx, y - cy) / r for x, y in tri.vertices.tolist()]
     pivots = (B, C, A)

@@ -231,7 +231,7 @@ def _data_only(name: str) -> brocard.Check:
     return brocard.check(name, 0.0, 0.0, skipped=True, note="data-only")
 
 
-def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocard.Report:
+def verify_correspondences(st: brocard.SolvedTriangle) -> brocard.Report:
     """For every pair [i, k] with both indices in the registry, check that
     X_i of either incircle solution coincides with X_k of the reference.
 
@@ -241,7 +241,6 @@ def verify_correspondences(tri: TriangleData | brocard.SolvedTriangle) -> brocar
     vanishes on an equilateral triangle skips the triangles whose incircle
     solutions are equilateral.
     """
-    st = brocard.solved(tri)
     t = st.triangle
     f1, f2 = st.frames(core.INCIRCLE)
     tri1, tri2 = f1.triangle, f2.triangle

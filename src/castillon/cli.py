@@ -109,14 +109,8 @@ def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
         "circle": {"center": list(circle.center), "radius": circle.radius},
         "solutions": [_solution_entry(verts, tri) for verts in primary],
         "shared": _shared_block(st, spec.circle_tag),
+        "residuals": core.solution_residuals(circle, primary, tri.vertices, nearest=True),
     }
-    on_circle = max(
-        abs(np.linalg.norm(V - circle.center) - circle.radius)
-        for verts in primary for V in verts
-    ) / circle.radius
-    incidence = max(core.side_incidence(verts, tri.vertices, nearest=True)[0]
-                    for verts in primary) / circle.radius
-    doc["residuals"] = {"on_circle": on_circle, "incidence": incidence}
     if solver == "all":
         doc["residuals"]["cross_solver_max_deviation"] = _vertex_set_deviation(
             list(outputs.values()))
@@ -137,11 +131,8 @@ def _solve_general(spec: ProblemSpec) -> tuple[dict, int]:
     }
     if not sols:
         return doc, EXIT_NO_SOLUTION
-    residuals = [s.max_residuals(prob) for s in sols]
-    doc["residuals"] = {
-        "on_circle": max(r[0] for r in residuals) / spec.circle.radius,
-        "incidence": max(r[1] for r in residuals) / spec.circle.radius,
-    }
+    doc["residuals"] = core.solution_residuals(prob.circle, [s.vertices for s in sols],
+                                               prob.points, nearest=False)
     return doc, EXIT_OK
 
 
@@ -188,8 +179,7 @@ def cmd_solve(args) -> int:
 # verify
 
 
-def _twenty_three_claim(tri) -> brocard.Report:
-    st = brocard.solved(tri)
+def _twenty_three_claim(st: brocard.SolvedTriangle) -> brocard.Report:
     t = st.triangle
     gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
     mats = {(tag, vm.label): vm.rows
@@ -218,11 +208,16 @@ def _failed_rows(rep: brocard.Report, t: core.TriangleData) -> list:
     return rows
 
 
-def cmd_verify(args) -> int:
+def _load_triangle_problem(args) -> ProblemSpec:
+    """The problem file of a command that needs a triangle."""
     spec = problemfile.load_problem(args.input)
     if spec.triangle is None:
-        raise ProblemFileError("verify requires a triangle-based problem")
+        raise ProblemFileError(f"{args.command} requires a triangle-based problem")
+    return spec
 
+
+def cmd_verify(args) -> int:
+    spec = _load_triangle_problem(args)
     triangles = [spec.triangle]
     if args.sweep:
         seed = int(os.environ.get("CASTILLON_SEED", "0"))
@@ -253,9 +248,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_centers(args) -> int:
-    spec = problemfile.load_problem(args.input)
-    if spec.triangle is None:
-        raise ProblemFileError("centers requires a triangle-based problem")
+    spec = _load_triangle_problem(args)
     tri = spec.triangle
     if args.pairs:
         registry = set(centers.registry_indices())
@@ -281,9 +274,7 @@ def cmd_centers(args) -> int:
 
 
 def cmd_render(args) -> int:
-    spec = problemfile.load_problem(args.input)
-    if spec.triangle is None:
-        raise ProblemFileError("render requires a triangle-based problem")
+    spec = _load_triangle_problem(args)
     tri = spec.triangle
     if args.figure == "inc":
         text = figures.render_incircle(tri)
@@ -344,10 +335,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except UnknownCenter as exc:
+    except (ProblemFileError, UnknownCenter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (DegenerateTriangle, DegenerateComposition) as exc:

@@ -218,16 +218,18 @@ def triangle_from_vertices(pts) -> TriangleData:
 # barycentric <-> cartesian
 
 
+def _finite_total(x: float, y: float, z: float) -> float:
+    """Sum of one barycentric triple, as numpy sums three entries; InfinitePoint
+    where it is at most 1e-14 max |component|."""
+    total = x + y + z
+    if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
+        raise InfinitePoint("barycentric point at infinity has no cartesian image")
+    return total
+
+
 def _finite_totals(p: Array) -> Array:
-    """Sums of the barycentric triples along the last axis of `p`, kept as an
-    axis of 1; InfinitePoint where one is at most 1e-14 max |component|.  On
-    floats, left to right as numpy sums three entries: bit-identical."""
-    totals = []
-    for x, y, z in p.reshape(-1, 3).tolist():
-        total = x + y + z
-        if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
-            raise InfinitePoint("barycentric point at infinity has no cartesian image")
-        totals.append(total)
+    """`_finite_total` of each triple along the last axis, as an axis of 1."""
+    totals = [_finite_total(*row) for row in p.reshape(-1, 3).tolist()]
     return np.array(totals).reshape(p.shape[:-1] + (1,))
 
 
@@ -384,27 +386,13 @@ class CircleData(_Circle):
         return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
 
 
-def incircle(tri: TriangleData) -> CircleData:
-    center = bary_to_cartesian(np.array([tri.a, tri.b, tri.c]), tri)
-    return CircleData(center=center, radius=tri.r)
-
-
-def excircle(tri: TriangleData, which: str) -> CircleData:
-    """Excircle opposite vertex `which` in {'A','B','C'}."""
-    idx = "ABC".index(which)
-    weights = np.array([tri.a, tri.b, tri.c])
-    weights[idx] = -weights[idx]
-    radius = tri.area / (tri.u, tri.v, tri.w)[idx]
-    return CircleData(center=bary_to_cartesian(weights, tri), radius=radius)
-
-
 def circle_tangency_residual(circle: CircleData, line) -> float:
     """|distance(center, line) - radius|, in length units."""
     return abs(point_line_distance(circle.center, line) - circle.radius)
 
 
 # ---------------------------------------------------------------------------
-# solution triangles
+# the incircle, the excircles and their solution triangles
 
 INCIRCLE = "incircle"
 EXCIRCLE_A = "excircle-A"
@@ -412,13 +400,55 @@ EXCIRCLE_B = "excircle-B"
 EXCIRCLE_C = "excircle-C"
 CIRCLE_TAGS = (INCIRCLE, EXCIRCLE_A, EXCIRCLE_B, EXCIRCLE_C)
 
+# The one definition of each circle: the signs of its centre's barycentric
+# weights (a, b, c), negated at the excircle's vertex, and the field of
+# `TriangleData` its radius divides the area by (s, s - a, s - b, s - c).
+_CIRCLES = {
+    INCIRCLE: ((1.0, 1.0, 1.0), "s"),
+    EXCIRCLE_A: ((-1.0, 1.0, 1.0), "u"),
+    EXCIRCLE_B: ((1.0, -1.0, 1.0), "v"),
+    EXCIRCLE_C: ((1.0, 1.0, -1.0), "w"),
+}
+
+
+def _radius(tri: TriangleData, tag: str) -> float:
+    return tri.area / getattr(tri, _CIRCLES[tag][1])
+
 
 def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
-    if tag == INCIRCLE:
-        return incircle(tri)
-    if tag in (EXCIRCLE_A, EXCIRCLE_B, EXCIRCLE_C):
-        return excircle(tri, tag[-1])
-    raise GeometryError(f"unknown circle tag {tag!r}")
+    """The incircle or an excircle of one triangle, by tag.  The centre is
+    `bary_to_cartesian` of its weights, bit for bit (one matmul, numpy's
+    rounding), without the batch handling."""
+    if tag not in _CIRCLES:
+        raise GeometryError(f"unknown circle tag {tag!r}")
+    weights = [sign * side for sign, side in zip(_CIRCLES[tag][0], tri.sides)]
+    center = (np.array(weights) @ tri.vertices) / _finite_total(*weights)
+    return CircleData(center=center, radius=_radius(tri, tag))
+
+
+def identify_circle(tri: TriangleData, circle: CircleData) -> str:
+    """The tag of the triangle's circle that `circle` is, to 1e-9 of its radius.
+    Only a candidate of its radius builds a centre, with `tagged_circle`, so
+    a named circle matches exactly at any distance from the origin."""
+    cx, cy, r = circle.xyr
+    for tag in CIRCLE_TAGS:
+        radius = _radius(tri, tag)
+        if abs(radius - r) <= 1e-9 * radius:
+            ox, oy = tagged_circle(tri, tag).center.tolist()
+            if math.hypot(ox - cx, oy - cy) <= 1e-9 * radius:
+                return tag
+    raise GeometryError("circle is neither the incircle nor an excircle")
+
+
+def solution_residuals(circle: CircleData, solutions, points, nearest: bool) -> dict[str, float]:
+    """A `solve` document's residuals, in radii, the largest over the solutions'
+    vertex arrays: `on_circle`, a vertex's distance from the circle, and
+    `incidence`, the `side_incidence` of the points (`nearest` as there)."""
+    center, radius = circle
+    on_circle = max(abs(np.linalg.norm(V - center) - radius)
+                    for verts in solutions for V in verts)
+    incidence = max(side_incidence(verts, points, nearest)[0] for verts in solutions)
+    return {"on_circle": on_circle / radius, "incidence": incidence / radius}
 
 
 class VertexMatrix(NamedTuple):

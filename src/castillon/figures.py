@@ -17,6 +17,7 @@ import numpy as np
 from . import brocard, centers, core, inconic
 from .core import TriangleData
 
+MARGIN = 0.06  # padding around a figure's contents, a fraction of their larger extent
 STYLE = (
     "polygon, line, ellipse, circle, path { fill: none; vector-effect: non-scaling-stroke; }\n"
     "  .reference { stroke: #222222; stroke-width: 1.6; }\n"
@@ -54,7 +55,7 @@ class Frame(NamedTuple):
         return self.x0, self.y0, self.x0 + self.width, self.y0 + self.height
 
 
-def shared_frame(tri: TriangleData, margin: float = 0.06) -> Frame:
+def shared_frame(tri: TriangleData) -> Frame:
     """Frame holding the triangle plus incircle and all three excircles."""
     xs, ys = list(tri.vertices[:, 0]), list(tri.vertices[:, 1])
     for tag in core.CIRCLE_TAGS:
@@ -63,7 +64,7 @@ def shared_frame(tri: TriangleData, margin: float = 0.06) -> Frame:
         ys += [circ.center[1] - circ.radius, circ.center[1] + circ.radius]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    pad = margin * max(x1 - x0, y1 - y0)
+    pad = MARGIN * max(x1 - x0, y1 - y0)
     return Frame(x0=x0 - pad, y0=-(y1 + pad),
                  width=(x1 - x0) + 2 * pad, height=(y1 - y0) + 2 * pad)
 
@@ -139,7 +140,7 @@ def _document(frame: Frame, body: list[str]) -> str:
 
 def _incircle_body(st: brocard.SolvedTriangle) -> list[str]:
     V1, V2 = st.vertices(core.INCIRCLE)
-    return [_circle(core.incircle(st.triangle), "circle"),
+    return [_circle(core.tagged_circle(st.triangle, core.INCIRCLE), "circle"),
             _polygon(st.triangle.vertices, "reference"),
             _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
 
@@ -197,7 +198,7 @@ def render_inconic(tri: TriangleData, perspector) -> str:
     image = core.triangle_from_vertices(np.array([W @ V - W @ center for V in tri.vertices]))
     img_xs = list(image.vertices[:, 0]) + [-1.0, 1.0]
     img_ys = list(image.vertices[:, 1]) + [-1.0, 1.0]
-    pad = 0.06 * max(max(img_xs) - min(img_xs), max(img_ys) - min(img_ys))
+    pad = MARGIN * max(max(img_xs) - min(img_xs), max(img_ys) - min(img_ys))
     scale = top.width / (max(img_xs) - min(img_xs) + 2 * pad)
     offset_y = top.y0 + top.height + 0.05 * top.height
 

@@ -102,9 +102,24 @@ class ProblemSpec(NamedTuple):
     points: np.ndarray | None
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ProblemFileError(f"number {literal} is not a finite double")
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    _finite_float(literal)
+    return int(literal)
+
+
 def parse_problem_text(text: str) -> ProblemSpec:
+    """Parse a problem document; NaN, Infinity and numbers beyond a double
+    are invalid.  Integers stay `int`, as the `problem` echo prints them."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

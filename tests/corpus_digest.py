@@ -1,0 +1,93 @@
+"""Byte-comparison corpus: one sha256 per output document of a seeded set of
+problems, for checking that a change leaves every document byte-identical.
+
+    PYTHONPATH=src python tests/corpus_digest.py [--triangles N] [--seed S]
+
+Draws N triangles from the standard library's `random.Random(S)`, even
+indices given by their sides, odd ones by vertices at an offset from the
+origin.  Each triangle is run in-process through `solve --solver all` on
+the incircle and the three excircles, and every tenth one through
+`render --figure excs`.  Prints one line per document (name, exit code,
+sha256 of its stdout, or of its SVG) and a last line with the sha256 of
+all of them; run it at two commits and compare.  Stderr is not hashed:
+warnings carry absolute paths.  Not a test module: pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from castillon import cli
+
+CIRCLES = ("incircle", "excircle-A", "excircle-B", "excircle-C")
+
+
+def draw_triangle(rng: random.Random, i: int) -> dict:
+    """Sides log-uniform in [0.1, 10] for even i; for odd i, vertices
+    uniform in a box of side 20 around an offset of up to 100."""
+    if i % 2 == 0:
+        while True:
+            a, b, c = (math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(3))
+            if a + b > c and b + c > a and c + a > b:
+                return {"a": a, "b": b, "c": c}
+    ox, oy = rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)
+    return {"vertices": [[ox + rng.uniform(-10.0, 10.0), oy + rng.uniform(-10.0, 10.0)]
+                         for _ in range(3)]}
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def digests(n: int, seed: int, workdir: Path):
+    """(name, exit code, sha256) of every document, in order."""
+    rng = random.Random(seed)
+    for i in range(n):
+        triangle = draw_triangle(rng, i)
+        for circle in CIRCLES:
+            path = workdir / "problem.json"
+            path.write_text(json.dumps({"triangle": triangle, "circle": circle}),
+                            encoding="utf-8")
+            code, out = run(["solve", str(path), "--solver", "all"])
+            yield f"solve-{i}-{circle}", code, hashlib.sha256(out.encode()).hexdigest()
+        if i % 10 == 0:
+            path = workdir / "problem.json"
+            path.write_text(json.dumps({"triangle": triangle}), encoding="utf-8")
+            svg = workdir / "figure.svg"
+            svg.unlink(missing_ok=True)
+            code, _ = run(["render", str(path), "--figure", "excs", "--out", str(svg)])
+            text = svg.read_bytes() if svg.exists() else b""
+            yield f"render-{i}-excs", code, hashlib.sha256(text).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--triangles", type=int, default=250)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    total, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, code, digest in digests(args.triangles, args.seed, Path(tmp)):
+            line = f"{name} {code} {digest}"
+            print(line)
+            total.update(line.encode() + b"\n")
+            count += 1
+    print(f"all {count} documents {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,24 +113,24 @@ def test_shared_brocard_points_cyclic_structure(tri6913):
 
 def test_verify_shared_objects_fixed(tri6913, tri345, equilateral):
     for t in (tri6913, tri345, equilateral):
-        report = brocard.verify_shared_objects(t)
+        report = brocard.verify_shared_objects(brocard.SolvedTriangle(t))
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_verify_shared_objects_sweep(triangles_100):
     for t in triangles_100:
-        report = brocard.verify_shared_objects(t)
+        report = brocard.verify_shared_objects(brocard.SolvedTriangle(t))
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_de_longchamps_fixed(tri6913, tri345, equilateral):
     for t in (tri6913, tri345, equilateral):
-        report = brocard.de_longchamps_concurrence(t)
+        report = brocard.de_longchamps_concurrence(brocard.SolvedTriangle(t))
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_soddy_membership_345(tri345):
-    report = brocard.de_longchamps_concurrence(tri345)
+    report = brocard.de_longchamps_concurrence(brocard.SolvedTriangle(tri345))
     names = {c.name for c in report.checks}
     assert "incircle-axis-contains-X1" in names
     assert "incircle-axis-contains-X7" in names
@@ -138,7 +138,7 @@ def test_soddy_membership_345(tri345):
 
 def test_de_longchamps_sweep(triangles_100):
     for t in triangles_100[:40]:
-        assert brocard.de_longchamps_concurrence(t).passed
+        assert brocard.de_longchamps_concurrence(brocard.SolvedTriangle(t)).passed
 
 
 def _claim_residuals(t):

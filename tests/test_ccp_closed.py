@@ -28,7 +28,7 @@ def test_equilateral_first_row_proportions(equilateral):
 
 def test_vertices_on_incircle_6913(tri6913):
     # r = area / s with area = sqrt(14*8*5*1)
-    circ = core.incircle(tri6913)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
     assert abs(circ.radius - math.sqrt(14 * 8 * 5) / 14) < 1e-14
     for vm in ccp_closed.incircle_solutions(tri6913):
         for P in vm.cartesian(tri6913):
@@ -37,7 +37,7 @@ def test_vertices_on_incircle_6913(tri6913):
 
 
 def test_cross_oracle_against_parameter_solver(tri6913):
-    circ = core.incircle(tri6913)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
     sols = ccp_general.solve_ccp_mobius(ccp_general.CcpProblem.on_triangle(tri6913, circ))
     closed = np.vstack([vm.cartesian(tri6913)
                         for vm in ccp_closed.incircle_solutions(tri6913)])
@@ -56,7 +56,7 @@ def test_side_incidence_pattern(triangles_100):
 
 
 def test_excircle_solutions_on_circle_345(tri345):
-    circ = core.excircle(tri345, "A")
+    circ = core.tagged_circle(tri345, core.EXCIRCLE_A)
     assert abs(circ.radius - 2.0) < 1e-14
     for vm in ccp_closed.excircle_solutions(tri345, "A"):
         for P in vm.cartesian(tri345):
@@ -64,7 +64,7 @@ def test_excircle_solutions_on_circle_345(tri345):
 
 
 def test_excircle_cross_oracle_345(tri345):
-    circ = core.excircle(tri345, "A")
+    circ = core.tagged_circle(tri345, core.EXCIRCLE_A)
     sols = ccp_general.solve_ccp_mobius(ccp_general.CcpProblem.on_triangle(tri345, circ))
     closed = np.vstack([vm.cartesian(tri345)
                         for vm in ccp_closed.excircle_solutions(tri345, "A")])

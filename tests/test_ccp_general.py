@@ -102,17 +102,23 @@ def _solution_sets(sols):
     return np.vstack([s.vertices for s in sols])
 
 
+def _residuals(prob, sol) -> tuple[float, float]:
+    """(on-circle, side-incidence) residuals of one solution, in radii."""
+    res = core.solution_residuals(prob.circle, [sol.vertices], prob.points, nearest=False)
+    return res["on_circle"], res["incidence"]
+
+
 def test_two_solutions_match_closed_form(tri6913):
-    prob = CcpProblem.on_triangle(tri6913, core.incircle(tri6913))
+    prob = CcpProblem.on_triangle(tri6913, core.tagged_circle(tri6913, core.INCIRCLE))
     sols = ccp_general.solve_ccp_mobius(prob)
     assert len(sols) == 2
     vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
     closed = np.vstack([vm1.cartesian(tri6913), vm2.cartesian(tri6913)])
     assert set_deviation(closed, _solution_sets(sols)) < 1e-9 * prob.circle.radius
     for s in sols:
-        on_circle, incidence = s.max_residuals(prob)
-        assert on_circle < 1e-10 * prob.circle.radius
-        assert incidence < 1e-10 * prob.circle.radius
+        on_circle, incidence = _residuals(prob, s)
+        assert on_circle < 1e-10
+        assert incidence < 1e-10
 
 
 def test_far_points_approach_equilateral():
@@ -122,7 +128,7 @@ def test_far_points_approach_equilateral():
     sols = ccp_general.solve_ccp_mobius(CcpProblem(circle=UNIT, points=pts))
     assert len(sols) == 2
     for s in sols:
-        _, incidence = s.max_residuals(CcpProblem(circle=UNIT, points=pts))
+        _, incidence = _residuals(CcpProblem(circle=UNIT, points=pts), s)
         assert incidence < 1e-6
         # sides nearly equal: inscribed triangles approach equilateral
         sides = [np.linalg.norm(s.vertices[i] - s.vertices[(i + 1) % 3]) for i in range(3)]
@@ -157,12 +163,12 @@ def test_degenerate_composition_raises():
 
 def test_exactly_two_solutions_for_random_incircle_problems(triangles_100):
     for t in triangles_100:
-        prob = CcpProblem.on_triangle(t, core.incircle(t))
+        prob = CcpProblem.on_triangle(t, core.tagged_circle(t, core.INCIRCLE))
         assert len(ccp_general.solve_ccp_mobius(prob)) == 2
 
 
 def test_cyclic_shift_relabels_solutions(tri6913):
-    circ = core.incircle(tri6913)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
     base = ccp_general.solve_ccp_mobius(
         CcpProblem(circle=circ, points=tri6913.vertices))
     shifted = ccp_general.solve_ccp_mobius(
@@ -177,7 +183,7 @@ def test_quadrilateral_problem():
     assert len(sols) in (0, 1, 2)
     for s in sols:
         assert len(s.vertices) == 4
-        on_circle, incidence = s.max_residuals(prob)
+        on_circle, incidence = _residuals(prob, s)
         assert on_circle < 1e-9 and incidence < 1e-9
 
 
@@ -274,7 +280,7 @@ def test_every_mobius_solution_closes(cx, cy, r, polar):
 
 
 def test_perspectrix_matches_closed_form_incircle(tri6913):
-    circ = core.incircle(tri6913)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
     p1, p2 = ccp_general.solve_ccp_perspectrix(tri6913, circ)
     vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
     closed = np.vstack([vm1.cartesian(tri6913), vm2.cartesian(tri6913)])
@@ -283,7 +289,7 @@ def test_perspectrix_matches_closed_form_incircle(tri6913):
 
 
 def test_perspectrix_matches_closed_form_a_excircle(tri345):
-    circ = core.excircle(tri345, "A")
+    circ = core.tagged_circle(tri345, core.EXCIRCLE_A)
     p1, p2 = ccp_general.solve_ccp_perspectrix(tri345, circ)
     e1, e2 = ccp_closed.excircle_solutions(tri345, "A")
     closed = np.vstack([e1.cartesian(tri345), e2.cartesian(tri345)])
@@ -293,7 +299,7 @@ def test_perspectrix_matches_closed_form_a_excircle(tri345):
 
 def test_perspectrix_equilateral_reflection_symmetry(equilateral):
     t = equilateral
-    p1, p2 = ccp_general.solve_ccp_perspectrix(t, core.incircle(t))
+    p1, p2 = ccp_general.solve_ccp_perspectrix(t, core.tagged_circle(t, core.INCIRCLE))
     v1, v2 = p1.cartesian(t), p2.cartesian(t)
     # reflect through the vertical symmetry axis x = 1
     mirrored = np.column_stack([2.0 - v1[:, 0], v1[:, 1]])
@@ -301,7 +307,7 @@ def test_perspectrix_equilateral_reflection_symmetry(equilateral):
 
 
 def test_perspectrix_returns_what_mobius_returns(tri6913):
-    circ = core.excircle(tri6913, "B")
+    circ = core.tagged_circle(tri6913, core.EXCIRCLE_B)
     persp = ccp_general.solve_ccp_perspectrix(tri6913, circ)
     mobius = ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri6913, circ))
     assert type(persp) is type(mobius) is list
@@ -347,21 +353,26 @@ def test_general_solvers_far_from_the_origin(offset):
 
 
 def test_perspectrix_rejects_foreign_circle(tri345):
+    # the incircle's radius on a centre moved by 1e-6 r, and a radius (5)
+    # that is none of the incircle's 1 and the excircles' 2, 3 and 6
     from castillon.errors import GeometryError
-    with pytest.raises(GeometryError):
-        ccp_general.solve_ccp_perspectrix(tri345, core.CircleData(np.zeros(2), 5.0))
+    inc = core.tagged_circle(tri345, core.INCIRCLE)
+    for circle in (core.CircleData(inc.center + [0.0, 1e-6 * inc.radius], inc.radius),
+                   core.CircleData(np.zeros(2), 5.0)):
+        with pytest.raises(GeometryError, match="circle is neither the incircle nor an excircle"):
+            ccp_general.solve_ccp_perspectrix(tri345, circle)
 
 
 def test_solution_invariants_any_algorithm(triangles_100):
     # algorithm-independent verification of the on-circle and incidence
     # invariants for both solvers on a subsample
     for t in triangles_100[:25]:
-        circ = core.incircle(t)
+        circ = core.tagged_circle(t, core.INCIRCLE)
         prob = CcpProblem.on_triangle(t, circ)
         for sol in ccp_general.solve_ccp_mobius(prob):
-            on_circle, incidence = sol.max_residuals(prob)
-            assert on_circle < 1e-10 * circ.radius
-            assert incidence < 1e-10 * circ.radius
+            on_circle, incidence = _residuals(prob, sol)
+            assert on_circle < 1e-10
+            assert incidence < 1e-10
         for vm in ccp_general.solve_ccp_perspectrix(t, circ):
             verts = vm.cartesian(t)
             for i in range(3):
@@ -507,7 +518,7 @@ def test_perspectrix_later_rungs_match_closed_form(tri6913, monkeypatch, failing
         return None if len(calls) <= failing else real(*args)
 
     monkeypatch.setattr(ccp_general, "_axis_from_seeds", flaky)
-    circ = core.incircle(tri6913)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
     p1, p2 = ccp_general.solve_ccp_perspectrix(tri6913, circ)
     assert len(calls) == failing + 1
     vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
@@ -520,7 +531,7 @@ def test_perspectrix_raises_when_every_rung_degenerates(tri6913, monkeypatch):
     calls = []
     monkeypatch.setattr(ccp_general, "_axis_from_seeds", lambda *args: calls.append(args))
     with pytest.raises(PathClosed):
-        ccp_general.solve_ccp_perspectrix(tri6913, core.incircle(tri6913))
+        ccp_general.solve_ccp_perspectrix(tri6913, core.tagged_circle(tri6913, core.INCIRCLE))
     assert len(calls) == 6
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import castillon
-from castillon import centers, core
+from castillon import brocard, centers, core
 from castillon.errors import UnknownCenter
 
 REQUIRED = (1, 2, 3, 4, 6, 7, 15, 16, 20, 175, 176, 187, 279, 371, 372, 390,
@@ -79,7 +79,7 @@ def test_symmedian_distance_property(tri345):
 def test_gergonne_cevian_property(tri6913):
     # cevians through the intouch points concur at X7
     t = tri6913
-    inc = core.incircle(t)
+    inc = core.tagged_circle(t, core.INCIRCLE)
     X7 = core.bary_to_cartesian(centers.center(7, t), t)
     A, B, C = t.vertices
     for V, (P, Q) in zip((A, B, C), ((B, C), (C, A), (A, B))):
@@ -193,7 +193,7 @@ def test_pair_file_complete():
 
 def test_correspondences_fixed_triangles(tri6913, tri345):
     for t in (tri6913, tri345):
-        rep = centers.verify_correspondences(t)
+        rep = centers.verify_correspondences(brocard.SolvedTriangle(t))
         assert rep.passed
         assert len(rep.checks) == 56
         assert sum(not c.skipped for c in rep.checks) >= 10
@@ -206,7 +206,7 @@ def test_correspondences_fixed_triangles(tri6913, tri345):
 
 def test_correspondences_sweep(triangles_100):
     for t in triangles_100[:40]:
-        rep = centers.verify_correspondences(t)
+        rep = centers.verify_correspondences(brocard.SolvedTriangle(t))
         assert rep.passed, [(c.name, c.residual) for c in rep.checks if not c.passed]
 
 
@@ -272,10 +272,10 @@ def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
     from castillon import sampling
     rng = np.random.default_rng(20261018)
     tris = [sampling.random_triangle(rng) for _ in range(300)] + [tri6913, equilateral]
-    rep = centers.verify_correspondences(core.stack_triangles(tris))
+    rep = centers.verify_correspondences(brocard.SolvedTriangle(core.stack_triangles(tris)))
     assert rep.note == "11 verified, 45 data-only"
     for i, t in enumerate(tris):
-        alone = centers.verify_correspondences(t)
+        alone = centers.verify_correspondences(brocard.SolvedTriangle(t))
         for c, s in zip(rep.checks, alone.checks, strict=True):
             assert c.name == s.name
             assert np.broadcast_to(c.residual, (len(tris),))[i] == s.residual, (c.name, t.sides)
@@ -290,7 +290,7 @@ def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
 def test_equilateral_skips_only_its_own_row(equilateral, rng):
     # the pairs with a center that vanishes on an equilateral triangle skip
     # exactly the rows whose incircle solutions are equilateral
-    from castillon import brocard, sampling
+    from castillon import sampling
     tris = [equilateral] + [sampling.random_triangle(rng) for _ in range(20)]
     rep = centers.verify_correspondences(brocard.SolvedTriangle(core.stack_triangles(tris)))
     assert rep.passed and rep.note == "11 verified, 45 data-only"

@@ -229,7 +229,7 @@ def test_solution_file_residuals_reproducible(tmp_path, capsys):
     assert run(["solve", path, "--out", str(out_path)]) == 0
     doc = json.loads(out_path.read_text())
     tri = core.triangle_from_sides(6, 9, 13)
-    circ = core.incircle(tri)
+    circ = core.tagged_circle(tri, core.INCIRCLE)
     on_circle = 0.0
     incidence = 0.0
     for sol in doc["solutions"]:
@@ -242,6 +242,58 @@ def test_solution_file_residuals_reproducible(tmp_path, capsys):
                 core.point_line_distance(P, side) for P in tri.vertices) / circ.radius)
     assert abs(on_circle - doc["residuals"]["on_circle"]) < 1e-12
     assert abs(incidence - doc["residuals"]["incidence"]) < 1e-12
+
+
+BIG = "1" + "0" * 399  # a 400-digit integer, beyond a double's range
+
+
+@pytest.mark.parametrize("text, literal", [
+    ('{"triangle": {"a": NaN, "b": 4, "c": 5}, "circle": "incircle"}', "NaN"),
+    ('{"triangle": {"vertices": [[0, 0], [NaN, 0], [0, 1]]}, "circle": "incircle"}', "NaN"),
+    ('{"circle": {"center": [0, 0], "radius": NaN}, "points": [[2, 0], [0, 2], [-2, 0]]}',
+     "NaN"),
+    ('{"circle": {"center": [0, 0], "radius": 1e400}, "points": [[2, 0], [0, 2], [-2, 0]]}',
+     "1e400"),
+    ('{"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, Infinity], [-2, 0]]}',
+     "Infinity"),
+    ('{"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2], [-Infinity, 0]]}',
+     "-Infinity"),
+    ('{"triangle": {"a": %s, "b": 4, "c": 5}, "circle": "incircle"}' % BIG, BIG),
+    ('{"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2], [-%s, 0]]}' % BIG,
+     "-" + BIG),
+], ids=["nan-side", "nan-vertex", "nan-radius", "overflowing-radius", "infinite-point",
+        "minus-infinite-point", "400-digit-side", "400-digit-point"])
+def test_non_finite_numbers_are_invalid_input(tmp_path, capsys, text, literal):
+    # exit 2, not 4 (a degenerate configuration) or 1 (a failed claim)
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: number {literal} is not a finite double\n"
+
+
+GENERAL = {"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2], [-2, 0]]}
+
+
+@pytest.mark.parametrize("problem, solver, message", [
+    ({"triangle": {"a": 3, "b": 4, "c": 5}, "inconic_perspector": [1, 2, 3]}, "perspectrix",
+     "inconic problems support only the transport solver"),
+    (GENERAL, "perspectrix", "general problems support only the mobius solver"),
+    ({"triangle": {"a": 3, "b": 4, "c": 5}}, "closed", "solve needs a circle, perspector or points"),
+])
+def test_solve_rejects_what_it_cannot_solve(tmp_path, capsys, problem, solver, message):
+    path = write(tmp_path, "p.json", problem)
+    assert run(["solve", path, "--solver", solver]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "centers", "render"])
+def test_triangle_commands_reject_a_general_problem(tmp_path, capsys, command):
+    path = write(tmp_path, "p.json", GENERAL)
+    out = tmp_path / "fig.svg"
+    options = ["--figure", "inc", "--out", str(out)] if command == "render" else []
+    assert run([command, path, *options]) == 2
+    assert capsys.readouterr().err == f"error: {command} requires a triangle-based problem\n"
+    assert not out.exists()
 
 
 def test_parse_problem_rejects_ambiguity():
@@ -544,14 +596,16 @@ def test_verify_names_worst_triangle_of_failed_check(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("circle", core.CIRCLE_TAGS)
 def test_solve_all_agrees_on_a_far_shifted_triangle(tmp_path, capsys, circle):
-    # the general solvers walk in the circle's frame, so a triangle 1e6 away
-    # from the origin solves as it does at the origin, up to the rounding
-    # of its input coordinates (about 1e-10)
-    vertices = [[1.5 + 1e6, 4.0 + 1e6], [1e6, 1e6], [6.0 + 1e6, 0.5 + 1e6]]
-    path = write(tmp_path, "p.json", {"triangle": {"vertices": vertices}, "circle": circle})
-    assert run(["solve", path, "--solver", "all"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["residuals"]["cross_solver_max_deviation"] <= 1e-8
+    # the general solvers walk in the circle's frame, so a triangle far from
+    # the origin solves as it does at the origin, up to the rounding of its
+    # input coordinates (about 1e-10 at 1e6 and 1e-9 at 1e7); the perspectrix
+    # identifies its named circle exactly, at any offset
+    for offset in (1e6, 1e7):
+        vertices = [[1.5 + offset, 4.0 + offset], [offset, offset], [6.0 + offset, 0.5 + offset]]
+        path = write(tmp_path, "p.json", {"triangle": {"vertices": vertices}, "circle": circle})
+        assert run(["solve", path, "--solver", "all"]) == 0, offset
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residuals"]["cross_solver_max_deviation"] <= 1e-8, offset
 
 
 def test_clockwise_vertex_input(tmp_path, capsys):

@@ -165,19 +165,19 @@ def test_adjugate_matches_cofactor_loop(rng):
 
 
 def test_incircle_and_excircles(tri345, equilateral):
-    inc = core.incircle(tri345)
+    inc = core.tagged_circle(tri345, core.INCIRCLE)
     assert abs(inc.radius - 1.0) < 1e-14
     assert np.allclose(inc.center, [2, 1])
-    exc = core.excircle(tri345, "A")
+    exc = core.tagged_circle(tri345, core.EXCIRCLE_A)
     assert abs(exc.radius - 2.0) < 1e-14  # area/(s-a) = 6/3
     for which in "ABC":
-        circ = core.excircle(tri345, which)
+        circ = core.tagged_circle(tri345, f"excircle-{which}")
         for line in core.side_lines(tri345):
             assert core.circle_tangency_residual(circ, line) < 1e-12
-    eq = core.incircle(equilateral)
+    eq = core.tagged_circle(equilateral, core.INCIRCLE)
     assert abs(eq.radius - 1 / math.sqrt(3)) < 1e-14
     assert np.allclose(eq.center, equilateral.vertices.mean(axis=0))
-    radii = [core.excircle(equilateral, w).radius for w in "ABC"]
+    radii = [core.tagged_circle(equilateral, f"excircle-{w}").radius for w in "ABC"]
     assert max(radii) - min(radii) < 1e-14
 
 
@@ -185,12 +185,43 @@ def test_tangency_residual_random_triangles(triangles_100):
     for t in triangles_100:
         scale = max(t.sides)
         for which in "ABC":
-            circ = core.excircle(t, which)
+            circ = core.tagged_circle(t, f"excircle-{which}")
             for line in core.side_lines(t):
                 assert core.circle_tangency_residual(circ, line) < 1e-12 * scale
-        inc = core.incircle(t)
+        inc = core.tagged_circle(t, core.INCIRCLE)
         for line in core.side_lines(t):
             assert core.circle_tangency_residual(inc, line) < 1e-12 * scale
+
+
+def test_tagged_circle_is_its_weights_and_radius(rng):
+    # the centre is `bary_to_cartesian` of (a, b, c) with the excircle's
+    # vertex weight negated, bit for bit, and the radius the area over s,
+    # s - a, s - b or s - c; `identify_circle` names each at any offset
+    for _ in range(200):
+        t = core.triangle_from_vertices(10.0 ** rng.uniform(-2, 8) + rng.normal(size=(3, 2)))
+        for tag, negated, part in zip(core.CIRCLE_TAGS, (None, 0, 1, 2), (t.s, t.u, t.v, t.w)):
+            weights = np.array(t.sides)
+            if negated is not None:
+                weights[negated] = -weights[negated]
+            circ = core.tagged_circle(t, tag)
+            assert np.array_equal(circ.center, core.bary_to_cartesian(weights, t))
+            assert circ.radius == t.area / part
+            assert core.identify_circle(t, circ) == tag
+
+
+def test_tagged_circle_rejects_unknown_tag(tri345):
+    with pytest.raises(GeometryError, match="unknown circle tag 'excircle-D'"):
+        core.tagged_circle(tri345, "excircle-D")
+
+
+def test_tagged_circle_at_infinity_raises():
+    # the needle (2, 1, 1 + 1e-14) passes the flatness cutoff, but its
+    # A-excircle's weights (-a, b, c) sum to 1e-14, at most 1e-14 of the
+    # largest: that centre is a point at infinity
+    t = core.triangle_from_sides(2, 1, 1 + 1e-14)
+    with pytest.raises(InfinitePoint):
+        core.tagged_circle(t, core.EXCIRCLE_A)
+    assert np.isfinite(core.tagged_circle(t, core.EXCIRCLE_B).center).all()
 
 
 def test_line_through_basics():

@@ -30,6 +30,9 @@ TRI_6913 = {"a": 6, "b": 9, "c": 13}
 TRI_345 = {"a": 3, "b": 4, "c": 5}
 CLOCKWISE = {"vertices": [[3, 4], [3, 0], [0, 0]]}
 SKEWED = {"vertices": [[1.5, 4], [0, 0], [6, 0.5]]}
+# inputs that do not round exactly, so a one-ulp change of a circle shows
+INEXACT_SIDES = {"a": 0.3, "b": 0.7, "c": 0.9}
+INEXACT_VERTICES = {"vertices": [[0.1, 0.7], [-1.3, 0.2], [2.9, -0.4]]}
 CIRCLES = ("incircle", "excircle-A", "excircle-B", "excircle-C")
 
 
@@ -40,7 +43,9 @@ def _cases() -> dict:
         for solver in ("closed", "mobius", "perspectrix", "all"):
             cases[f"solve-6913-{circle}-{solver}"] = (
                 {"triangle": TRI_6913, "circle": circle}, ["solve", "--solver", solver], None)
-        for name, tri in (("clockwise", CLOCKWISE), ("skewed", SKEWED)):
+        for name, tri in (("clockwise", CLOCKWISE), ("skewed", SKEWED),
+                          ("inexact-sides", INEXACT_SIDES),
+                          ("inexact-vertices", INEXACT_VERTICES)):
             cases[f"solve-{name}-{circle}-all"] = (
                 {"triangle": tri, "circle": circle}, ["solve", "--solver", "all"], None)
     for name, tri, perspector in (("345-123", TRI_345, [1, 2, 3]),

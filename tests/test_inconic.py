@@ -11,7 +11,7 @@ from conftest import set_deviation
 def test_gergonne_perspector_gives_incircle(tri345):
     t = tri345
     spec = inconic.inconic_from_perspector([1 / t.u, 1 / t.v, 1 / t.w], t)
-    incircle_conic = core.circle_to_conic(core.incircle(t))
+    incircle_conic = core.circle_to_conic(core.tagged_circle(t, core.INCIRCLE))
     assert core.sin_angle(spec.conic.m, incircle_conic.m) < 1e-10
 
 
@@ -49,7 +49,7 @@ def _image_triangle(spec, tri):
 
 
 def _assert_unit_incircle(image):
-    circle = core.incircle(image)
+    circle = core.tagged_circle(image, core.INCIRCLE)
     assert np.linalg.norm(circle.center) < 1e-10 and abs(circle.radius - 1.0) < 1e-10
 
 

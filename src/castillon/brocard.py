@@ -111,15 +111,10 @@ class SolvedTriangle:
         return self._once(("solutions", tag),
                           lambda: ccp_closed.solutions_for(self.triangle, tag))
 
-    def vertices(self, tag: str) -> tuple[Array, Array]:
-        """Cartesian vertices of the two solutions."""
-        return self._once(("vertices", tag), lambda: tuple(
-            vm.vertices for vm in self.solutions(tag)))
-
     def frame(self, tag: str, k: int = 0) -> BrocardFrame:
         """Brocard frame of solution k: 0 for T1, 1 for T2."""
         return self._once(("frame", tag, k), lambda: brocard_frame(
-            core.triangle_from_vertices(self.vertices(tag)[k])))
+            core.triangle_from_vertices(self.solutions(tag)[k].vertices)))
 
     def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
         return self.frame(tag, 0), self.frame(tag, 1)
@@ -142,7 +137,6 @@ def inter_brocard_distance_sq(R: float, omega: float) -> float:
 class BrocardInellipse(NamedTuple):
     conic: ConicMatrix       # point-conic, cartesian frame
     semi_axes: tuple[float, float]
-    foci: tuple[Array, Array]
 
 
 def _ellipse_conic(center: Array, direction: Array, a_e: float, b_e: float) -> ConicMatrix:
@@ -169,7 +163,7 @@ def brocard_inellipse(frame: BrocardFrame) -> BrocardInellipse:
         direction = np.where((gap <= DEGENERATE_DELTA * frame.R)[..., None],
                              [1.0, 0.0], (f2 - f1) / gap[..., None])
     conic = _ellipse_conic(0.5 * (f1 + f2), direction, a_e, b_e)
-    return BrocardInellipse(conic=conic, semi_axes=(a_e, b_e), foci=(f1, f2))
+    return BrocardInellipse(conic=conic, semi_axes=(a_e, b_e))
 
 
 # ---------------------------------------------------------------------------

@@ -174,8 +174,8 @@ def solution_pair(sd: SignedSides, tri: TriangleData, tag: str,
     their cartesian vertices from one stacked matmul and one division."""
     rows = pair_rows(sd, tag, phi)
     vertices = core.rows_to_cartesian(rows, tri.vertices[..., None, :, :])
-    return (VertexMatrix(rows[..., 0, :, :], "T1", tag, vertices[..., 0, :, :]),
-            VertexMatrix(rows[..., 1, :, :], "T2", tag, vertices[..., 1, :, :]))
+    return (VertexMatrix(rows[..., 0, :, :], "T1", vertices[..., 0, :, :]),
+            VertexMatrix(rows[..., 1, :, :], "T2", vertices[..., 1, :, :]))
 
 
 def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:

@@ -112,19 +112,10 @@ class MobiusMap(NamedTuple):
         return math.hypot(a - half, b, c, d - half) / math.hypot(a, b, c, d)
 
 
-def chord_involution(circle: CircleData, P) -> MobiusMap:
-    """Involution t -> t' pairing the two circle intersections of chords
-    through P.  P at the center yields the antipodal map t -> -1/t; P on the
-    circle yields the (degenerate) constant map onto its own parameter."""
-    x, y = map(float, P)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise CenterPoint("chord pivot must be a finite point")
-    cx, cy, r = circle.xyr
-    return _involution(complex(x - cx, y - cy) / r)
-
-
 def _involution(p: complex) -> MobiusMap:
-    """`chord_involution` of the pivot p in the circle's frame."""
+    """Involution t -> t' pairing the ends of the chords through the pivot p
+    of the circle's frame: t -> -1/t for p at the center, and the (degenerate)
+    constant map onto p's own parameter for p on the circle."""
     return MobiusMap(p.imag, p.real - 1.0, p.real + 1.0, -p.imag)
 
 

@@ -1,13 +1,14 @@
 """Triangle-center registry (Kimberling indices) and the solution/reference
 correspondence verifier.
 
-Registry entries are barycentric functions of the sidelengths, and `center`
-evaluates one on a `TriangleData`, or on a batch of them, where the sides are
-arrays and each center an N x 3 array; the registry is the one source of
-center formulas, `brocard` included.  Provenance notes distinguish entries
-with an independent defining-property test in the suite from
-transcription-trusted ones, whose acceptance rests on homogeneity,
-permutation equivariance and the correspondence check itself.
+Registry entries are barycentric functions of a `TriangleData`'s sides,
+tangent lengths u, v, w and area, and `center` evaluates one on a triangle,
+or on a batch of them, where those fields are arrays and each center an
+N x 3 array; the registry is the one source of center formulas, `brocard`
+included.  Provenance notes distinguish entries with an independent
+defining-property test in the suite from transcription-trusted ones, whose
+acceptance rests on homogeneity, permutation equivariance and the
+correspondence check itself.
 
 The full correspondence list ships as a data file (one "i k" pair per line);
 pairs whose centers are not in the registry are reported data-only, never
@@ -37,8 +38,8 @@ def _sa(a, b, c):
 
 
 def _cyclic(f):
-    """Expand a first-coordinate rule into the full barycentric triple."""
-    return lambda a, b, c: np.stack([f(a, b, c), f(b, c, a), f(c, a, b)], axis=-1)
+    """Expand a first-coordinate rule on the sides into a triangle's barycentrics."""
+    return lambda t: np.stack([f(t.a, t.b, t.c), f(t.b, t.c, t.a), f(t.c, t.a, t.b)], axis=-1)
 
 
 def _normalized(triple):
@@ -55,29 +56,27 @@ _X6 = _cyclic(lambda a, b, c: a * a)
 _X7 = _cyclic(lambda a, b, c: (0.5 * (a + b + c) - b) * (0.5 * (a + b + c) - c))
 
 
-def _X15(a, b, c):
-    S = 2.0 * core.heron(a, b, c)
-    return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) + S))(a, b, c)
+def _X15(t):
+    S = 2.0 * t.area
+    return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) + S))(t)
 
 
-def _X16(a, b, c):
-    S = 2.0 * core.heron(a, b, c)
-    return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) - S))(a, b, c)
+def _X16(t):
+    S = 2.0 * t.area
+    return _cyclic(lambda x, y, z: x * x * (SQRT3 * _sa(x, y, z) - S))(t)
 
 
-def _X20(a, b, c):
+def _X20(t):
     # reflection of the orthocenter in the circumcenter
-    return 2.0 * _normalized(_X3(a, b, c)) - _normalized(_X4(a, b, c))
+    return 2.0 * _normalized(_X3(t)) - _normalized(_X4(t))
 
 
 def _soddy_pencil(mu):
     """Points [a + mu * area / (s-a) : ...] on the line through X1 and X7."""
-    def f(a, b, c):
-        area = core.heron(a, b, c)
-        s = 0.5 * (a + b + c)
-        return np.stack([a + mu * area / (s - a),
-                         b + mu * area / (s - b),
-                         c + mu * area / (s - c)], axis=-1)
+    def f(t):
+        return np.stack([t.a + mu * t.area / t.u,
+                         t.b + mu * t.area / t.v,
+                         t.c + mu * t.area / t.w], axis=-1)
     return f
 
 
@@ -90,10 +89,10 @@ _X187 = _cyclic(lambda a, b, c: a * a * (2 * a * a - b * b - c * c))
 
 
 def _brocard_pencil(factor_s, factor_q):
-    """Points [a^2 (S_A + t)] on the Brocard axis, t = factor_s*2*area + factor_q*(a^2+b^2+c^2)."""
-    def f(a, b, c):
-        t = factor_s * 2.0 * core.heron(a, b, c) + factor_q * (a * a + b * b + c * c)
-        return _cyclic(lambda x, y, z: x * x * (_sa(x, y, z) + t))(a, b, c)
+    """Points [a^2 (S_A + k)] on the Brocard axis, k = factor_s*2*area + factor_q*(a^2+b^2+c^2)."""
+    def f(t):
+        k = factor_s * 2.0 * t.area + factor_q * (t.a * t.a + t.b * t.b + t.c * t.c)
+        return _cyclic(lambda x, y, z: x * x * (_sa(x, y, z) + k))(t)
     return f
 
 
@@ -104,41 +103,39 @@ _X1152 = _brocard_pencil(-0.5, 0.0)
 _X3053 = _brocard_pencil(0.0, -0.25)  # = [a^2 (3a^2 - b^2 - c^2)] up to sign
 
 
-def _X279(a, b, c):
-    s = 0.5 * (a + b + c)
-    u, v, w = s - a, s - b, s - c
+def _X279(t):
+    u, v, w = t.u, t.v, t.w
     return np.stack([core.mathmap(pow, x, 2) for x in (v * w, w * u, u * v)], axis=-1)
 
 
-def _X390(a, b, c):
+def _X390(t):
     # reflection of X1 in X7
-    return 2.0 * _normalized(_X7(a, b, c)) - _normalized(_X1(a, b, c))
+    return 2.0 * _normalized(_X7(t)) - _normalized(_X1(t))
 
 
-def _X511(a, b, c):
+def _X511(t):
     # infinite point of the Brocard axis
-    return _normalized(_X3(a, b, c)) - _normalized(_X6(a, b, c))
+    return _normalized(_X3(t)) - _normalized(_X6(t))
 
 
 _X512 = _cyclic(lambda a, b, c: a * a * (b * b - c * c))
 _X514 = _cyclic(lambda a, b, c: b - c)
 
 
-def _X516(a, b, c):
+def _X516(t):
     # infinite point of the Soddy line (through X1 and X7)
-    return _normalized(_X7(a, b, c)) - _normalized(_X1(a, b, c))
+    return _normalized(_X7(t)) - _normalized(_X1(t))
 
 
-def _X1323(a, b, c):
+def _X1323(t):
     # Fletcher point: Soddy line meets the Gergonne line (trilinear polar of X7)
-    s = 0.5 * (a + b + c)
-    soddy = np.cross(_X1(a, b, c), _X7(a, b, c))
-    return np.cross(soddy, np.stack([s - a, s - b, s - c], axis=-1))
+    soddy = np.cross(_X1(t), _X7(t))
+    return np.cross(soddy, np.stack([t.u, t.v, t.w], axis=-1))
 
 
-def _X1350(a, b, c):
+def _X1350(t):
     # reflection of X3 in X6
-    return 2.0 * _normalized(_X6(a, b, c)) - _normalized(_X3(a, b, c))
+    return 2.0 * _normalized(_X6(t)) - _normalized(_X3(t))
 
 
 # --- registry ---------------------------------------------------------------
@@ -204,7 +201,7 @@ def center_definition(idx: int) -> CenterDef:
 
 def center(idx: int, t: TriangleData) -> Array:
     """Barycentrics of center X_idx w.r.t. the triangle."""
-    return center_definition(idx).fn(t.a, t.b, t.c)
+    return center_definition(idx).fn(t)
 
 
 # --- correspondence data and verification ----------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     CoincidentPoints,
-    DegenerateConic,
     DegenerateTriangle,
     GeometryError,
     InfinitePoint,
@@ -89,11 +88,6 @@ def sin_angles(p, q):
     return np.where((norm_p == 0.0) | (norm_q == 0.0), 1.0, np.minimum(1.0, orth))
 
 
-def sin_angle(p, q) -> float:
-    """`sin_angles` of one pair of vectors or matrices, compared entrywise."""
-    return float(sin_angles(np.ravel(p), np.ravel(q)))
-
-
 def normalize_bary(p) -> Array:
     """Canonical representative: component sum 1 for finite points,
     max |component| = 1 (first nonzero component positive) at infinity."""
@@ -106,11 +100,6 @@ def normalize_bary(p) -> Array:
         return p / total
     q = p / scale
     return q if q[np.flatnonzero(q)[0]] > 0 else -q
-
-
-def is_infinite_bary(p) -> bool:
-    p = np.asarray(p, dtype=float)
-    return abs(p.sum()) <= 1e-14 * np.abs(p).max()
 
 
 def homog(P) -> Array:
@@ -144,18 +133,6 @@ class TriangleData(NamedTuple):
     vertices: Array  # 3x2, rows A, B, C
 
     @property
-    def A(self) -> Array:
-        return self.vertices[..., 0, :]
-
-    @property
-    def B(self) -> Array:
-        return self.vertices[..., 1, :]
-
-    @property
-    def C(self) -> Array:
-        return self.vertices[..., 2, :]
-
-    @property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
@@ -171,18 +148,12 @@ def stack_triangles(triangles) -> TriangleData:
     return TriangleData(*(np.array(field) for field in zip(*triangles)))
 
 
-def heron(a: float, b: float, c: float) -> float:
-    """Triangle area from the sidelengths (Heron's formula)."""
-    s = 0.5 * (a + b + c)
-    return mathmap(math.sqrt, s * (s - a) * (s - b) * (s - c))
-
-
 def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
     if np.array((a, b, c, u, v, w)).min() <= 0.0:
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
-    area = heron(a, b, c)
+    area = mathmap(math.sqrt, s * u * v * w)  # Heron's formula
     if np.asarray(area < AREA_CUTOFF * s * s).any():
         raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
     return TriangleData(
@@ -382,14 +353,6 @@ class CircleData(_Circle):
         cx, cy = np.asarray(self.center, dtype=float).tolist()
         return cx, cy, float(self.radius)
 
-    def point_at(self, theta: float) -> Array:
-        return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
-
-
-def circle_tangency_residual(circle: CircleData, line) -> float:
-    """|distance(center, line) - radius|, in length units."""
-    return abs(point_line_distance(circle.center, line) - circle.radius)
-
 
 # ---------------------------------------------------------------------------
 # the incircle, the excircles and their solution triangles
@@ -415,26 +378,29 @@ def _radius(tri: TriangleData, tag: str) -> float:
     return tri.area / getattr(tri, _CIRCLES[tag][1])
 
 
+def _center(tri: TriangleData, tag: str) -> Array:
+    """A circle's centre: `bary_to_cartesian` of its weights, bit for bit (one
+    matmul, numpy's rounding), without the batch handling."""
+    weights = [sign * side for sign, side in zip(_CIRCLES[tag][0], tri.sides)]
+    return (np.array(weights) @ tri.vertices) / _finite_total(*weights)
+
+
 def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
-    """The incircle or an excircle of one triangle, by tag.  The centre is
-    `bary_to_cartesian` of its weights, bit for bit (one matmul, numpy's
-    rounding), without the batch handling."""
+    """The incircle or an excircle of one triangle, by tag."""
     if tag not in _CIRCLES:
         raise GeometryError(f"unknown circle tag {tag!r}")
-    weights = [sign * side for sign, side in zip(_CIRCLES[tag][0], tri.sides)]
-    center = (np.array(weights) @ tri.vertices) / _finite_total(*weights)
-    return CircleData(center=center, radius=_radius(tri, tag))
+    return CircleData(center=_center(tri, tag), radius=_radius(tri, tag))
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
     """The tag of the triangle's circle that `circle` is, to 1e-9 of its radius.
-    Only a candidate of its radius builds a centre, with `tagged_circle`, so
-    a named circle matches exactly at any distance from the origin."""
+    Only a candidate of its radius builds a centre, as `tagged_circle` does,
+    so a named circle matches exactly at any distance from the origin."""
     cx, cy, r = circle.xyr
     for tag in CIRCLE_TAGS:
         radius = _radius(tri, tag)
         if abs(radius - r) <= 1e-9 * radius:
-            ox, oy = tagged_circle(tri, tag).center.tolist()
+            ox, oy = _center(tri, tag).tolist()
             if math.hypot(ox - cx, oy - cy) <= 1e-9 * radius:
                 return tag
     raise GeometryError("circle is neither the incircle nor an excircle")
@@ -458,7 +424,6 @@ class VertexMatrix(NamedTuple):
 
     rows: Array  # 3x3
     label: str  # "T1" | "T2"
-    circle: str  # one of CIRCLE_TAGS
     vertices: Array  # 3x2, `rows_to_cartesian` of the rows
 
     def cartesian(self, tri: TriangleData) -> Array:
@@ -512,27 +477,6 @@ def adjugate3(M) -> Array:
     return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
 
 
-def circle_to_conic(circle: CircleData) -> ConicMatrix:
-    cx, cy = circle.center
-    r = circle.radius
-    if r <= 0.0:
-        raise GeometryError("degenerate circle has no conic matrix")
-    m = np.array([
-        [1.0, 0.0, -cx],
-        [0.0, 1.0, -cy],
-        [-cx, -cy, cx * cx + cy * cy - r * r],
-    ])
-    return ConicMatrix(m, POINT_CONIC)
-
-
-def conic_point_residual(conic: ConicMatrix, Ph) -> float:
-    """Scale-invariant on-conic residual of a homogeneous point."""
-    if conic.kind != POINT_CONIC:
-        raise GeometryError("point residual requires a point-conic")
-    Ph = np.asarray(Ph, dtype=float)
-    val = float(Ph @ conic.m @ Ph)
-    return abs(val) / (np.linalg.norm(conic.m) * float(Ph @ Ph))
-
 def conic_line_residual(conic: ConicMatrix, line) -> float:
     """Scale-invariant tangency residual of a homogeneous line."""
     n = conic.m if conic.kind == LINE_CONIC else adjugate3(conic.m)
@@ -544,28 +488,6 @@ def conic_line_residual(conic: ConicMatrix, line) -> float:
 def conic_bary_to_cart(conic: ConicMatrix, tri: TriangleData) -> ConicMatrix:
     W = np.linalg.inv(tri.bary_matrix())
     return ConicMatrix(W.T @ conic.m @ W, conic.kind)
-
-
-def conic_from_tangent_lines(lines) -> ConicMatrix:
-    """Dual conic through five line-coordinate triples.
-
-    The five tangency conditions l^T N l = 0 form a 5x6 linear system in the
-    entries of the symmetric dual matrix N; its null vector is the conic.
-    Raises DegenerateConic if the null space is not one-dimensional.
-    """
-    lines = np.asarray(lines, dtype=float)
-    if lines.shape != (5, 3):
-        raise GeometryError("exactly five lines are required")
-    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
-    l, m, n = lines[:, 0], lines[:, 1], lines[:, 2]
-    system = np.column_stack([l * l, 2 * l * m, 2 * l * n, m * m, 2 * m * n, n * n])
-    _, svals, vt = np.linalg.svd(system)
-    # a 5x6 system always has a null vector (vt[-1]); a second vanishing
-    # singular value means the lines do not pin down a unique conic
-    if svals[-1] <= 1e-10 * svals[0]:
-        raise DegenerateConic("tangent lines do not determine a unique conic")
-    A, B, C, D, E, F = vt[-1]
-    return ConicMatrix(np.array([[A, B, C], [B, D, E], [C, E, F]]), LINE_CONIC)
 
 
 class Ellipse(NamedTuple):

@@ -17,10 +17,6 @@ class CoincidentPoints(GeometryError):
     """Two points expected to span a line are (numerically) proportional."""
 
 
-class DegenerateConic(GeometryError):
-    """Conic fit produced a null space of dimension other than one."""
-
-
 class CenterPoint(GeometryError):
     """Chord pivot is not a finite point."""
 

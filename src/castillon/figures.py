@@ -139,7 +139,7 @@ def _document(frame: Frame, body: list[str]) -> str:
 
 
 def _incircle_body(st: brocard.SolvedTriangle) -> list[str]:
-    V1, V2 = st.vertices(core.INCIRCLE)
+    V1, V2 = (vm.vertices for vm in st.solutions(core.INCIRCLE))
     return [_circle(core.tagged_circle(st.triangle, core.INCIRCLE), "circle"),
             _polygon(st.triangle.vertices, "reference"),
             _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
@@ -174,7 +174,7 @@ def render_excircles(tri: TriangleData) -> str:
     body = [_polygon(tri.vertices, "reference")]
     axes = []
     for tag in core.CIRCLE_TAGS:
-        V1, V2 = st.vertices(tag)
+        V1, V2 = (vm.vertices for vm in st.solutions(tag))
         body += [_circle(core.tagged_circle(tri, tag), "circle"),
                  _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
         f = st.frame(tag)
@@ -214,7 +214,7 @@ def render_inconic(tri: TriangleData, perspector) -> str:
     tx = top.x0 - scale * (min(img_xs) - pad)
     ty = offset_y + scale * (max(img_ys) + pad)
     solved = brocard.SolvedTriangle(image)
-    V1, V2 = solved.vertices(core.INCIRCLE)
+    V1, V2 = (vm.vertices for vm in solved.solutions(core.INCIRCLE))
     img_ell = brocard.brocard_inellipse(solved.frame(core.INCIRCLE))
     body += [f'<g id="panel-image" '
              f'transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">',

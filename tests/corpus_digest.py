@@ -6,10 +6,12 @@ problems, for checking that a change leaves every document byte-identical.
 Draws N triangles from the standard library's `random.Random(S)`, even
 indices given by their sides, odd ones by vertices at an offset from the
 origin.  Each triangle is run in-process through `solve --solver all` on
-the incircle and the three excircles, and every tenth one through
-`render --figure excs`.  Prints one line per document (name, exit code,
-sha256 of its stdout, or of its SVG) and a last line with the sha256 of
-all of them; run it at two commits and compare.  Stderr is not hashed:
+the incircle and the three excircles and through `centers` (the whole
+registry), and every tenth one through `render --figure excs` and through
+`verify --sweep 40` with `CASTILLON_SEED` set to its index.  Prints one
+line per document (name, exit code, sha256 of its stdout, or of its SVG)
+and a last line with the sha256 of all of them; run it at two commits and
+compare.  Stderr is not hashed:
 warnings carry absolute paths.  Not a test module: pytest does not
 collect it.
 """
@@ -22,10 +24,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from castillon import cli
 
@@ -52,6 +56,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digests(n: int, seed: int, workdir: Path):
     """(name, exit code, sha256) of every document, in order."""
     rng = random.Random(seed)
@@ -62,15 +70,20 @@ def digests(n: int, seed: int, workdir: Path):
             path.write_text(json.dumps({"triangle": triangle, "circle": circle}),
                             encoding="utf-8")
             code, out = run(["solve", str(path), "--solver", "all"])
-            yield f"solve-{i}-{circle}", code, hashlib.sha256(out.encode()).hexdigest()
+            yield f"solve-{i}-{circle}", code, sha(out)
+        path = workdir / "problem.json"
+        path.write_text(json.dumps({"triangle": triangle}), encoding="utf-8")
+        code, out = run(["centers", str(path)])
+        yield f"centers-{i}", code, sha(out)
         if i % 10 == 0:
-            path = workdir / "problem.json"
-            path.write_text(json.dumps({"triangle": triangle}), encoding="utf-8")
             svg = workdir / "figure.svg"
             svg.unlink(missing_ok=True)
             code, _ = run(["render", str(path), "--figure", "excs", "--out", str(svg)])
             text = svg.read_bytes() if svg.exists() else b""
             yield f"render-{i}-excs", code, hashlib.sha256(text).hexdigest()
+            with mock.patch.dict(os.environ, {"CASTILLON_SEED": str(i)}):
+                code, out = run(["verify", str(path), "--sweep", "40"])
+            yield f"verify-{i}-sweep40", code, sha(out)
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,16 @@ from castillon import (
     inconic,
 )
 from castillon.ccp_general import CcpProblem
-from castillon.sampling import random_interior_perspector, random_triangle
+from castillon.sampling import random_triangle
 
 from conftest import set_deviation
+from oracles import (
+    chord_involution,
+    conic_from_tangent_lines,
+    point_at,
+    random_interior_perspector,
+    sin_angle,
+)
 
 SWEEP_SEED = 20260809
 UNIT = core.CircleData(np.zeros(2), 1.0)
@@ -112,11 +119,11 @@ def test_criterion_03_symmedian_is_gergonne(sweep_triangles):
     for tri in sweep_triangles:
         expected = np.array([1.0 / tri.u, 1.0 / tri.v, 1.0 / tri.w])
         for vm in ccp_closed.incircle_solutions(tri):
-            worst = max(worst, core.sin_angle(
+            worst = max(worst, sin_angle(
                 ccp_closed.solution_symmedian(vm, tri), expected))
     t = core.triangle_from_sides(6, 9, 13)
     vm1, _ = ccp_closed.incircle_solutions(t)
-    explicit = core.sin_angle(ccp_closed.solution_symmedian(vm1, t),
+    explicit = sin_angle(ccp_closed.solution_symmedian(vm1, t),
                               [1 / 8, 1 / 5, 1.0])
     ok = worst <= 1e-10 and explicit <= 1e-10
     _report(3, ok, f"symmedian-vs-[1/(s-a):1/(s-b):1/(s-c)] max {worst:.2e} "
@@ -175,8 +182,8 @@ def test_criterion_08_inconic_transport():
             worst_tangency = max(worst_tangency, sols.tangency_residual)
             sides = [core.cart_line(v[i], v[(i + 1) % 3])
                      for v in sols.triangles for i in range(3)]
-            fit = core.conic_from_tangent_lines(sides[:5])
-            worst_fit = max(worst_fit, core.sin_angle(fit.m, sols.conic.dual().m))
+            fit = conic_from_tangent_lines(sides[:5])
+            worst_fit = max(worst_fit, sin_angle(fit.m, sols.conic.dual().m))
             trials += 1
     ok = worst_tangency <= 1e-8 and worst_fit <= 1e-7
     _report(8, ok, f"{trials} perspector trials: two solutions each, "
@@ -225,7 +232,7 @@ def _trichotomy_family(scale):
 
 
 def _family_discriminant(scale):
-    maps = [ccp_general.chord_involution(UNIT, P) for P in _trichotomy_family(scale)]
+    maps = [chord_involution(UNIT, P) for P in _trichotomy_family(scale)]
     m = maps[0]
     for nxt in maps[1:]:
         m = nxt.compose(m)
@@ -256,7 +263,7 @@ def test_criterion_11_trichotomy(tmp_path):
     thetas = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
     min_closure = math.inf
     for theta in thetas:
-        P = UNIT.point_at(theta)
+        P = point_at(UNIT, theta)
         Q = P
         for pivot in zero_pts:
             d = pivot - Q

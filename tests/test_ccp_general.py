@@ -6,10 +6,11 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_general import CcpProblem, CcpSolution, chord_involution
-from castillon.errors import CenterPoint, DegenerateComposition, PathClosed
+from castillon.ccp_general import CcpProblem, CcpSolution
+from castillon.errors import CenterPoint, DegenerateComposition, GeometryError, PathClosed
 
 from conftest import bench_module, set_deviation
+from oracles import chord_involution, point_at, sin_angle
 
 UNIT = core.CircleData(np.zeros(2), 1.0)
 
@@ -37,9 +38,9 @@ def _on_unit(theta):
 def test_involution_fixes_point_on_circle():
     # a pivot on the circle is the chord's other end from anywhere, and a
     # walk that meets it continues from it
-    P = UNIT.point_at(0.0)
+    P = point_at(UNIT, 0.0)
     inv = chord_involution(UNIT, P)
-    assert core.sin_angle(_apply(inv, (0.3, 1.0)), (0.0, 1.0)) < 1e-15  # t = 0
+    assert sin_angle(_apply(inv, (0.3, 1.0)), (0.0, 1.0)) < 1e-15  # t = 0
     p = complex(*P)
     for theta in (0.5, 2.0, math.pi, 5.0):
         assert abs(ccp_general._chord(_on_unit(theta), p) - p) < 1e-15
@@ -60,7 +61,7 @@ def test_center_gives_antipodal_map():
 def test_involution_against_line_circle_oracle():
     P = np.array([2.0, 0.0])
     inv = chord_involution(UNIT, P)
-    Q = UNIT.point_at(math.pi / 2)  # t = 1
+    Q = point_at(UNIT, math.pi / 2)  # t = 1
     expected = second_intersection_oracle(UNIT, Q, P)
     got = ccp_general._chord(complex(*Q), complex(*P))
     assert abs(got - complex(*expected)) < 1e-12
@@ -73,6 +74,13 @@ def test_involution_against_line_circle_oracle():
 def test_involution_rejects_nan():
     with pytest.raises(CenterPoint):
         chord_involution(UNIT, np.array([np.nan, 0.0]))
+
+
+def test_problem_rejects_too_few_or_non_finite_points():
+    with pytest.raises(GeometryError, match="at least three cartesian points"):
+        CcpProblem(UNIT, [[2.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(CenterPoint, match="must be finite"):
+        CcpProblem(UNIT, [[2.0, 0.0], [0.0, np.nan], [-2.0, 0.0]])
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,7 +426,7 @@ def test_chord_step_rejects_pivot_at_current_point():
        st.floats(0, 2 * math.pi), st.floats(1.001, 5), st.floats(0, 2 * math.pi))
 def test_chord_step_against_line_circle_oracle(cx, cy, r, theta, rho, phi):
     circle = core.CircleData(np.array([cx, cy]), r)
-    Q = circle.point_at(theta)
+    Q = point_at(circle, theta)
     P = circle.center + rho * r * np.array([math.cos(phi), math.sin(phi)])
     w = ccp_general._chord(_in_frame(circle, Q), _in_frame(circle, P))
     got = (cx + r * w.real, cy + r * w.imag)
@@ -491,7 +499,7 @@ def _cross_point_sine(pivots, a1, b1, c1):
     (a1, a4), (b1, b4), (c1, c4) = ends
     h1 = np.cross(np.cross(a1, b4), np.cross(a4, b1))
     h2 = np.cross(np.cross(a1, c4), np.cross(a4, c1))
-    return core.sin_angle(h1, h2)
+    return sin_angle(h1, h2)
 
 
 def test_axis_points_sine_threshold(tri6913):

@@ -12,6 +12,7 @@ from castillon import cli, core
 from castillon.problemfile import ProblemFileError, parse_problem_text
 
 from conftest import bench_module
+from oracles import sin_angle
 
 
 def write(tmp_path, name, doc):
@@ -34,7 +35,7 @@ def test_solve_incircle_6913(tmp_path, capsys):
     assert doc["schema"] == "castillon/1"
     assert len(doc["solutions"]) == 2
     sym = np.array(doc["shared"]["symmedian"])
-    assert core.sin_angle(sym, [1 / 8, 1 / 5, 1.0]) < 1e-10
+    assert sin_angle(sym, [1 / 8, 1 / 5, 1.0]) < 1e-10
     assert doc["residuals"]["on_circle"] < 1e-10
     assert doc["residuals"]["incidence"] < 1e-10
 
@@ -85,11 +86,29 @@ def test_solve_thin_inconic_exits_degenerate(tmp_path, capsys):
     assert "common conic misses a solution side" in capsys.readouterr().err
 
 
+def test_solve_negative_perspector_is_its_positive_twin(tmp_path, capsys):
+    # an all-negative perspector names the same inconic; only the echoed
+    # problem differs
+    docs = []
+    for perspector in ([1, 2, 3], [-1, -2, -3]):
+        path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13},
+                                          "inconic_perspector": perspector})
+        assert run(["solve", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("problem")["inconic_perspector"] == perspector
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json", encoding="utf-8")
     assert run(["solve", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+    missing = tmp_path / "absent.json"
+    assert run(["verify", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
     missing_kind = write(tmp_path, "k.json", {"circle": "incircle"})
     assert run(["solve", missing_kind]) == 2
@@ -189,7 +208,7 @@ def test_centers_command(tmp_path, capsys):
     assert run(["centers", path, "--index", "7"]) == 0
     out = capsys.readouterr().out
     vals = np.array([float(x) for x in out.split()[1:]])
-    assert core.sin_angle(vals, [1 / 8, 1 / 5, 1.0]) < 1e-12
+    assert sin_angle(vals, [1 / 8, 1 / 5, 1.0]) < 1e-12
 
     assert run(["centers", path, "--pairs"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -272,6 +291,8 @@ def test_non_finite_numbers_are_invalid_input(tmp_path, capsys, text, literal):
 
 
 GENERAL = {"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2], [-2, 0]]}
+NO_KIND = ("no problem kind resolvable: give triangle+named circle, "
+           "triangle+inconic_perspector, or circle+points")
 
 
 @pytest.mark.parametrize("problem, solver, message", [
@@ -279,6 +300,10 @@ GENERAL = {"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2],
      "inconic problems support only the transport solver"),
     (GENERAL, "perspectrix", "general problems support only the mobius solver"),
     ({"triangle": {"a": 3, "b": 4, "c": 5}}, "closed", "solve needs a circle, perspector or points"),
+    ({"inconic_perspector": [1, 2, 3]}, "closed", "an inconic perspector requires a triangle"),
+    ({"circle": {"center": [0, 0], "radius": 1}}, "closed", NO_KIND),
+    ({"triangle": {"a": 3, "b": 4, "c": 5}, "circle": {"center": [0, 0], "radius": 1}},
+     "closed", NO_KIND),
 ])
 def test_solve_rejects_what_it_cannot_solve(tmp_path, capsys, problem, solver, message):
     path = write(tmp_path, "p.json", problem)
@@ -390,6 +415,24 @@ def test_console_script_subprocess(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_cli_module_entry_point(tmp_path):
+    # `python -m castillon.cli`, as the benchmark runs it, prints what
+    # `cli.main` prints in process
+    import castillon
+    import subprocess
+    package_root = os.path.dirname(os.path.dirname(castillon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    prob = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
+    proc = subprocess.run([sys.executable, "-m", "castillon.cli", "solve", prob,
+                           "--solver", "all"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "s.json"
+    assert run(["solve", prob, "--solver", "all", "--out", str(out)]) == 0
+    assert proc.stdout == out.read_text(encoding="utf-8")
 
 
 def test_console_script_declared():

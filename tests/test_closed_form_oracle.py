@@ -18,6 +18,8 @@ import pytest
 from castillon import ccp_closed, core
 from castillon.ccp_closed import PHI
 
+from oracles import sin_angle
+
 
 def displayed_incircle(a, b, c, phi):
     """The paper's displayed incircle matrices (T1, T2), cleared rows."""
@@ -73,7 +75,7 @@ def test_excircle_rows_match_displayed_matrices(triangles_100):
             refs = displayed(tag, t.a, t.b, t.c, PHI)
             for vm, ref in zip(ccp_closed.excircle_solutions(t, tag[-1]), refs):
                 for row, ref_row in zip(vm.rows, ref):
-                    assert core.sin_angle(row, np.array(ref_row)) < ROW_SINE_TOL, \
+                    assert sin_angle(row, np.array(ref_row)) < ROW_SINE_TOL, \
                         (t.sides, tag, vm.label)
 
 

@@ -3,23 +3,32 @@ import pytest
 
 from castillon import brocard, ccp_closed, core, inconic
 from castillon.errors import GeometryError, NonEllipse
-from castillon.sampling import random_interior_perspector, random_triangle
+from castillon.sampling import random_triangle
 
 from conftest import set_deviation
+from oracles import (
+    circle_tangency_residual,
+    circle_to_conic,
+    conic_from_tangent_lines,
+    conic_point_residual,
+    random_interior_perspector,
+    sin_angle,
+)
 
 
 def test_gergonne_perspector_gives_incircle(tri345):
     t = tri345
     spec = inconic.inconic_from_perspector([1 / t.u, 1 / t.v, 1 / t.w], t)
-    incircle_conic = core.circle_to_conic(core.tagged_circle(t, core.INCIRCLE))
-    assert core.sin_angle(spec.conic.m, incircle_conic.m) < 1e-10
+    incircle_conic = circle_to_conic(core.tagged_circle(t, core.INCIRCLE))
+    assert sin_angle(spec.conic.m, incircle_conic.m) < 1e-10
 
 
 def test_centroid_perspector_gives_steiner_inellipse(tri345):
     t = tri345
     spec = inconic.inconic_from_perspector([1.0, 1.0, 1.0], t)
-    for M in ((t.B + t.C) / 2, (t.C + t.A) / 2, (t.A + t.B) / 2):
-        assert core.conic_point_residual(spec.conic, core.homog(M)) < 1e-12
+    A, B, C = t.vertices
+    for M in ((B + C) / 2, (C + A) / 2, (A + B) / 2):
+        assert conic_point_residual(spec.conic, core.homog(M)) < 1e-12
     for line in core.side_lines(t):
         assert core.conic_line_residual(spec.conic, line) < 1e-10
 
@@ -29,7 +38,7 @@ def test_symmedian_perspector_gives_brocard_inellipse(tri345):
     a, b, c = t.sides
     spec = inconic.inconic_from_perspector([a * a, b * b, c * c], t)
     reference_ellipse = brocard.brocard_inellipse(brocard.brocard_frame(t))
-    assert core.sin_angle(spec.conic.m, reference_ellipse.conic.m) < 1e-10
+    assert sin_angle(spec.conic.m, reference_ellipse.conic.m) < 1e-10
     # foci are the reference's Brocard points
     f = brocard.brocard_frame(t)
     got_center = core.ellipse_axes(spec.conic).center
@@ -77,7 +86,7 @@ def test_random_perspector_tangency(tri6913, rng):
         image = _image_triangle(spec, tri6913)
         unit = core.CircleData(np.zeros(2), 1.0)
         for line in core.side_lines(image):
-            assert core.circle_tangency_residual(unit, line) < 1e-10
+            assert circle_tangency_residual(unit, line) < 1e-10
 
 
 def test_identity_transport_for_incircle(tri6913):
@@ -90,7 +99,7 @@ def test_identity_transport_for_incircle(tri6913):
     # returned conic is the solutions' shared inellipse
     sol_tri = core.triangle_from_vertices(ccp_closed.incircle_solutions(t)[0].cartesian(t))
     shared = brocard.brocard_inellipse(brocard.brocard_frame(sol_tri))
-    assert core.sin_angle(sols.conic.m, shared.conic.m) < 1e-9
+    assert sin_angle(sols.conic.m, shared.conic.m) < 1e-9
 
 
 def test_steiner_solutions_tangent_to_single_conic(tri345):
@@ -103,9 +112,9 @@ def test_steiner_solutions_tangent_to_single_conic(tri345):
              for v in sols.triangles for i in range(3)]
     dual = sols.conic.dual()
     for skip in range(6):
-        fit = core.conic_from_tangent_lines(
+        fit = conic_from_tangent_lines(
             [s for i, s in enumerate(sides) if i != skip])
-        assert core.sin_angle(fit.m, dual.m) < 1e-7
+        assert sin_angle(fit.m, dual.m) < 1e-7
 
 
 def _on_inconic_residual(P, tri, perspector) -> float:
@@ -131,10 +140,10 @@ def test_transport_sweep(rng):
                 for P in verts:
                     assert _on_inconic_residual(P, t, perspector) <= 1e-12
             # the conic fitted to five of the six sides is the returned one
-            fit = core.conic_from_tangent_lines(
+            fit = conic_from_tangent_lines(
                 [core.cart_line(v[i], v[(i + 1) % 3])
                  for v in sols.triangles for i in range(3)][:5])
-            assert core.sin_angle(fit.m, sols.conic.dual().m) < 1e-7
+            assert sin_angle(fit.m, sols.conic.dual().m) < 1e-7
 
 
 def test_tangency_preserved_for_arbitrary_tangents(tri6913):

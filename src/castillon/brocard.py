@@ -135,7 +135,7 @@ def inter_brocard_distance_sq(R: float, omega: float) -> float:
 
 
 class BrocardInellipse(NamedTuple):
-    conic: ConicMatrix       # point-conic, cartesian frame
+    conic: ConicMatrix       # cartesian frame
     semi_axes: tuple[float, float]
 
 
@@ -149,7 +149,7 @@ def _ellipse_conic(center: Array, direction: Array, a_e: float, b_e: float) -> C
     local[..., 0, 0], local[..., 1, 1] = 1.0 / (a_e * a_e), 1.0 / (b_e * b_e)
     local[..., 2, 2] = -1.0
     Tinv = np.linalg.inv(T)
-    return ConicMatrix(np.swapaxes(Tinv, -1, -2) @ local @ Tinv, core.POINT_CONIC)
+    return ConicMatrix(np.swapaxes(Tinv, -1, -2) @ local @ Tinv)
 
 
 def brocard_inellipse(frame: BrocardFrame) -> BrocardInellipse:
@@ -258,7 +258,6 @@ def verify_shared_objects(st: SolvedTriangle) -> Report:
     coincident = core.norm(join) <= DEGENERATE_DELTA * R
     radical = _radical_axis(CircleData(center=f1.X3_cart, radius=R), f1.circle)
     sides = np.concatenate([core.side_lines(tri1), core.side_lines(tri2)], axis=-2)
-    dual = e1.conic.dual()
     checks = (
         check("brocard-angle-equal", abs(f1.omega - f2.omega), 1e-12),
         check("brocard-angle-bound", np.maximum(0.0, f1.omega - math.pi / 6.0 - 1e-12),
@@ -298,9 +297,7 @@ def verify_shared_objects(st: SolvedTriangle) -> Report:
         check("inellipse-major-axis", abs(e1.semi_axes[0] - R * sin_w) / (R * sin_w), 1e-10),
         check("inellipse-axes-ratio",
               abs(e1.semi_axes[1] / e1.semi_axes[0] - 2.0 * sin_w), 1e-12),
-        check("inellipse-tangent-six-sides", np.max(
-            [core.conic_line_residual(dual, L) for L in np.moveaxis(sides, -2, 0)], axis=0),
-              1e-9),
+        check("inellipse-tangent-six-sides", core.tangency_residual(e1.conic, sides), 1e-9),
     )
     return Report(name="shared-brocard-objects", checks=checks)
 

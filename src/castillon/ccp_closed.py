@@ -99,8 +99,6 @@ class SignedSides(NamedTuple):
 
     def exverted(self, vertex: str) -> "SignedSides":
         key = vertex.lower()
-        if key not in self._fields:
-            raise ValueError(f"vertex must be A, B or C, got {vertex!r}")
         return self._replace(**{key: -getattr(self, key)})
 
     def rotated(self) -> "SignedSides":

@@ -257,10 +257,13 @@ def cmd_centers(args) -> int:
             print(f"{i} {k} {status}")
         return EXIT_OK
     rows = []
+    equilateral = brocard.brocard_frame(tri).degenerate
     for idx in args.index or centers.registry_indices():
-        bary = centers.center(int(idx), tri)
+        definition = centers.center_definition(int(idx))
         try:
-            bary = core.normalize_bary(bary)
+            if equilateral and definition.equilateral_undefined:
+                raise GeometryError("equilateral triangle")
+            bary = core.normalize_bary(definition.fn(tri))
         except GeometryError as exc:
             raise GeometryError(f"X{idx} is undefined on this triangle ({exc})") from exc
         x, y, z = (float(f"{v:.15g}") for v in bary)

@@ -1,9 +1,7 @@
 """Numeric foundation: triangles, barycentric coordinates, lines, circles, conics.
 
-Everything operates on small numpy arrays, except the float kernels of the
-solvers (`cross`, `line_through`, `CircleData.xyr`), which take and return
-plain floats because numpy's per-call dispatch on 2- and 3-vectors costs
-more than the arithmetic.  The general solvers' chord walks run on complex
+Everything operates on small numpy arrays; `CircleData.xyr` hands the
+general solvers a circle as plain floats.  Their chord walks run on complex
 numbers in the circle's own frame, where it is the unit circle, through one
 chord formula (`ccp_general._chord`).  The verify path works on batches
 instead: a `TriangleData` whose fields are arrays with a leading batch axis
@@ -249,29 +247,17 @@ def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
 # lines
 
 
-def cross(p, q) -> tuple[float, float, float]:
-    """Cross product of two 3-vectors on plain floats.
-
-    The same multiplies and subtracts as `np.cross`, so the result is
-    bit-identical, without numpy's per-call dispatch.
-    """
-    p0, p1, p2 = p
-    q0, q1, q2 = q
-    return (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
-
-
 def line_through(p, q) -> Array:
     """Homogeneous line through two homogeneous points (cross product).
 
     Valid in barycentric or cartesian-homogeneous coordinates alike; by
     duality, the same cross product is the meet of two lines.
     """
-    p = np.asarray(p, dtype=float).tolist()
-    q = np.asarray(q, dtype=float).tolist()
-    line = cross(p, q)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    line = np.cross(p, q)
     if math.hypot(*line) <= 1e-14 * math.hypot(*p) * math.hypot(*q):
         raise CoincidentPoints("points are proportional; no unique line")
-    return np.array(line)
+    return line
 
 
 def incidence_residual(line, p) -> float:
@@ -349,7 +335,7 @@ class CircleData(_Circle):
     @cached_property
     def xyr(self) -> tuple[float, float, float]:
         """(center x, center y, radius) of one circle as plain floats, for
-        the float kernels."""
+        the general solvers' chord walks."""
         cx, cy = np.asarray(self.center, dtype=float).tolist()
         return cx, cy, float(self.radius)
 
@@ -435,38 +421,24 @@ class VertexMatrix(NamedTuple):
 # ---------------------------------------------------------------------------
 # conics
 
-POINT_CONIC = "point"
-LINE_CONIC = "line"
-
-
 class _Conic(NamedTuple):
     m: Array
-    kind: str
 
 
 class ConicMatrix(_Conic):
-    """Symmetric homogeneous 3x3 conic matrix, or a batch (N x 3 x 3).
-
-    kind 'point': x^T M x = 0 for points on the conic.
-    kind 'line':  l^T M l = 0 for tangent lines (dual form).
-    """
+    """Symmetric homogeneous 3x3 point-conic matrix M, x^T M x = 0 for the
+    points x on the conic, or a batch (N x 3 x 3)."""
 
     __slots__ = ()
 
-    def __new__(cls, m, kind):
+    def __new__(cls, m):
         m = np.asarray(m, dtype=float)
         if m.shape[-2:] != (3, 3):
             raise GeometryError("conic matrix must be 3x3 symmetric")
         mt = np.swapaxes(m, -1, -2)
         if np.any(np.abs(m - mt).max(axis=(-2, -1)) > 1e-12 * np.abs(m).max(axis=(-2, -1))):
             raise GeometryError("conic matrix must be 3x3 symmetric")
-        if kind not in (POINT_CONIC, LINE_CONIC):
-            raise GeometryError(f"unknown conic kind {kind!r}")
-        return super().__new__(cls, 0.5 * (m + mt), kind)
-
-    def dual(self) -> "ConicMatrix":
-        kind = LINE_CONIC if self.kind == POINT_CONIC else POINT_CONIC
-        return ConicMatrix(adjugate3(self.m), kind)
+        return super().__new__(cls, 0.5 * (m + mt))
 
 
 def adjugate3(M) -> Array:
@@ -477,17 +449,20 @@ def adjugate3(M) -> Array:
     return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
 
 
-def conic_line_residual(conic: ConicMatrix, line) -> float:
-    """Scale-invariant tangency residual of a homogeneous line."""
-    n = conic.m if conic.kind == LINE_CONIC else adjugate3(conic.m)
-    line = np.asarray(line, dtype=float)
-    val = dot((line[..., None, :] @ n)[..., 0, :], line)
-    return abs(val) / (norm(n.reshape(n.shape[:-2] + (9,))) * dot(line, line))
+def tangency_residual(conic: ConicMatrix, lines) -> Array:
+    """Largest scale-invariant tangency residual |l^T N l| / (|N| |l|^2) over
+    a stack of homogeneous lines l (..., k, 3), where N is the conic's
+    adjugate, its dual (line) form, formed once."""
+    n = adjugate3(conic.m)[..., None, :, :]
+    lines = np.asarray(lines, dtype=float)
+    val = dot((lines[..., None, :] @ n)[..., 0, :], lines)
+    return np.max(abs(val) / (norm(n.reshape(n.shape[:-2] + (9,))) * dot(lines, lines)),
+                  axis=-1)
 
 
 def conic_bary_to_cart(conic: ConicMatrix, tri: TriangleData) -> ConicMatrix:
     W = np.linalg.inv(tri.bary_matrix())
-    return ConicMatrix(W.T @ conic.m @ W, conic.kind)
+    return ConicMatrix(W.T @ conic.m @ W)
 
 
 class Ellipse(NamedTuple):
@@ -499,8 +474,6 @@ class Ellipse(NamedTuple):
 def ellipse_axes(conic: ConicMatrix) -> Ellipse:
     """Centre, semi-axes and axis directions of a real ellipse given as a
     cartesian point-conic, from one `solve` and one `eigh`."""
-    if conic.kind != POINT_CONIC:
-        raise GeometryError("ellipse axes require a point-conic")
     M = conic.m
     center = np.linalg.solve(M[:2, :2], -M[:2, 2])
     Q, val = M[:2, :2], float(M[2, 2] + M[:2, 2] @ center)

@@ -27,7 +27,7 @@ Array = np.ndarray
 
 class InconicSpec(NamedTuple):
     perspector: Array            # positive barycentric triple
-    conic: ConicMatrix           # point-conic, cartesian frame
+    conic: ConicMatrix           # cartesian frame
 
 
 def _inconic_matrix(p) -> Array:
@@ -51,7 +51,7 @@ def inconic_from_perspector(p, tri: TriangleData) -> InconicSpec:
         p = -p
     if not np.all(p > 0):
         raise NonEllipse("perspector must be interior (all components positive)")
-    conic_bary = ConicMatrix(_inconic_matrix(p), core.POINT_CONIC)
+    conic_bary = ConicMatrix(_inconic_matrix(p))
     return InconicSpec(perspector=p, conic=core.conic_bary_to_cart(conic_bary, tri))
 
 
@@ -64,7 +64,7 @@ def circularizing_map(spec: InconicSpec) -> tuple[Array, Array]:
 
 class InconicSolutions(NamedTuple):
     triangles: tuple[Array, Array]     # two 3x2 cartesian vertex arrays
-    conic: ConicMatrix                 # the common circumscribed conic (point kind)
+    conic: ConicMatrix                 # the common circumscribed conic
     tangency_residual: float
     incidence_residual: float
 
@@ -80,12 +80,10 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
 
     Binv = np.linalg.inv(t1.rows / t1.rows.sum(axis=1, keepdims=True))
     q = p @ Binv
-    conic = core.conic_bary_to_cart(
-        ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T, core.POINT_CONIC), tri)
+    conic = core.conic_bary_to_cart(ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T), tri)
 
-    dual = conic.dual()
-    tangency = max(core.conic_line_residual(dual, core.cart_line(v[i], v[(i + 1) % 3]))
-                   for v in triangles for i in range(3))
+    tangency = core.tangency_residual(
+        conic, [core.cart_line(v[i], v[(i + 1) % 3]) for v in triangles for i in range(3)])
     if tangency > 1e-8:
         raise GeometryError(f"common conic misses a solution side ({tangency:.2e})")
 

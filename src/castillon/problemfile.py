@@ -203,8 +203,6 @@ def round15(value):
         return {k: round15(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [round15(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return round15(value.tolist())
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):

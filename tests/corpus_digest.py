@@ -5,10 +5,13 @@ problems, for checking that a change leaves every document byte-identical.
 
 Draws N triangles from the standard library's `random.Random(S)`, even
 indices given by their sides, odd ones by vertices at an offset from the
-origin.  Each triangle is run in-process through `solve --solver all` on
-the incircle and the three excircles and through `centers` (the whole
-registry), and every tenth one through `render --figure excs` and through
-`verify --sweep 40` with `CASTILLON_SEED` set to its index.  Prints one
+origin, and an interior inconic perspector for each from a second stream
+of its own, so the triangles do not depend on it.  Each triangle is run
+in-process through `solve --solver all` on the incircle and the three
+excircles, through `centers` (the whole registry) and through `solve` on
+its inconic, and every tenth one through `render --figure excs`, `broc`
+and `inconic` and through `verify --sweep 40` with `CASTILLON_SEED` set
+to its index.  Prints one
 line per document (name, exit code, sha256 of its stdout, or of its SVG)
 and a last line with the sha256 of all of them; run it at two commits and
 compare.  Stderr is not hashed:
@@ -49,6 +52,11 @@ def draw_triangle(rng: random.Random, i: int) -> dict:
                          for _ in range(3)]}
 
 
+def draw_perspector(rng: random.Random) -> list[float]:
+    """Barycentrics uniform in [0.05, 1), so the inconic stays inside."""
+    return [rng.uniform(0.05, 1.0) for _ in range(3)]
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -60,11 +68,21 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def render(path: Path, figure: str, workdir: Path) -> tuple[int, str]:
+    """Exit code and sha256 of the SVG `render --figure` writes (of no bytes
+    if it writes none)."""
+    svg = workdir / "figure.svg"
+    svg.unlink(missing_ok=True)
+    code, _ = run(["render", str(path), "--figure", figure, "--out", str(svg)])
+    return code, hashlib.sha256(svg.read_bytes() if svg.exists() else b"").hexdigest()
+
+
 def digests(n: int, seed: int, workdir: Path):
     """(name, exit code, sha256) of every document, in order."""
-    rng = random.Random(seed)
+    rng, perspectors = random.Random(seed), random.Random(f"perspectors-{seed}")
     for i in range(n):
         triangle = draw_triangle(rng, i)
+        perspector = draw_perspector(perspectors)
         for circle in CIRCLES:
             path = workdir / "problem.json"
             path.write_text(json.dumps({"triangle": triangle, "circle": circle}),
@@ -75,15 +93,18 @@ def digests(n: int, seed: int, workdir: Path):
         path.write_text(json.dumps({"triangle": triangle}), encoding="utf-8")
         code, out = run(["centers", str(path)])
         yield f"centers-{i}", code, sha(out)
+        inconic = workdir / "inconic.json"
+        inconic.write_text(json.dumps({"triangle": triangle, "inconic_perspector": perspector}),
+                           encoding="utf-8")
+        code, out = run(["solve", str(inconic)])
+        yield f"solve-{i}-inconic", code, sha(out)
         if i % 10 == 0:
-            svg = workdir / "figure.svg"
-            svg.unlink(missing_ok=True)
-            code, _ = run(["render", str(path), "--figure", "excs", "--out", str(svg)])
-            text = svg.read_bytes() if svg.exists() else b""
-            yield f"render-{i}-excs", code, hashlib.sha256(text).hexdigest()
+            yield f"render-{i}-excs", *render(path, "excs", workdir)
             with mock.patch.dict(os.environ, {"CASTILLON_SEED": str(i)}):
                 code, out = run(["verify", str(path), "--sweep", "40"])
             yield f"verify-{i}-sweep40", code, sha(out)
+            yield f"render-{i}-broc", *render(path, "broc", workdir)
+            yield f"render-{i}-inconic", *render(inconic, "inconic", workdir)
 
 
 def main(argv=None) -> int:

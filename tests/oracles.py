@@ -55,20 +55,27 @@ def circle_to_conic(circle: CircleData) -> ConicMatrix:
         [0.0, 1.0, -cy],
         [-cx, -cy, cx * cx + cy * cy - r * r],
     ])
-    return ConicMatrix(m, core.POINT_CONIC)
+    return ConicMatrix(m)
 
 
 def conic_point_residual(conic: ConicMatrix, Ph) -> float:
     """Scale-invariant on-conic residual of a homogeneous point."""
-    if conic.kind != core.POINT_CONIC:
-        raise GeometryError("point residual requires a point-conic")
     Ph = np.asarray(Ph, dtype=float)
     val = float(Ph @ conic.m @ Ph)
     return abs(val) / (np.linalg.norm(conic.m) * float(Ph @ Ph))
 
 
+def dual_tangency_residual(dual: ConicMatrix, line) -> float:
+    """Scale-invariant tangency residual |l^T N l| / (|N| |l|^2) of one
+    homogeneous line against a dual (line) conic N, such as
+    `conic_from_tangent_lines` fits."""
+    n, line = dual.m, np.asarray(line, dtype=float)
+    return abs(line @ n @ line) / (np.linalg.norm(n) * (line @ line))
+
+
 def conic_from_tangent_lines(lines) -> ConicMatrix:
-    """Dual conic through five line-coordinate triples.
+    """Dual conic through five line-coordinate triples, as the symmetric
+    matrix N of its tangent lines l, l^T N l = 0.
 
     The five tangency conditions l^T N l = 0 form a 5x6 linear system in the
     entries of the symmetric dual matrix N; its null vector is the conic.
@@ -86,7 +93,7 @@ def conic_from_tangent_lines(lines) -> ConicMatrix:
     if svals[-1] <= 1e-10 * svals[0]:
         raise DegenerateConic("tangent lines do not determine a unique conic")
     A, B, C, D, E, F = vt[-1]
-    return ConicMatrix(np.array([[A, B, C], [B, D, E], [C, E, F]]), core.LINE_CONIC)
+    return ConicMatrix(np.array([[A, B, C], [B, D, E], [C, E, F]]))
 
 
 def random_interior_perspector(rng: np.random.Generator) -> Array:

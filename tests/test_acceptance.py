@@ -183,7 +183,7 @@ def test_criterion_08_inconic_transport():
             sides = [core.cart_line(v[i], v[(i + 1) % 3])
                      for v in sols.triangles for i in range(3)]
             fit = conic_from_tangent_lines(sides[:5])
-            worst_fit = max(worst_fit, sin_angle(fit.m, sols.conic.dual().m))
+            worst_fit = max(worst_fit, sin_angle(fit.m, core.adjugate3(sols.conic.m)))
             trials += 1
     ok = worst_tangency <= 1e-8 and worst_fit <= 1e-7
     _report(8, ok, f"{trials} perspector trials: two solutions each, "

@@ -177,7 +177,6 @@ def test_fletcher_point_on_both_lines(tri6913):
 
 
 def test_fletcher_point_bit_identical_to_np_cross(triangles_100):
-    # core.cross takes the same products and differences as np.cross
     for t in triangles_100:
         s = t.s
         soddy = np.cross(centers.center(1, t), centers.center(7, t))

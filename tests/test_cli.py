@@ -228,17 +228,24 @@ def test_verify_equilateral_passes(tmp_path, capsys, side):
 
 
 def test_centers_undefined_center_exits_degenerate(tmp_path, capsys):
-    # X16 is the zero triple on an equilateral triangle: exit 4 naming it,
-    # with no partial listing and no numpy warning
+    # X16 and X516 are undefined on an equilateral triangle: exit 4 naming
+    # them, with no partial listing and no numpy warning.  On (2, 2, 2) X16
+    # is the exact zero triple; on (3.7, 3.7, 3.7) both are rounding noise
+    # that would normalize to the centroid
     import warnings
-    path = write(tmp_path, "p.json", {"triangle": {"a": 2, "b": 2, "c": 2}})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["centers", path]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and "X16 is undefined on this triangle" in err
-    assert run(["centers", path, "--index", "1"]) == 0
-    assert capsys.readouterr().out == "X1 0.333333333333333 0.333333333333333 0.333333333333333\n"
+    for side in (2, 3.7):
+        path = write(tmp_path, "p.json", {"triangle": {"a": side, "b": side, "c": side}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["centers", path]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "X16 is undefined on this triangle" in err
+        assert run(["centers", path, "--index", "516"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "X516 is undefined on this triangle" in err
+        assert run(["centers", path, "--index", "1"]) == 0
+        assert capsys.readouterr().out == \
+            "X1 0.333333333333333 0.333333333333333 0.333333333333333\n"
 
 
 def test_solution_file_residuals_reproducible(tmp_path, capsys):

@@ -19,6 +19,7 @@ from oracles import (
     circle_tangency_residual,
     circle_to_conic,
     conic_from_tangent_lines,
+    dual_tangency_residual,
     is_infinite_bary,
     sin_angle,
 )
@@ -170,15 +171,36 @@ def _adjugate_by_cofactors(M):
 
 def test_adjugate_matches_cofactor_loop(rng):
     # the same products and differences, so the results are bit-identical;
-    # on a symmetric matrix the dual conic's tangency residual is then the
-    # one the point conic computes from its adjugate
+    # the adjugate of a symmetric matrix is symmetric to the bit, so the
+    # point conic's tangency residual over a stack of lines is the largest
+    # dual-form residual of its adjugate, line by line
     scales = 10.0 ** rng.integers(-6, 7, size=(2000, 1, 1))
     for M in rng.standard_normal((2000, 3, 3)) * scales:
         assert np.array_equal(core.adjugate3(M), _adjugate_by_cofactors(M))
-        conic = core.ConicMatrix(M + M.T, core.POINT_CONIC)
-        line = M[0]
-        assert (core.conic_line_residual(conic.dual(), line)
-                == core.conic_line_residual(conic, line))
+        conic = core.ConicMatrix(M + M.T)
+        dual = core.adjugate3(conic.m)
+        assert np.array_equal(dual, dual.T)
+        k = int(rng.integers(1, 7))
+        lines = rng.standard_normal((k, 3)) * 10.0 ** rng.integers(-6, 7, size=(k, 1))
+        assert (core.tangency_residual(conic, lines)
+                == max(dual_tangency_residual(core.ConicMatrix(dual), L) for L in lines))
+
+
+def test_tangency_residual_sees_a_moved_side(tri6913):
+    # negative control: the six sides of an incircle solution pair touch
+    # their Brocard inellipse, and moving any one side line by 1e-6 r
+    # breaks it (the smallest moved residual reads 2.0e-9)
+    from castillon import brocard
+    st = brocard.SolvedTriangle(tri6913)
+    conic = brocard.brocard_inellipse(st.frame(core.INCIRCLE)).conic
+    sides = np.concatenate([core.side_lines(core.triangle_from_vertices(vm.vertices))
+                            for vm in st.solutions(core.INCIRCLE)])
+    assert core.tangency_residual(conic, sides) < 1e-12
+    r = core.tagged_circle(tri6913, core.INCIRCLE).radius
+    for k in range(6):
+        moved = sides.copy()
+        moved[k, 2] += 1e-6 * r * math.hypot(*moved[k, :2])
+        assert core.tangency_residual(conic, moved) > 1e-9, k
 
 
 def test_incircle_and_excircles(tri345, equilateral):
@@ -262,7 +284,6 @@ def test_line_through_coincidence_threshold(sine, coincident):
 def test_cross_is_bit_identical_to_numpy(rng):
     for _ in range(200):
         p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(2, 1))
-        assert core.cross(p.tolist(), q.tolist()) == tuple(np.cross(p, q).tolist())
         assert np.array_equal(core.line_through(p, q), np.cross(p, q))
         assert np.array_equal(core.cart_line(p[:2], q[:2]),
                               np.cross([p[0], p[1], 1.0], [q[0], q[1], 1.0]))
@@ -380,9 +401,9 @@ def _unit_tangent(theta):
 def test_conic_from_five_unit_circle_tangents():
     lines = [_unit_tangent(math.radians(d)) for d in (0, 72, 144, 216, 288)]
     fit = conic_from_tangent_lines(lines)
-    dual = circle_to_conic(core.CircleData(np.zeros(2), 1.0)).dual()
-    assert sin_angle(fit.m, dual.m) < 1e-12
-    assert core.conic_line_residual(fit, _unit_tangent(1.234)) < 1e-10
+    dual = core.adjugate3(circle_to_conic(core.CircleData(np.zeros(2), 1.0)).m)
+    assert sin_angle(fit.m, dual) < 1e-12
+    assert dual_tangency_residual(fit, _unit_tangent(1.234)) < 1e-10
 
 
 def test_conic_fit_degenerate():
@@ -400,7 +421,7 @@ def test_conic_fit_solution_sides(tri6913):
         verts = vm.cartesian(tri6913)
         sides += [core.cart_line(verts[i], verts[(i + 1) % 3]) for i in range(3)]
     fit = conic_from_tangent_lines(sides[:5])
-    assert core.conic_line_residual(fit, sides[5]) < 1e-8
+    assert dual_tangency_residual(fit, sides[5]) < 1e-8
 
 
 def test_circle_conic_round_trip(rng):
@@ -412,7 +433,7 @@ def test_circle_conic_round_trip(rng):
         n = np.array([math.cos(theta), math.sin(theta)])
         P = circ.center + circ.radius * n
         line = np.array([n[0], n[1], -float(n @ P)])
-        assert core.conic_line_residual(conic, line) < 1e-10
+        assert core.tangency_residual(conic, [line]) < 1e-10
         assert circle_tangency_residual(circ, line) < 1e-10
 
 
@@ -422,14 +443,14 @@ def test_ellipse_axes_of_a_rotated_ellipse():
     T = np.array([[c, -s, 1.0], [s, c, -2.0], [0.0, 0.0, 1.0]])
     Tinv = np.linalg.inv(T)
     M = -2.0 * Tinv.T @ np.diag([1 / 9, 1 / 4, -1.0]) @ Tinv
-    e = core.ellipse_axes(core.ConicMatrix(M, core.POINT_CONIC))
+    e = core.ellipse_axes(core.ConicMatrix(M))
     assert np.linalg.norm(e.center - [1.0, -2.0]) < 1e-12
     assert abs(e.semi_axes[0] - 3.0) < 1e-12 and abs(e.semi_axes[1] - 2.0) < 1e-12
     assert abs(abs(e.axes[:, 0] @ [c, s]) - 1.0) < 1e-12
     assert abs(e.axes[:, 1] @ [c, s]) < 1e-12
     for not_ellipse in (np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1.0, 1.0])):
         with pytest.raises(NonEllipse):
-            core.ellipse_axes(core.ConicMatrix(not_ellipse, core.POINT_CONIC))
+            core.ellipse_axes(core.ConicMatrix(not_ellipse))
 
 
 def test_normalize_bary():

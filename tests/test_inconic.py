@@ -29,8 +29,7 @@ def test_centroid_perspector_gives_steiner_inellipse(tri345):
     A, B, C = t.vertices
     for M in ((B + C) / 2, (C + A) / 2, (A + B) / 2):
         assert conic_point_residual(spec.conic, core.homog(M)) < 1e-12
-    for line in core.side_lines(t):
-        assert core.conic_line_residual(spec.conic, line) < 1e-10
+    assert core.tangency_residual(spec.conic, core.side_lines(t)) < 1e-10
 
 
 def test_symmedian_perspector_gives_brocard_inellipse(tri345):
@@ -110,11 +109,11 @@ def test_steiner_solutions_tangent_to_single_conic(tri345):
     # every leave-one-out five-line fit recovers the same conic
     sides = [core.cart_line(v[i], v[(i + 1) % 3])
              for v in sols.triangles for i in range(3)]
-    dual = sols.conic.dual()
+    dual = core.adjugate3(sols.conic.m)
     for skip in range(6):
         fit = conic_from_tangent_lines(
             [s for i, s in enumerate(sides) if i != skip])
-        assert sin_angle(fit.m, dual.m) < 1e-7
+        assert sin_angle(fit.m, dual) < 1e-7
 
 
 def _on_inconic_residual(P, tri, perspector) -> float:
@@ -143,7 +142,7 @@ def test_transport_sweep(rng):
             fit = conic_from_tangent_lines(
                 [core.cart_line(v[i], v[(i + 1) % 3])
                  for v in sols.triangles for i in range(3)][:5])
-            assert sin_angle(fit.m, sols.conic.dual().m) < 1e-7
+            assert sin_angle(fit.m, core.adjugate3(sols.conic.m)) < 1e-7
 
 
 def test_tangency_preserved_for_arbitrary_tangents(tri6913):
@@ -161,7 +160,6 @@ def test_tangency_preserved_for_arbitrary_tangents(tri6913):
     image_ell = brocard.brocard_inellipse(brocard.brocard_frame(
         core.triangle_from_vertices(vms[0].cartesian(image))))
     sols = inconic.solve_ccp_inconic(spec, t)
-    dual = image_ell.conic.dual().m
     for theta in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):
         # tangent of the image ellipse at parameter theta via its dual conic:
         # lines L with L^T N L = 0 through the point of tangency
@@ -172,9 +170,9 @@ def test_tangency_preserved_for_arbitrary_tangents(tri6913):
         rot = np.array([[direction[0], -direction[1]], [direction[1], direction[0]]])
         P = center + rot @ np.array([a_e * math.cos(theta), b_e * math.sin(theta)])
         line = image_ell.conic.m @ core.homog(P)  # polar of a conic point = tangent
-        assert core.conic_line_residual(image_ell.conic, line) < 1e-10
+        assert core.tangency_residual(image_ell.conic, [line]) < 1e-10
         pulled = H.T @ line  # lines pull back with H^T
-        assert core.conic_line_residual(sols.conic, pulled) < 1e-9
+        assert core.tangency_residual(sols.conic, [pulled]) < 1e-9
 
 
 def test_near_side_perspector_solves(tri6913):

@@ -3,12 +3,13 @@ and excircles, golden-ratio vertex matrices, and the substitution machinery
 (cyclic relabeling, bicentric swap, exversion) that derives all 24 solution
 vertices from a single one.
 
-The golden-ratio matrices are written out once, for the incircle.  Every
-excircle matrix is an incircle matrix evaluated with one sidelength negated
-(exversion, `SignedSides.exverted`: a -> -a for the A-excircle), with the
-two solutions' labels swapped and the rows put in the excircle's letter
-order (`_LETTER_ROW`).  Each circle's two coefficient matrices are built
-once, as one 2 x 3 x 3 array, and both solutions are evaluated together.
+The golden-ratio matrices are written out once, for the incircle (`T1`,
+`T2`).  Every excircle matrix is an incircle matrix evaluated with one
+sidelength negated (exversion, `SignedSides.exverted`: a -> -a for the
+A-excircle), with the two solutions' labels swapped and the rows put in the
+excircle's letter order (`_LETTER_ROW`).  Each circle's two coefficient
+matrices are built at import, as one 2 x 3 x 3 array, and both solutions are
+evaluated together.
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -18,7 +19,6 @@ immaterial.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -34,31 +34,18 @@ Array = np.ndarray
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-class GoldenConstants(NamedTuple):
-    """The golden ratio and the squared golden coefficients appearing in the
-    vertex matrices."""
-
-    phi: float
-    sq_phi: float        # phi^2        = phi + 1
-    sq_phi_m1: float     # (phi - 1)^2  = 2 - phi
-    sq_phi_m2: float     # (phi - 2)^2
-    sq_2phi_m3: float    # (2 phi - 3)^2
-    sq_phi_p1: float     # (phi + 1)^2
-    sq_2phi_p1: float    # (2 phi + 1)^2
-    sq_3phi_p2: float    # (3 phi + 2)^2
-
-
-def golden_constants(phi: float = PHI) -> GoldenConstants:
-    return GoldenConstants(
-        phi=phi,
-        sq_phi=phi * phi,
-        sq_phi_m1=(phi - 1.0) ** 2,
-        sq_phi_m2=(phi - 2.0) ** 2,
-        sq_2phi_m3=(2.0 * phi - 3.0) ** 2,
-        sq_phi_p1=(phi + 1.0) ** 2,
-        sq_2phi_p1=(2.0 * phi + 1.0) ** 2,
-        sq_3phi_p2=(3.0 * phi + 2.0) ** 2,
-    )
+# Coefficients of the column products (vw, uw, uv) in the rows of the two
+# incircle solutions.
+T1 = np.array([
+    [PHI * PHI, 1.0, (PHI - 1.0) ** 2],
+    [(PHI - 2.0) ** 2, 1.0, (PHI - 1.0) ** 2],
+    [(PHI - 2.0) ** 2, (2.0 * PHI - 3.0) ** 2, (PHI - 1.0) ** 2],
+])
+T2 = np.array([
+    [1.0, PHI * PHI, (PHI + 1.0) ** 2],
+    [(2.0 * PHI + 1.0) ** 2, PHI * PHI, (PHI + 1.0) ** 2],
+    [(2.0 * PHI + 1.0) ** 2, (3.0 * PHI + 2.0) ** 2, (PHI + 1.0) ** 2],
+])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +102,7 @@ class SignedSides(NamedTuple):
 # Row index holding the A-, B-, C-lettered vertex of each circle's matrices
 # (a vertex's letter is the reference vertex its opposite side crosses).
 # Determined once numerically from the side-incidence patterns.  The table is
-# the one source of row order: `_coefficient_pair` builds its rows in it and
+# the one source of row order: `_COEFFICIENT_PAIRS` holds its rows in it and
 # `twenty_three_from_one` reports rows by it.
 _LETTER_ROW = {
     core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
@@ -125,70 +112,53 @@ _LETTER_ROW = {
 }
 
 
-@functools.cache
-def _golden_coefficients(phi: float) -> tuple[Array, Array]:
-    """Coefficients of the column products (vw, uw, uv) in the rows of the
-    two incircle solutions."""
-    g = golden_constants(phi)
-    t1 = np.array([
-        [g.sq_phi, 1.0, g.sq_phi_m1],
-        [g.sq_phi_m2, 1.0, g.sq_phi_m1],
-        [g.sq_phi_m2, g.sq_2phi_m3, g.sq_phi_m1],
-    ])
-    t2 = np.array([
-        [1.0, g.sq_phi, g.sq_phi_p1],
-        [g.sq_2phi_p1, g.sq_phi, g.sq_phi_p1],
-        [g.sq_2phi_p1, g.sq_3phi_p2, g.sq_phi_p1],
-    ])
-    return t1, t2
-
-
-@functools.cache
-def _coefficient_pair(tag: str, phi: float) -> Array:
+def _coefficient_pair(tag: str) -> Array:
     """A circle's two coefficient matrices, T1 then T2, as one 2 x 3 x 3
     array.  An excircle's are the incircle's with the labels swapped (its T1
     is the incircle's T2) and the rows in the excircle's letter order."""
-    t1, t2 = _golden_coefficients(phi)
     if tag == core.INCIRCLE:
-        return np.array([t1, t2])
+        return np.array([T1, T2])
     rows = _LETTER_ROW[tag]
     order = [_LETTER_ROW[core.INCIRCLE][letter] for letter in sorted(rows, key=rows.get)]
-    return np.array([t2[order], t1[order]])
+    return np.array([T2[order], T1[order]])
 
 
-def pair_rows(sd: SignedSides, tag: str, phi: float = PHI) -> Array:
+_COEFFICIENT_PAIRS = {tag: _coefficient_pair(tag) for tag in _LETTER_ROW}
+
+
+def pair_rows(sd: SignedSides, tag: str) -> Array:
     """Cleared vertex-matrix rows of a circle's two solutions, stacked as
     (..., 2, 3, 3): its coefficient pair times the column products
     (vw, uw, uv) of `sd`, which is exverted for an excircle."""
     u, v, w = sd.u, sd.v, sd.w
     products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
     # C order, so a batch's matmuls round each matrix as one triangle's
-    return np.ascontiguousarray(_coefficient_pair(tag, phi) * products)
+    return np.ascontiguousarray(_COEFFICIENT_PAIRS[tag] * products)
 
 
-def solution_pair(sd: SignedSides, tri: TriangleData, tag: str,
-                  phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
+def solution_pair(sd: SignedSides, tri: TriangleData,
+                  tag: str) -> tuple[VertexMatrix, VertexMatrix]:
     """Both solutions of a circle in one pass: the rows of `pair_rows` and
     their cartesian vertices from one stacked matmul and one division."""
-    rows = pair_rows(sd, tag, phi)
+    rows = pair_rows(sd, tag)
     vertices = core.rows_to_cartesian(rows, tri.vertices[..., None, :, :])
     return (VertexMatrix(rows[..., 0, :, :], "T1", vertices[..., 0, :, :]),
             VertexMatrix(rows[..., 1, :, :], "T2", vertices[..., 1, :, :]))
 
 
-def incircle_solutions(tri: TriangleData, phi: float = PHI) -> tuple[VertexMatrix, VertexMatrix]:
+def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on the incircle.
 
     Row order is fixed: rows are the B-, C- and A-labeled vertices (a row's
     label is the reference vertex its opposite side passes through); side
     row1-row2 passes through A, row2-row3 through B, row3-row1 through C.
     """
-    return solution_pair(SignedSides.from_triangle(tri), tri, core.INCIRCLE, phi)
+    return solution_pair(SignedSides.from_triangle(tri), tri, core.INCIRCLE)
 
 
 def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on the chosen excircle, by
-    exversion: its coefficient pair (`_coefficient_pair`) evaluated with the
+    exversion: its coefficient pair (`_COEFFICIENT_PAIRS`) evaluated with the
     chosen side negated."""
     which = which.upper()
     tag = f"excircle-{which}"
@@ -240,7 +210,7 @@ def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
     arrays of a batch), from the same coefficients and products, so
     bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w
-    k1, k2, k3 = _golden_coefficients(PHI)[1][2].tolist()
+    k1, k2, k3 = T2[2].tolist()
     return (k1 * (v * w), k2 * (u * w), k3 * (u * v))
 
 

@@ -38,9 +38,12 @@ EXIT_DEGENERATE = 4
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,6 @@ def _solution_entry(verts, tri=None, multiplicity=ccp_general.TWO_DISTINCT) -> d
 
 def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
     tri, frame = st.triangle, st.frame(tag)
-    ell = brocard.brocard_inellipse(frame)
     first, second = brocard.shared_brocard_points(tri)
     return {
         "symmedian": list(core.normalize_bary(
@@ -79,11 +81,11 @@ def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
         "brocard_points": [list(core.normalize_bary(first)),
                            list(core.normalize_bary(second))],
         "brocard_angle": frame.omega,
-        "lemoine": problemfile.canonical_line(
-            core.line_cart_to_bary(frame.lemoine_cart, tri)),
-        "axis": None if frame.degenerate else problemfile.canonical_line(
-            core.line_cart_to_bary(frame.axis_cart, tri)),
-        "inellipse_matrix": problemfile.canonical_matrix(ell.conic.m),
+        "lemoine": problemfile.canonical(
+            core.line_cart_to_bary(frame.lemoine_cart, tri), np.inf),
+        "axis": None if frame.degenerate else problemfile.canonical(
+            core.line_cart_to_bary(frame.axis_cart, tri), np.inf),
+        "inellipse_matrix": problemfile.canonical(brocard.brocard_inellipse(frame).m, "fro"),
     }
 
 
@@ -146,7 +148,7 @@ def _solve_inconic(spec: ProblemSpec) -> tuple[dict, int]:
         "solver": "inconic-transport",
         "image_circle": core.INCIRCLE,
         "solutions": [_solution_entry(verts, tri) for verts in sols.triangles],
-        "shared": {"conic_matrix": problemfile.canonical_matrix(sols.conic.m)},
+        "shared": {"conic_matrix": problemfile.canonical(sols.conic.m, "fro")},
         "residuals": {
             "tangency": sols.tangency_residual,
             "incidence": sols.incidence_residual,
@@ -217,10 +219,15 @@ def _load_triangle_problem(args) -> ProblemSpec:
 
 
 def cmd_verify(args) -> int:
+    if args.sweep < 0:
+        raise ProblemFileError(f"--sweep must be a non-negative count, got {args.sweep}")
     spec = _load_triangle_problem(args)
     triangles = [spec.triangle]
     if args.sweep:
-        seed = int(os.environ.get("CASTILLON_SEED", "0"))
+        text = os.environ.get("CASTILLON_SEED", "0")
+        if not text.strip().isdecimal():
+            raise ProblemFileError(f"CASTILLON_SEED must be a non-negative integer, got {text!r}")
+        seed = int(text)
         rng = np.random.default_rng(seed)
         from .sampling import random_triangle
         triangles += [random_triangle(rng) for _ in range(args.sweep)]
@@ -236,7 +243,7 @@ def cmd_verify(args) -> int:
     width = max(len(row[0]) for row in rows)
     if args.sweep:
         print(f"verified on {len(triangles)} triangles "
-              f"(input + {args.sweep} random, seed {os.environ.get('CASTILLON_SEED', '0')})")
+              f"(input + {args.sweep} random, seed {seed})")
     for name, ok, residual, note in rows:
         status = "PASS" if ok else "FAIL"
         print(f"{name:<{width}}  {status}  max-residual {residual:.3e}  {note}")

@@ -155,7 +155,7 @@ def render_brocard(tri: TriangleData) -> str:
     frame = shared_frame(tri)
     st = brocard.SolvedTriangle(tri)
     f = st.frame(core.INCIRCLE)
-    body = _incircle_body(st) + [_ellipse_element(brocard.brocard_inellipse(f).conic, "conic")]
+    body = _incircle_body(st) + [_ellipse_element(brocard.brocard_inellipse(f), "conic")]
     if f.circle.radius > 1e-9 * f.R:
         body.append(_circle(f.circle, "circle"))
     if not f.degenerate:
@@ -221,7 +221,7 @@ def render_inconic(tri: TriangleData, perspector) -> str:
              _polygon(image.vertices, "reference"),
              _circle(core.CircleData(np.zeros(2), 1.0), "circle"),
              _polygon(V1, "solution-1"), _polygon(V2, "solution-2"),
-             _ellipse_element(img_ell.conic, "conic"), "</g>"]
+             _ellipse_element(img_ell, "conic"), "</g>"]
 
     img_height = scale * (max(img_ys) - min(img_ys) + 2 * pad)
     full = Frame(x0=top.x0, y0=top.y0,

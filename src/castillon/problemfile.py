@@ -61,7 +61,7 @@ PROBLEM_SCHEMA = {
         },
         "circle": {
             "oneOf": [
-                {"enum": ["incircle", "excircle-A", "excircle-B", "excircle-C"]},
+                {"enum": list(core.CIRCLE_TAGS)},
                 {
                     "type": "object",
                     "required": ["center", "radius"],
@@ -89,7 +89,8 @@ KIND_TRIANGLE_ONLY = "triangle-only"
 
 
 class ProblemFileError(ValueError):
-    """Invalid problem document (maps to exit code 2)."""
+    """Invalid input: a problem document, or a command's option, setting or
+    output path (maps to exit code 2)."""
 
 
 class ProblemSpec(NamedTuple):
@@ -214,24 +215,17 @@ def round15(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def canonical_line(line) -> list[float]:
-    """Deterministic representative of homogeneous line coefficients."""
-    line = np.asarray(line, dtype=float)
-    line = line / np.abs(line).max()
-    for x in line:
+def canonical(values, norm) -> list:
+    """Deterministic representative of homogeneous coefficients: `values`
+    over their `np.linalg.norm` of order `norm` (np.inf, the largest entry
+    size, for a line; "fro" for a conic matrix), signed so that the first
+    entry above 1e-14 in size is positive."""
+    values = np.asarray(values, dtype=float)
+    values = values / np.linalg.norm(values, norm)
+    for x in values.flat:
         if abs(x) > 1e-14:
-            return list(line if x > 0 else -line)
-    return list(line)
-
-
-def canonical_matrix(m) -> list[list[float]]:
-    m = np.asarray(m, dtype=float)
-    m = m / np.linalg.norm(m)
-    flat = m.ravel()
-    for x in flat:
-        if abs(x) > 1e-14:
-            return (m if x > 0 else -m).tolist()
-    return m.tolist()
+            return (values if x > 0 else -values).tolist()
+    return values.tolist()
 
 
 def dump_document(doc: dict) -> str:

@@ -11,7 +11,7 @@ in-process through `solve --solver all` on the incircle and the three
 excircles, through `centers` (the whole registry) and through `solve` on
 its inconic, and every tenth one through `render --figure excs`, `broc`
 and `inconic` and through `verify --sweep 40` with `CASTILLON_SEED` set
-to its index.  Prints one
+to its index, and last through `render --figure inc`.  Prints one
 line per document (name, exit code, sha256 of its stdout, or of its SVG)
 and a last line with the sha256 of all of them; run it at two commits and
 compare.  Stderr is not hashed:
@@ -105,6 +105,7 @@ def digests(n: int, seed: int, workdir: Path):
             yield f"verify-{i}-sweep40", code, sha(out)
             yield f"render-{i}-broc", *render(path, "broc", workdir)
             yield f"render-{i}-inconic", *render(inconic, "inconic", workdir)
+            yield f"render-{i}-inc", *render(path, "inc", workdir)
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from castillon import core
+from castillon.ccp_closed import SignedSides
 from castillon.ccp_general import MobiusMap, _involution
 from castillon.core import CircleData, ConicMatrix
 from castillon.errors import CenterPoint, GeometryError
@@ -94,6 +95,32 @@ def conic_from_tangent_lines(lines) -> ConicMatrix:
         raise DegenerateConic("tangent lines do not determine a unique conic")
     A, B, C, D, E, F = vt[-1]
     return ConicMatrix(np.array([[A, B, C], [B, D, E], [C, E, F]]))
+
+
+def golden_coefficients(phi):
+    """The incircle's two coefficient matrices (T1, T2) of the column
+    products (vw, uw, uv), at any phi, by the expressions `ccp_closed.T1` and
+    `ccp_closed.T2` are built from."""
+    t1 = np.array([
+        [phi * phi, 1.0, (phi - 1.0) ** 2],
+        [(phi - 2.0) ** 2, 1.0, (phi - 1.0) ** 2],
+        [(phi - 2.0) ** 2, (2.0 * phi - 3.0) ** 2, (phi - 1.0) ** 2],
+    ])
+    t2 = np.array([
+        [1.0, phi * phi, (phi + 1.0) ** 2],
+        [(2.0 * phi + 1.0) ** 2, phi * phi, (phi + 1.0) ** 2],
+        [(2.0 * phi + 1.0) ** 2, (3.0 * phi + 2.0) ** 2, (phi + 1.0) ** 2],
+    ])
+    return t1, t2
+
+
+def incircle_vertices(tri: core.TriangleData, phi) -> Array:
+    """Cartesian vertices of the two incircle solutions (T1, T2), as one
+    (2, 3, 2) array, from the coefficient matrices at any phi."""
+    sd = SignedSides.from_triangle(tri)
+    products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
+    rows = np.array(golden_coefficients(phi)) * products
+    return core.rows_to_cartesian(rows, tri.vertices)
 
 
 def random_interior_perspector(rng: np.random.Generator) -> Array:

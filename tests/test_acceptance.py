@@ -24,6 +24,7 @@ from conftest import set_deviation
 from oracles import (
     chord_involution,
     conic_from_tangent_lines,
+    incircle_vertices,
     point_at,
     random_interior_perspector,
     sin_angle,
@@ -206,11 +207,12 @@ def test_criterion_09_correspondence_pairs():
 
 
 def test_criterion_10_golden_structure():
-    g = ccp_closed.golden_constants()
+    phi = ccp_closed.PHI
+    (sq_phi, _, sq_phi_m1), (sq_phi_m2, _, _), _ = ccp_closed.T1.tolist()
     ident = max(
-        abs(g.sq_phi - (g.phi + 1.0)),
-        abs(g.sq_phi_m1 - (2.0 - g.phi)),
-        abs(g.sq_phi_m2 - g.sq_phi_m1 ** 2),
+        abs(sq_phi - (phi + 1.0)),
+        abs(sq_phi_m1 - (2.0 - phi)),
+        abs(sq_phi_m2 - sq_phi_m1 ** 2),
     )
     rng = np.random.default_rng(SWEEP_SEED + 3)
     conj = (1.0 - math.sqrt(5.0)) / 2.0
@@ -218,10 +220,10 @@ def test_criterion_10_golden_structure():
     for _ in range(100):
         tri = random_triangle(rng)
         t1, t2 = ccp_closed.incircle_solutions(tri)
-        c1, c2 = ccp_closed.incircle_solutions(tri, phi=conj)
+        c1, c2 = incircle_vertices(tri, conj)
         worst = max(worst,
-                    set_deviation(c1.cartesian(tri), t2.cartesian(tri)) / tri.r,
-                    set_deviation(c2.cartesian(tri), t1.cartesian(tri)) / tri.r)
+                    set_deviation(c1, t2.cartesian(tri)) / tri.r,
+                    set_deviation(c2, t1.cartesian(tri)) / tri.r)
     ok = ident <= 1e-15 and worst <= 1e-9
     _report(10, ok, f"golden identities max defect {ident:.1e} (tol 1e-15); "
                     f"conjugate swap max deviation {worst:.2e} (tol 1e-9)")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from castillon import brocard, ccp_closed, centers, cli, core, sampling
+from castillon.ccp_closed import PHI
 from castillon.errors import OutOfRange
 
-from oracles import sin_angle
+from oracles import golden_coefficients, sin_angle
 
 
 def angle_at(V, P, W):
@@ -67,22 +68,20 @@ def brocard_angle_from_frame(f):
 def test_inellipse_345(tri345):
     f = brocard.brocard_frame(tri345)
     e = brocard.brocard_inellipse(brocard.brocard_frame(tri345))
-    assert np.array_equal(brocard.brocard_inellipse(f).conic.m, e.conic.m)
-    a_e, b_e = e.semi_axes
-    assert abs(a_e - f.R * math.sin(f.omega)) < 1e-12 * f.R
-    assert abs(b_e / a_e - 2 * math.sin(f.omega)) < 1e-12
-    assert core.tangency_residual(e.conic, core.side_lines(tri345)) < 1e-10
-    # extracting the axes back from the matrix agrees
-    got = core.ellipse_axes(e.conic).semi_axes
+    assert np.array_equal(brocard.brocard_inellipse(f).m, e.m)
+    assert core.tangency_residual(e, core.side_lines(tri345)) < 1e-10
+    # the axes read back from the matrix are R sin w and 2 R sin^2 w
+    a_e, b_e = f.R * math.sin(f.omega), 2 * f.R * math.sin(f.omega) ** 2
+    got = core.ellipse_axes(e).semi_axes
     assert abs(got[0] - a_e) < 1e-10 * a_e
     assert abs(got[1] - b_e) < 1e-10 * a_e
 
 
 def test_inellipse_equilateral(equilateral):
     f = brocard.brocard_frame(equilateral)
-    e = brocard.brocard_inellipse(f)
-    assert abs(e.semi_axes[0] - f.R / 2) < 1e-12
-    assert abs(e.semi_axes[1] - f.R / 2) < 1e-12
+    semi_axes = core.ellipse_axes(brocard.brocard_inellipse(f)).semi_axes
+    assert abs(semi_axes[0] - f.R / 2) < 1e-12
+    assert abs(semi_axes[1] - f.R / 2) < 1e-12
     assert np.linalg.norm(f.Omega1_cart - f.Omega2_cart) < 1e-12
 
 
@@ -174,15 +173,8 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
 def _reference_rows(sd):
     """The incircle rows of `ccp_closed.pair_rows` as written before it took
     batches."""
-    g = ccp_closed.golden_constants()
-    vw, uw, uv = sd.v * sd.w, sd.u * sd.w, sd.u * sd.v
-    t1 = np.array([[g.sq_phi * vw, uw, g.sq_phi_m1 * uv],
-                   [g.sq_phi_m2 * vw, uw, g.sq_phi_m1 * uv],
-                   [g.sq_phi_m2 * vw, g.sq_2phi_m3 * uw, g.sq_phi_m1 * uv]])
-    t2 = np.array([[vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
-                   [g.sq_2phi_p1 * vw, g.sq_phi * uw, g.sq_phi_p1 * uv],
-                   [g.sq_2phi_p1 * vw, g.sq_3phi_p2 * uw, g.sq_phi_p1 * uv]])
-    return t1, t2
+    products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
+    return tuple(t * products for t in golden_coefficients(PHI))
 
 
 def _reference_printed(tri, rows):
@@ -240,7 +232,7 @@ def _printed(frame, i=...):
         "lemoine_cart": frame.lemoine_cart[i],
         "axis_cart": frame.axis_cart[i],
         "Omega1_cart": frame.Omega1_cart[i],
-        "inellipse": brocard.brocard_inellipse(frame).conic.m[i],
+        "inellipse": brocard.brocard_inellipse(frame).m[i],
     }
 
 
@@ -275,13 +267,14 @@ def test_batch_squares_and_angles_round_like_plain_floats():
     # about 89 of 100,000 draws, and numpy's atan2 loop differs from math's
     # (its sin loop can too, where numpy has a SIMD sin); over 3,000
     # triangles every printed square and angle of a batch must still equal
-    # the plain-float formula of its triangle
+    # the plain-float formula of its triangle, and so must each row of the
+    # batch's inellipse, whose semi-axes are R sin w and 2 R sin^2 w
     rng = np.random.default_rng(7)
     tris = [sampling.random_triangle(rng) for _ in range(3000)]
     batch = core.stack_triangles(tris)
-    frame = brocard.brocard_frame(core.triangle_from_vertices(
-        ccp_closed.incircle_solutions(batch)[0].cartesian(batch)))
-    a_e, b_e = brocard.brocard_inellipse(frame).semi_axes
+    solutions = ccp_closed.incircle_solutions(batch)[0]
+    frame = brocard.brocard_frame(core.triangle_from_vertices(solutions.cartesian(batch)))
+    inellipse = brocard.brocard_inellipse(frame).m
     first, _ = brocard.shared_brocard_points(batch)
     x279 = centers.center(279, batch)
     for i, t in enumerate(tris):
@@ -289,7 +282,8 @@ def test_batch_squares_and_angles_round_like_plain_floats():
         R, area = float(sol.R[i]), float(sol.area[i])
         w = math.atan2(4.0 * area, float(frame.a2[i] + frame.b2[i] + frame.c2[i]))
         assert frame.omega[i] == w
-        assert (a_e[i], b_e[i]) == (R * math.sin(w), 2.0 * R * math.sin(w) ** 2)
+        assert np.array_equal(inellipse[i],
+                              _reference_printed(t, solutions.rows[i])["inellipse"])
         a, b, c = t.sides
         assert first[i, 0] == ((a - b) ** 2 - (a + b) * c) / t.u
         assert np.array_equal(x279[i], [(t.v * t.w) ** 2, (t.w * t.u) ** 2, (t.u * t.v) ** 2])

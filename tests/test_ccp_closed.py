@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_closed import PHI, SignedSides, golden_constants
+from castillon.ccp_closed import PHI, SignedSides
 from castillon.errors import SeedMismatch
 
 from conftest import set_deviation
-from oracles import sin_angle
+from oracles import golden_coefficients, incircle_vertices, sin_angle
 
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 
 
 def test_golden_identities():
-    g = golden_constants()
-    assert abs(g.sq_phi - (g.phi + 1.0)) < 1e-15
-    assert abs(g.sq_phi_m1 - (2.0 - g.phi)) < 1e-15
-    assert abs(g.sq_phi_m2 - g.sq_phi_m1 ** 2) < 1e-15  # (phi-2)^2 = (phi-1)^4
+    t1, t2 = golden_coefficients(PHI)
+    assert np.array_equal(ccp_closed.T1, t1) and np.array_equal(ccp_closed.T2, t2)
+    (sq_phi, _, sq_phi_m1), (sq_phi_m2, _, _), _ = ccp_closed.T1.tolist()
+    assert abs(sq_phi - (PHI + 1.0)) < 1e-15
+    assert abs(sq_phi_m1 - (2.0 - PHI)) < 1e-15
+    assert abs(sq_phi_m2 - sq_phi_m1 ** 2) < 1e-15  # (phi-2)^2 = (phi-1)^4
 
 
 def test_equilateral_first_row_proportions(equilateral):
@@ -259,6 +261,6 @@ def test_pair_in_one_pass_bit_identical(tag):
 def test_conjugate_phi_swaps_solutions(triangles_100):
     for t in triangles_100[:30]:
         plain_t1, plain_t2 = ccp_closed.incircle_solutions(t)
-        conj_t1, conj_t2 = ccp_closed.incircle_solutions(t, phi=PHI_CONJ)
-        assert set_deviation(conj_t1.cartesian(t), plain_t2.cartesian(t)) < 1e-9 * t.r
-        assert set_deviation(conj_t2.cartesian(t), plain_t1.cartesian(t)) < 1e-9 * t.r
+        conj_t1, conj_t2 = incircle_vertices(t, PHI_CONJ)
+        assert set_deviation(conj_t1, plain_t2.cartesian(t)) < 1e-9 * t.r
+        assert set_deviation(conj_t2, plain_t1.cartesian(t)) < 1e-9 * t.r

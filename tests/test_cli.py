@@ -100,7 +100,7 @@ def test_solve_negative_perspector_is_its_positive_twin(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json", encoding="utf-8")
     assert run(["solve", str(bad)]) == 2
@@ -135,6 +135,24 @@ def test_exit_codes(tmp_path, capsys):
                  {"triangle": {"a": 1, "b": 1, "c": 2}, "circle": "incircle"})
     assert run(["solve", flat]) == 4
     capsys.readouterr()
+
+    # invalid options, settings and output paths are invalid input too
+    good = write(tmp_path, "g.json", {"triangle": {"a": 6, "b": 9, "c": 13},
+                                      "circle": "incircle"})
+    for seed in ("abc", "-1", "1e3", ""):
+        monkeypatch.setenv("CASTILLON_SEED", seed)
+        assert run(["verify", good, "--sweep", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: CASTILLON_SEED must be a non-negative integer, got {seed!r}\n")
+    monkeypatch.setenv("CASTILLON_SEED", " 7 ")
+    assert run(["verify", good, "--sweep", "2"]) == 0
+    assert "(input + 2 random, seed 7)" in capsys.readouterr().out
+    assert run(["verify", good, "--sweep", "-3"]) == 2
+    assert capsys.readouterr().err == "error: --sweep must be a non-negative count, got -3\n"
+    unwritable = tmp_path / "absent" / "x"
+    for args in (["solve", good], ["render", good, "--figure", "inc"]):
+        assert run(args + ["--out", str(unwritable)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {unwritable}: ")
 
 
 def test_solve_pivot_on_circle(tmp_path, capsys):

@@ -192,7 +192,7 @@ def test_tangency_residual_sees_a_moved_side(tri6913):
     # breaks it (the smallest moved residual reads 2.0e-9)
     from castillon import brocard
     st = brocard.SolvedTriangle(tri6913)
-    conic = brocard.brocard_inellipse(st.frame(core.INCIRCLE)).conic
+    conic = brocard.brocard_inellipse(st.frame(core.INCIRCLE))
     sides = np.concatenate([core.side_lines(core.triangle_from_vertices(vm.vertices))
                             for vm in st.solutions(core.INCIRCLE)])
     assert core.tangency_residual(conic, sides) < 1e-12

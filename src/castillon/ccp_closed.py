@@ -85,8 +85,9 @@ class SignedSides(NamedTuple):
         return self.s - self.c
 
     def exverted(self, vertex: str) -> "SignedSides":
-        key = vertex.lower()
-        return self._replace(**{key: -getattr(self, key)})
+        sides, i = list(self), ("A", "B", "C").index(vertex.upper())
+        sides[i] = -sides[i]
+        return SignedSides(*sides)
 
     def rotated(self) -> "SignedSides":
         return SignedSides(self.b, self.c, self.a)

@@ -84,27 +84,29 @@ def _unit(p: float, q: float) -> tuple[float, float]:
     return p / norm, q / norm
 
 
+def _compose(outer: tuple, inner: tuple) -> tuple[float, float, float, float]:
+    """outer @ inner on four entries each, scaled to a largest |entry| of 1:
+    the one composition formula.  Zero (two pivots on the circle that the
+    chord walk joins) raises."""
+    (a, b, c, d), (e, f, g, h) = outer, inner
+    p00, p01, p10, p11 = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    scale = max(abs(p00), abs(p01), abs(p10), abs(p11))
+    if scale == 0.0:
+        raise DegenerateComposition("composed chord map is zero")
+    return p00 / scale, p01 / scale, p10 / scale, p11 / scale
+
+
 class MobiusMap(NamedTuple):
     """Real 2x2 matrix [[m00, m01], [m10, m11]] acting projectively on the
-    circle parameter; an immutable tuple of four floats."""
+    circle parameter; its methods read any tuple of its four floats."""
 
     m00: float
     m01: float
     m10: float
     m11: float
 
-    def _times(self, inner: "MobiusMap") -> tuple[float, float, float, float]:
-        a, b, c, d = self
-        e, f, g, h = inner
-        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-    def compose(self, inner: "MobiusMap") -> "MobiusMap":
-        p00, p01, p10, p11 = self._times(inner)
-        scale = max(abs(p00), abs(p01), abs(p10), abs(p11))
-        if scale == 0.0:
-            # two pivots on the circle that the chord walk joins
-            raise DegenerateComposition("composed chord map is zero")
-        return MobiusMap(p00 / scale, p01 / scale, p10 / scale, p11 / scale)
+    def compose(self, inner: tuple) -> "MobiusMap":
+        return MobiusMap(*_compose(self, inner))
 
     def identity_defect(self) -> float:
         a, b, c, d = self
@@ -112,11 +114,11 @@ class MobiusMap(NamedTuple):
         return math.hypot(a - half, b, c, d - half) / math.hypot(a, b, c, d)
 
 
-def _involution(p: complex) -> MobiusMap:
-    """Involution t -> t' pairing the ends of the chords through the pivot p
-    of the circle's frame: t -> -1/t for p at the center, and the (degenerate)
-    constant map onto p's own parameter for p on the circle."""
-    return MobiusMap(p.imag, p.real - 1.0, p.real + 1.0, -p.imag)
+def _involution(p: complex) -> tuple[float, float, float, float]:
+    """The entries of the involution t -> t' pairing the ends of the chords
+    through the pivot p of the circle's frame: t -> -1/t for p at the center,
+    and the (degenerate) constant map onto p's own parameter for p on it."""
+    return p.imag, p.real - 1.0, p.real + 1.0, -p.imag
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +163,20 @@ class CcpSolution(NamedTuple):
 
 
 def _first_vertex_angle(walk) -> float:
-    """Sort key for solutions: the angle of a walk's vertex 0, in [0, 2 pi)."""
+    """Order of solutions: the angle of a walk's vertex 0, in [0, 2 pi)."""
     z = walk[0]
     return math.atan2(z.imag, z.real) % (2.0 * math.pi)
 
 
 def _solutions(circ, walks, multiplicity: str = TWO_DISTINCT) -> list[CcpSolution]:
-    """The walks (lists of vertices in the circle's frame) as cartesian
-    solutions, ordered by `_first_vertex_angle`: one array, built from a
-    flat list."""
+    """The walks (lists of vertices in the circle's frame, at most two) as
+    cartesian solutions, ordered by `_first_vertex_angle`: one array, built
+    from a flat list."""
     if not walks:
         return []
     cx, cy, r = circ
-    walks.sort(key=_first_vertex_angle)
+    if len(walks) == 2 and _first_vertex_angle(walks[1]) < _first_vertex_angle(walks[0]):
+        walks.reverse()
     flat = [x for walk in walks for z in walk for x in (cx + r * z.real, cy + r * z.imag)]
     return [CcpSolution(verts, multiplicity)
             for verts in np.array(flat).reshape(len(walks), -1, 2)]
@@ -206,12 +209,11 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     """
     circ = cx, cy, r = prob.circle.xyr
     pivots = [complex(x - cx, y - cy) / r for x, y in prob.points.tolist()]
-    maps = [_involution(p) for p in pivots]
-    composite = maps[0]
-    for nxt in maps[1:]:
-        composite = nxt.compose(composite)
+    composite = _involution(pivots[0])
+    for p in pivots[1:]:
+        composite = _compose(_involution(p), composite)
 
-    if composite.identity_defect() <= 1e-10:
+    if MobiusMap.identity_defect(composite) <= 1e-10:
         raise DegenerateComposition(
             "composed chord map is the identity: special configuration with "
             "infinitely many inscribed polygons"

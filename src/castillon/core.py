@@ -327,6 +327,8 @@ class CircleData(_Circle):
     in equilateral Brocard frames; proper constructions always yield > 0.
     """
 
+    source = None  # (triangle, tag) of a circle that `tagged_circle` built
+
     def __new__(cls, center, radius):
         if not all(0.0 <= r < math.inf for r in np.asarray(radius).ravel().tolist()):
             raise GeometryError(f"invalid circle radius {radius}")
@@ -372,16 +374,21 @@ def _center(tri: TriangleData, tag: str) -> Array:
 
 
 def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
-    """The incircle or an excircle of one triangle, by tag."""
+    """The incircle or an excircle of one triangle, by tag, with its `xyr`."""
     if tag not in _CIRCLES:
         raise GeometryError(f"unknown circle tag {tag!r}")
-    return CircleData(center=_center(tri, tag), radius=_radius(tri, tag))
+    circle = CircleData(center=_center(tri, tag), radius=_radius(tri, tag))
+    circle.xyr, circle.source = (*circle.center.tolist(), float(circle.radius)), (tri, tag)
+    return circle
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
-    """The tag of the triangle's circle that `circle` is, to 1e-9 of its radius.
-    Only a candidate of its radius builds a centre, as `tagged_circle` does,
-    so a named circle matches exactly at any distance from the origin."""
+    """The tag of the triangle's circle that `circle` is: its `source` tag on
+    that triangle object, else the one it matches to 1e-9 of its radius.  Only
+    a candidate of its radius builds a centre, as `tagged_circle` does, so a
+    named circle matches exactly at any distance from the origin."""
+    if circle.source is not None and circle.source[0] is tri:
+        return circle.source[1]
     cx, cy, r = circle.xyr
     for tag in CIRCLE_TAGS:
         radius = _radius(tri, tag)

@@ -137,4 +137,4 @@ def chord_involution(circle: CircleData, P) -> MobiusMap:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise CenterPoint("chord pivot must be a finite point")
     cx, cy, r = circle.xyr
-    return _involution(complex(x - cx, y - cy) / r)
+    return MobiusMap(*_involution(complex(x - cx, y - cy) / r))

@@ -116,6 +116,19 @@ def test_double_exversion_is_identity(tri345):
                        ccp_closed.pair_rows(sd, core.INCIRCLE)[0])
 
 
+def test_exversion_of_a_batch(triangles_100):
+    # each row of an exverted batch is that triangle's exverted triple
+    tris = triangles_100[:10]
+    batch = SignedSides.from_triangle(core.stack_triangles(tris))
+    for vertex in "ABCabc":
+        out = batch.exverted(vertex)
+        rows = [SignedSides.from_triangle(t).exverted(vertex) for t in tris]
+        assert np.array_equal(np.array(out).T, np.array(rows))
+    for vertex in ("D", "", "AB"):
+        with pytest.raises(ValueError):
+            batch.exverted(vertex)
+
+
 # ---------------------------------------------------------------------------
 # symmedian
 

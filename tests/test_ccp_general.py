@@ -95,6 +95,35 @@ def test_involution_self_inverse(px, py, theta):
     assert abs(ccp_general._chord(ccp_general._chord(z, p), p) - z) < 1e-10
 
 
+def test_mobius_composite_is_a_chain_of_compose(rng, monkeypatch):
+    # the solver composes the chord maps of its points in order, on plain
+    # floats, through the formula `MobiusMap.compose` uses: its composite
+    # equals the chain of `compose` over `chord_involution` bit for bit,
+    # also with a pivot on the circle (a rank-1 chord map)
+    circle = core.CircleData(np.array([0.3, -1.2]), 1.7)
+    for k in range(50):
+        points = rng.normal(scale=2.0, size=(3 + k % 3, 2))
+        if k % 2:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            points[k % len(points)] = circle.center + 1.7 * np.array([math.cos(theta),
+                                                                      math.sin(theta)])
+        composites = []
+        with monkeypatch.context() as patch:
+            def recorded(outer, inner, compose=ccp_general._compose):
+                composites.append(compose(outer, inner))
+                return composites[-1]
+            patch.setattr(ccp_general, "_compose", recorded)
+            try:
+                ccp_general.solve_ccp_mobius(CcpProblem(circle, points))
+            except DegenerateComposition:
+                pass
+        chain = chord_involution(circle, points[0])
+        for P in points[1:]:
+            chain = chord_involution(circle, P).compose(chain)
+        assert len(composites) == len(points) - 1
+        assert np.array(composites[-1]).tobytes() == np.array(chain).tobytes()
+
+
 def test_involution_self_inverse_on_100_params(rng):
     P = np.array([0.3, 1.7])
     inv = chord_involution(UNIT, P)
@@ -360,15 +389,18 @@ def test_general_solvers_far_from_the_origin(offset):
         assert _agreement(tri, tag) <= 1e-9
 
 
-def test_perspectrix_rejects_foreign_circle(tri345):
-    # the incircle's radius on a centre moved by 1e-6 r, and a radius (5)
-    # that is none of the incircle's 1 and the excircles' 2, 3 and 6
+def test_perspectrix_rejects_foreign_circle(tri345, tri6913):
+    # the incircle's radius on a centre moved by 1e-6 r, a radius (5) that
+    # is none of the incircle's 1 and the excircles' 2, 3 and 6, and the
+    # named incircle of (3, 4, 5) passed with another triangle
     from castillon.errors import GeometryError
     inc = core.tagged_circle(tri345, core.INCIRCLE)
-    for circle in (core.CircleData(inc.center + [0.0, 1e-6 * inc.radius], inc.radius),
-                   core.CircleData(np.zeros(2), 5.0)):
+    for tri, circle in ((tri345, core.CircleData(inc.center + [0.0, 1e-6 * inc.radius],
+                                                 inc.radius)),
+                        (tri345, core.CircleData(np.zeros(2), 5.0)),
+                        (tri6913, inc)):
         with pytest.raises(GeometryError, match="circle is neither the incircle nor an excircle"):
-            ccp_general.solve_ccp_perspectrix(tri345, circle)
+            ccp_general.solve_ccp_perspectrix(tri, circle)
 
 
 def test_solution_invariants_any_algorithm(triangles_100):

@@ -235,9 +235,13 @@ def test_tangency_residual_random_triangles(triangles_100):
 def test_tagged_circle_is_its_weights_and_radius(rng):
     # the centre is `bary_to_cartesian` of (a, b, c) with the excircle's
     # vertex weight negated, bit for bit, and the radius the area over s,
-    # s - a, s - b or s - c; `identify_circle` names each at any offset
+    # s - a, s - b or s - c; `identify_circle` names each at any offset,
+    # also by comparison: as a plain circle of the same centre and radius,
+    # and with an equal triangle rebuilt from the same vertices; the
+    # carried `xyr` is the circle's own as floats
     for _ in range(200):
         t = core.triangle_from_vertices(10.0 ** rng.uniform(-2, 8) + rng.normal(size=(3, 2)))
+        rebuilt = core.triangle_from_vertices(t.vertices.copy())
         for tag, negated, part in zip(core.CIRCLE_TAGS, (None, 0, 1, 2), (t.s, t.u, t.v, t.w)):
             weights = np.array(t.sides)
             if negated is not None:
@@ -246,6 +250,13 @@ def test_tagged_circle_is_its_weights_and_radius(rng):
             assert np.array_equal(circ.center, core.bary_to_cartesian(weights, t))
             assert circ.radius == t.area / part
             assert core.identify_circle(t, circ) == tag
+            plain = core.CircleData(circ.center.copy(), circ.radius)
+            assert core.identify_circle(t, plain) == tag
+            assert core.identify_circle(rebuilt, circ) == tag
+            expected = (*np.asarray(circ.center, float).tolist(), float(circ.radius))
+            assert all(type(x) is float for x in circ.xyr)
+            assert np.array(circ.xyr).tobytes() == np.array(expected).tobytes()
+            assert np.array(plain.xyr).tobytes() == np.array(expected).tobytes()
 
 
 def test_tagged_circle_rejects_unknown_tag(tri345):

@@ -91,30 +91,27 @@ def brocard_frame(t: TriangleData) -> BrocardFrame:
 
 class SolvedTriangle:
     """A reference triangle, or a batch of them, with what the closed form
-    gives for each circle: the two solutions, their cartesian vertices and
-    the Brocard frame of each solution, each built on first use.  `solve`,
-    `render` and the claim verifiers read these, so a caller solves each
-    circle and builds each frame once.  Every residual has the triangle's
-    batch shape: one entry per triangle, or a scalar for a single one.
+    gives for each circle: the two solutions and their cartesian vertices,
+    kept with the triangle (`ccp_closed.solutions_for`), and the Brocard
+    frame of each solution, built on first use.  `solve`, `render` and the
+    claim verifiers read these, so a caller solves each circle and builds
+    each frame once.  Every residual has the triangle's batch shape: one
+    entry per triangle, or a scalar for a single one.
     """
 
     def __init__(self, triangle: TriangleData):
         self.triangle = triangle
-        self._built: dict = {}
-
-    def _once(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+        self._frames: dict = {}
 
     def solutions(self, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-        return self._once(("solutions", tag),
-                          lambda: ccp_closed.solutions_for(self.triangle, tag))
+        return ccp_closed.solutions_for(self.triangle, tag)
 
     def frame(self, tag: str, k: int = 0) -> BrocardFrame:
         """Brocard frame of solution k: 0 for T1, 1 for T2."""
-        return self._once(("frame", tag, k), lambda: brocard_frame(
-            core.triangle_from_vertices(self.solutions(tag)[k].vertices)))
+        if (tag, k) not in self._frames:
+            self._frames[tag, k] = brocard_frame(
+                core.triangle_from_vertices(self.solutions(tag)[k].vertices))
+        return self._frames[tag, k]
 
     def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
         return self.frame(tag, 0), self.frame(tag, 1)

@@ -7,9 +7,9 @@ The golden-ratio matrices are written out once, for the incircle (`T1`,
 `T2`).  Every excircle matrix is an incircle matrix evaluated with one
 sidelength negated (exversion, `SignedSides.exverted`: a -> -a for the
 A-excircle), with the two solutions' labels swapped and the rows put in the
-excircle's letter order (`_LETTER_ROW`).  Each circle's two coefficient
-matrices are built at import, as one 2 x 3 x 3 array, and both solutions are
-evaluated together.
+excircle's letter order (`_LETTER_ROW`).  The four circles' coefficient
+pairs are built at import, as one 4 x 2 x 3 x 3 array, and the solutions of
+all four circles of a triangle are evaluated together, once per triangle.
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core
 from .core import TriangleData, VertexMatrix
-from .errors import SeedMismatch
+from .errors import InfinitePoint, SeedMismatch
 
 Array = np.ndarray
 
@@ -103,7 +103,7 @@ class SignedSides(NamedTuple):
 # Row index holding the A-, B-, C-lettered vertex of each circle's matrices
 # (a vertex's letter is the reference vertex its opposite side crosses).
 # Determined once numerically from the side-incidence patterns.  The table is
-# the one source of row order: `_COEFFICIENT_PAIRS` holds its rows in it and
+# the one source of row order: `_COEFFICIENTS` holds its rows in it and
 # `twenty_three_from_one` reports rows by it.
 _LETTER_ROW = {
     core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
@@ -124,27 +124,46 @@ def _coefficient_pair(tag: str) -> Array:
     return np.array([T2[order], T1[order]])
 
 
-_COEFFICIENT_PAIRS = {tag: _coefficient_pair(tag) for tag in _LETTER_ROW}
+# The four circles' coefficient pairs, in `core.CIRCLE_TAGS` order: 4 x 2 x 3 x 3.
+_COEFFICIENTS = np.array([_coefficient_pair(tag) for tag in core.CIRCLE_TAGS])
 
 
-def pair_rows(sd: SignedSides, tag: str) -> Array:
-    """Cleared vertex-matrix rows of a circle's two solutions, stacked as
-    (..., 2, 3, 3): its coefficient pair times the column products
-    (vw, uw, uv) of `sd`, which is exverted for an excircle."""
-    u, v, w = sd.u, sd.v, sd.w
-    products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
-    # C order, so a batch's matmuls round each matrix as one triangle's
-    return np.ascontiguousarray(_COEFFICIENT_PAIRS[tag] * products)
+def solution_pairs(sides: Array, vertices: Array) -> tuple[Array, Array, list[bool]]:
+    """The solution pairs of the first k circles of `core.CIRCLE_TAGS` in one
+    stacked evaluation, from their formal sides (a, b, c), (k,) + batch +
+    (3,), exverted for an excircle.  The cleared rows are each circle's
+    coefficient pair times the column products (vw, uw, uv) of u = s - a,
+    v = s - b, w = s - c, of shape (k, 2) + batch + (3, 3); their cartesian
+    vertices over `vertices` come from one matmul and one division; and the
+    flags say which circles have a row at infinity
+    (`core.circles_to_cartesian`)."""
+    s = 0.5 * (sides[..., 0] + sides[..., 1] + sides[..., 2])
+    uvw = s[..., None] - sides
+    # neighbours in (u, v, w, u, v, w): v w, w u and u v, and w u is u w
+    twice = np.concatenate([uvw, uvw], axis=-1)
+    products = (twice[..., 1:4] * twice[..., 2:5])[:, None, ..., None, :]
+    coefficients = _COEFFICIENTS[:len(sides)].reshape(
+        (len(sides), 2) + (1,) * (products.ndim - 4) + (3, 3))
+    # C order, so that each (batch, 3, 3) slice's matmuls round as one triangle's
+    rows = np.ascontiguousarray(coefficients * products)
+    rows.flags.writeable = False
+    return (rows, *core.circles_to_cartesian(rows, vertices))
 
 
-def solution_pair(sd: SignedSides, tri: TriangleData,
-                  tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-    """Both solutions of a circle in one pass: the rows of `pair_rows` and
-    their cartesian vertices from one stacked matmul and one division."""
-    rows = pair_rows(sd, tag)
-    vertices = core.rows_to_cartesian(rows, tri.vertices[..., None, :, :])
-    return (VertexMatrix(rows[..., 0, :, :], "T1", vertices[..., 0, :, :]),
-            VertexMatrix(rows[..., 1, :, :], "T2", vertices[..., 1, :, :]))
+def _four_pairs(tri: TriangleData) -> tuple[Array, Array, list[bool]]:
+    return solution_pairs(core.signed_sides(tri), tri.vertices)
+
+
+def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
+    """The two inscribed solution triangles on a circle, by tag: its slice of
+    the four circles' `solution_pairs`, built once per triangle.  Only a
+    circle with a row at infinity raises InfinitePoint."""
+    k = core.circle_index(tag)
+    rows, vertices, infinite = tri.derived(_four_pairs)
+    if infinite[k]:
+        raise InfinitePoint(core.AT_INFINITY)
+    return (VertexMatrix(rows[k, 0], "T1", vertices[k, 0]),
+            VertexMatrix(rows[k, 1], "T2", vertices[k, 1]))
 
 
 def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:
@@ -154,25 +173,17 @@ def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:
     label is the reference vertex its opposite side passes through); side
     row1-row2 passes through A, row2-row3 through B, row3-row1 through C.
     """
-    return solution_pair(SignedSides.from_triangle(tri), tri, core.INCIRCLE)
+    return solutions_for(tri, core.INCIRCLE)
 
 
 def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on the chosen excircle, by
-    exversion: its coefficient pair (`_COEFFICIENT_PAIRS`) evaluated with the
-    chosen side negated."""
+    exversion: its coefficient pair evaluated with the chosen side negated."""
     which = which.upper()
     tag = f"excircle-{which}"
     if tag not in _LETTER_ROW:
         raise ValueError(f"which must be A, B or C, got {which!r}")
-    return solution_pair(SignedSides.from_triangle(tri).exverted(which), tri, tag)
-
-
-def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-    """Closed-form solutions for any circle tag."""
-    if tag == core.INCIRCLE:
-        return incircle_solutions(tri)
-    return excircle_solutions(tri, tag[-1])
+    return solutions_for(tri, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +218,7 @@ class GeneratedVertex(NamedTuple):
 
 
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of the incircle's T2 in `pair_rows` of `sd` on plain floats (or on
+    """Row 3 of the incircle's T2 in `solution_pairs` of `sd` on plain floats (or on
     arrays of a batch), from the same coefficients and products, so
     bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w

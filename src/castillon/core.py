@@ -110,14 +110,7 @@ def homog(P) -> Array:
 # triangles
 
 
-class TriangleData(NamedTuple):
-    """Immutable triangle: sidelengths, derived metric data, an embedding.
-
-    a, b, c are the lengths of the sides opposite A, B, C;  s is the
-    semiperimeter and u = s - a, v = s - b, w = s - c.  In a batch
-    (`stack_triangles`) each field is an array with a leading batch axis.
-    """
-
+class _Triangle(NamedTuple):
     a: float
     b: float
     c: float
@@ -130,6 +123,17 @@ class TriangleData(NamedTuple):
     R: float
     vertices: Array  # 3x2, rows A, B, C
 
+
+class TriangleData(_Triangle):
+    """Immutable triangle: sidelengths, derived metric data, an embedding.
+
+    a, b, c are the lengths of the sides opposite A, B, C;  s is the
+    semiperimeter and u = s - a, v = s - b, w = s - c.  In a batch
+    (`stack_triangles`) each field is an array with a leading batch axis.
+    Values derived from the triangle alone are built on first use and kept
+    with it (`derived`).
+    """
+
     @property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -139,6 +143,20 @@ class TriangleData(NamedTuple):
         V = np.ones(self.vertices.shape[:-2] + (3, 3))
         V[..., :2, :] = np.swapaxes(self.vertices, -1, -2)
         return V
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, build):
+        """`build(self)`, evaluated on the first call and kept with the
+        triangle.  `build` must be a pure function of the triangle whose
+        arrays are read-only, so that no caller can change another caller's
+        answer."""
+        store = self._derived
+        if build not in store:
+            store[build] = build(self)
+        return store[build]
 
 
 def stack_triangles(triangles) -> TriangleData:
@@ -187,27 +205,40 @@ def triangle_from_vertices(pts) -> TriangleData:
 # barycentric <-> cartesian
 
 
-def _finite_total(x: float, y: float, z: float) -> float:
-    """Sum of one barycentric triple, as numpy sums three entries; InfinitePoint
-    where it is at most 1e-14 max |component|."""
-    total = x + y + z
-    if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
-        raise InfinitePoint("barycentric point at infinity has no cartesian image")
-    return total
+AT_INFINITY = "barycentric point at infinity has no cartesian image"
 
 
-def _finite_totals(p: Array) -> Array:
-    """`_finite_total` of each triple along the last axis, as an axis of 1."""
-    totals = [_finite_total(*row) for row in p.reshape(-1, 3).tolist()]
-    return np.array(totals).reshape(p.shape[:-1] + (1,))
+def _totals(p: Array) -> tuple[Array, Array]:
+    """The sum of each triple along the last axis, left to right (x + y) + z
+    as numpy sums three entries, as an axis of 1; and where that sum is at
+    most 1e-14 max |component|, a point at infinity."""
+    totals = p.sum(axis=-1, keepdims=True)
+    return totals, np.abs(totals) <= 1e-14 * np.abs(p).max(axis=-1, keepdims=True)
 
 
 def rows_to_cartesian(rows: Array, vertices: Array) -> Array:
     """Cartesian points of the barycentric rows of the matrices `rows` over
     vertex arrays (..., 3, 2) that broadcast with them: one matmul (numpy
     rounds each entry as a chain of fused multiply-adds, each matrix of a
-    stack as alone) and one division."""
-    return (rows @ vertices) / _finite_totals(rows)
+    stack as alone) and one division; InfinitePoint if a row is at infinity."""
+    totals, infinite = _totals(rows)
+    if infinite.any():
+        raise InfinitePoint(AT_INFINITY)
+    return (rows @ vertices) / totals
+
+
+def circles_to_cartesian(rows: Array, vertices: Array) -> tuple[Array, list[bool]]:
+    """`rows_to_cartesian` of a stack whose leading axis runs over circles,
+    without raising: the points, read-only, and for each circle whether a row
+    of it lies at infinity, so that only a reader of that circle fails."""
+    totals, infinite = _totals(rows)
+    flags = [False] * len(rows)
+    if infinite.any():  # a flagged circle divides by 1: its points are never read
+        flags = infinite.reshape(len(rows), -1).any(axis=1).tolist()
+        totals = np.where(infinite, 1.0, totals)
+    points = (rows @ vertices) / totals
+    points.flags.writeable = False
+    return points, flags
 
 
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
@@ -351,49 +382,69 @@ EXCIRCLE_B = "excircle-B"
 EXCIRCLE_C = "excircle-C"
 CIRCLE_TAGS = (INCIRCLE, EXCIRCLE_A, EXCIRCLE_B, EXCIRCLE_C)
 
-# The one definition of each circle: the signs of its centre's barycentric
-# weights (a, b, c), negated at the excircle's vertex, and the field of
-# `TriangleData` its radius divides the area by (s, s - a, s - b, s - c).
-_CIRCLES = {
-    INCIRCLE: ((1.0, 1.0, 1.0), "s"),
-    EXCIRCLE_A: ((-1.0, 1.0, 1.0), "u"),
-    EXCIRCLE_B: ((1.0, -1.0, 1.0), "v"),
-    EXCIRCLE_C: ((1.0, 1.0, -1.0), "w"),
-}
+# The one definition of each circle, in `CIRCLE_TAGS` order: the signs of the
+# sides (a, b, c) in its formulas and centre weights, negated at an excircle's
+# vertex (exversion), and the field its radius divides the area by.
+CIRCLE_SIGNS = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+_RADIUS_FIELD = ("s", "u", "v", "w")
 
 
-def _radius(tri: TriangleData, tag: str) -> float:
-    return tri.area / getattr(tri, _CIRCLES[tag][1])
+def circle_index(tag: str) -> int:
+    """A circle's position in `CIRCLE_TAGS`, the leading axis of what is
+    built for all four circles at once."""
+    if tag not in CIRCLE_TAGS:
+        raise GeometryError(f"unknown circle tag {tag!r}")
+    return CIRCLE_TAGS.index(tag)
 
 
-def _center(tri: TriangleData, tag: str) -> Array:
-    """A circle's centre: `bary_to_cartesian` of its weights, bit for bit (one
-    matmul, numpy's rounding), without the batch handling."""
-    weights = [sign * side for sign, side in zip(_CIRCLES[tag][0], tri.sides)]
-    return (np.array(weights) @ tri.vertices) / _finite_total(*weights)
+def signed_sides(tri: TriangleData) -> Array:
+    """The sides (a, b, c) of each circle's formulas, exverted by
+    `CIRCLE_SIGNS`, as one (4,) + batch + (3,) array."""
+    sides = np.array(tri.sides).T
+    signs = CIRCLE_SIGNS.reshape((4,) + (1,) * (sides.ndim - 1) + (3,))
+    return np.ascontiguousarray(signs * sides)
+
+
+def _radius(tri: TriangleData, k: int) -> float:
+    return tri.area / getattr(tri, _RADIUS_FIELD[k])
+
+
+def _four_centers(tri: TriangleData) -> tuple[Array, list[bool]]:
+    """The centres of the four circles, `bary_to_cartesian` of their weights
+    bit for bit (one matmul per centre, numpy's rounding), as one stack."""
+    centers, infinite = circles_to_cartesian(signed_sides(tri)[..., None, :], tri.vertices)
+    return centers[..., 0, :], infinite
+
+
+def _center(tri: TriangleData, k: int) -> Array:
+    centers, infinite = tri.derived(_four_centers)
+    if infinite[k]:
+        raise InfinitePoint(AT_INFINITY)
+    return centers[k]
 
 
 def tagged_circle(tri: TriangleData, tag: str) -> CircleData:
-    """The incircle or an excircle of one triangle, by tag, with its `xyr`."""
-    if tag not in _CIRCLES:
-        raise GeometryError(f"unknown circle tag {tag!r}")
-    circle = CircleData(center=_center(tri, tag), radius=_radius(tri, tag))
+    """The incircle or an excircle of one triangle, by tag, with its `xyr`.
+    Its radius, the area over s, s - a, s - b or s - c, is positive and
+    finite by construction, so it skips `CircleData`'s check."""
+    k = circle_index(tag)
+    circle = _Circle.__new__(CircleData, _center(tri, k), _radius(tri, k))
     circle.xyr, circle.source = (*circle.center.tolist(), float(circle.radius)), (tri, tag)
     return circle
 
 
 def identify_circle(tri: TriangleData, circle: CircleData) -> str:
     """The tag of the triangle's circle that `circle` is: its `source` tag on
-    that triangle object, else the one it matches to 1e-9 of its radius.  Only
-    a candidate of its radius builds a centre, as `tagged_circle` does, so a
+    that triangle object, else the one it matches to 1e-9 of its radius.  A
+    candidate of its radius compares the centre `tagged_circle` reads, so a
     named circle matches exactly at any distance from the origin."""
     if circle.source is not None and circle.source[0] is tri:
         return circle.source[1]
     cx, cy, r = circle.xyr
-    for tag in CIRCLE_TAGS:
-        radius = _radius(tri, tag)
+    for k, tag in enumerate(CIRCLE_TAGS):
+        radius = _radius(tri, k)
         if abs(radius - r) <= 1e-9 * radius:
-            ox, oy = _center(tri, tag).tolist()
+            ox, oy = _center(tri, k).tolist()
             if math.hypot(ox - cx, oy - cy) <= 1e-9 * radius:
                 return tag
     raise GeometryError("circle is neither the incircle nor an excircle")

@@ -74,11 +74,12 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     the single conic all six of their sides touch."""
     p = spec.perspector
     u, v, w = 1.0 / p
-    t1, t2 = ccp_closed.solution_pair(ccp_closed.SignedSides(v + w, u + w, u + v),
-                                      tri, core.INCIRCLE)
-    triangles = [t1.vertices, t2.vertices]
+    # positive u, v, w make every term of the incircle's rows positive, so
+    # none lies at infinity
+    (rows,), (triangles,), _ = ccp_closed.solution_pairs(
+        np.array([[v + w, u + w, u + v]]), tri.vertices)
 
-    Binv = np.linalg.inv(t1.rows / t1.rows.sum(axis=1, keepdims=True))
+    Binv = np.linalg.inv(rows[0] / rows[0].sum(axis=1, keepdims=True))
     q = p @ Binv
     conic = core.conic_bary_to_cart(ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T), tri)
 

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from castillon import core
+from castillon import ccp_closed, core
 from castillon.ccp_closed import SignedSides
 from castillon.ccp_general import MobiusMap, _involution
 from castillon.core import CircleData, ConicMatrix
-from castillon.errors import CenterPoint, GeometryError
+from castillon.errors import CenterPoint, GeometryError, InfinitePoint
 
 Array = np.ndarray
 
@@ -121,6 +121,47 @@ def incircle_vertices(tri: core.TriangleData, phi) -> Array:
     products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
     rows = np.array(golden_coefficients(phi)) * products
     return core.rows_to_cartesian(rows, tri.vertices)
+
+
+def finite_total(x: float, y: float, z: float) -> float:
+    """Sum of one barycentric triple, left to right on floats; InfinitePoint
+    where it is at most 1e-14 max |component|.  The per-triple reference of
+    `core._totals`."""
+    total = x + y + z
+    if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
+        raise InfinitePoint(core.AT_INFINITY)
+    return total
+
+
+def _exverted(tri: core.TriangleData, tag: str) -> SignedSides:
+    sd = SignedSides.from_triangle(tri)
+    return sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
+
+
+def circle_center(tri: core.TriangleData, tag: str) -> Array:
+    """One circle's centre evaluated alone: its weights, the exverted sides,
+    through one 1-D matmul over the vertices and `finite_total`."""
+    weights = list(_exverted(tri, tag))
+    return (np.array(weights) @ tri.vertices) / finite_total(*weights)
+
+
+def pair_rows(sd: SignedSides, tag: str) -> Array:
+    """Cleared rows of one circle's two solutions, (..., 2, 3, 3): its
+    coefficient pair times the column products (vw, uw, uv) of `sd`, which is
+    exverted for an excircle, evaluated for that circle alone."""
+    u, v, w = sd.u, sd.v, sd.w
+    products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
+    return np.ascontiguousarray(ccp_closed._coefficient_pair(tag) * products)
+
+
+def solution_pair(tri: core.TriangleData, tag: str) -> tuple[Array, Array]:
+    """One circle's closed-form rows and cartesian vertices evaluated alone,
+    (..., 2, 3, 3) and (..., 2, 3, 2): `pair_rows` of the exverted sides, one
+    stacked matmul, and a division by `finite_total` of each row."""
+    rows = pair_rows(_exverted(tri, tag), tag)
+    totals = [finite_total(*row) for row in rows.reshape(-1, 3).tolist()]
+    vertices = rows @ tri.vertices[..., None, :, :]
+    return rows, vertices / np.array(totals).reshape(rows.shape[:-1] + (1,))
 
 
 def random_interior_perspector(rng: np.random.Generator) -> Array:

@@ -7,9 +7,14 @@ times the four stages of one oracle problem per circle of each, as the
 benchmark's oracle worker solves it: `circle` (`core.tagged_circle`),
 `closed` (`ccp_closed.solutions_for` and the cartesian vertices), `mobius`
 (`ccp_general.solve_ccp_mobius` on `CcpProblem.on_triangle`) and
-`perspectrix` (`ccp_general.solve_ccp_perspectrix`).  One pass runs each
-stage over all 4 N problems under `time.perf_counter_ns`; the report gives
-the min and the median over the passes of the microseconds per problem.
+`perspectrix` (`ccp_general.solve_ccp_perspectrix`).  Each pass draws fresh
+triangle objects from the same seed, untimed, as the worker draws new ones:
+a triangle keeps what it has derived (`TriangleData.derived`), so reused
+objects would time warm values the worker never reads.  A pass runs each
+stage over the first circle of every triangle, which pays for what is built
+for all four, and then over the other three circles.  The report gives the
+min and the median over the passes of the microseconds per problem, for the
+first circle, the later circles and all problems.
 
 Each `--tree` is a checkout whose `src/castillon` is imported as a package
 of its own (default: the checkout holding this script), so two trees run
@@ -48,29 +53,39 @@ def load_tree(root: Path, name: str):
             for mod in ("core", "ccp_closed", "ccp_general", "sampling")}
 
 
-def problems(modules, n: int, seed: int):
+def draw(modules, n: int, seed: int):
     rng = np.random.default_rng(seed)
-    tris = [modules["sampling"].random_triangle(rng) for _ in range(n)]
-    return [(tri, tag) for tri in tris for tag in modules["core"].CIRCLE_TAGS]
+    return [modules["sampling"].random_triangle(rng) for _ in range(n)]
 
 
-def one_pass(modules, probs) -> list[float]:
-    """Microseconds per problem of each stage, in `STAGES` order."""
+def one_pass(modules, tris) -> list[list[float]]:
+    """Microseconds per problem of each stage, in `STAGES` order, for the
+    first circle of each triangle and then for the other three."""
     core, closed, general = modules["core"], modules["ccp_closed"], modules["ccp_general"]
+    tags = core.CIRCLE_TAGS
     clock = time.perf_counter_ns
-    t0 = clock()
-    circles = [core.tagged_circle(tri, tag) for tri, tag in probs]
-    t1 = clock()
-    for tri, tag in probs:
-        [vm.cartesian(tri) for vm in closed.solutions_for(tri, tag)]
-    t2 = clock()
-    for (tri, _), circ in zip(probs, circles):
-        [s.vertices for s in general.solve_ccp_mobius(general.CcpProblem.on_triangle(tri, circ))]
-    t3 = clock()
-    for (tri, _), circ in zip(probs, circles):
-        [s.cartesian(tri) for s in general.solve_ccp_perspectrix(tri, circ)]
-    t4 = clock()
-    return [(b - a) / 1e3 / len(probs) for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))]
+    out = []
+    for probs in ([(tri, tags[0]) for tri in tris],
+                  [(tri, tag) for tri in tris for tag in tags[1:]]):
+        t0 = clock()
+        circles = [core.tagged_circle(tri, tag) for tri, tag in probs]
+        t1 = clock()
+        for tri, tag in probs:
+            [vm.cartesian(tri) for vm in closed.solutions_for(tri, tag)]
+        t2 = clock()
+        for (tri, _), circ in zip(probs, circles):
+            [s.vertices for s in
+             general.solve_ccp_mobius(general.CcpProblem.on_triangle(tri, circ))]
+        t3 = clock()
+        for (tri, _), circ in zip(probs, circles):
+            [s.cartesian(tri) for s in general.solve_ccp_perspectrix(tri, circ)]
+        t4 = clock()
+        out.append([(b - a) / 1e3 / len(probs)
+                    for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))])
+    return out
+
+
+GROUPS = ("first", "later", "all")
 
 
 def main(argv=None) -> int:
@@ -82,26 +97,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = args.tree or [Path(__file__).resolve().parents[1]]
     trees = [load_tree(root, f"castillon_tree{k}") for k, root in enumerate(roots)]
-    probs = [problems(modules, args.triangles, args.seed) for modules in trees]
-    times: list[list[list[float]]] = [[] for _ in trees]  # tree, pass, stage
+    # tree, group, pass, stage (the last column the sum)
+    times = [{group: [] for group in GROUPS} for _ in trees]
     for k in range(args.passes):
         order = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
         for t in order:
-            stages = one_pass(trees[t], probs[t])
-            times[t].append(stages + [sum(stages)])
+            first, later = one_pass(trees[t], draw(trees[t], args.triangles, args.seed))
+            every = [(f + 3.0 * l) / 4.0 for f, l in zip(first, later)]
+            for group, stages in zip(GROUPS, (first, later, every)):
+                times[t][group].append(stages + [sum(stages)])
 
     names = STAGES + ("sum",)
     print(f"us per problem, {4 * args.triangles} problems (seed {args.seed}), "
-          f"{args.passes} passes: min / median")
-    print(f"{'tree':<40}" + "".join(f"{name:>18}" for name in names))
-    for root, per_pass in zip(roots, times):
-        cells = [f"{min(col):8.1f} /{statistics.median(col):7.1f}" for col in zip(*per_pass)]
-        print(f"{str(root)[-40:]:<40}" + "".join(f"{cell:>18}" for cell in cells))
-    for root, per_pass in list(zip(roots, times))[1:]:
-        ratios = [statistics.median(b / a for a, b in zip(col0, col))
-                  for col0, col in zip(zip(*times[0]), zip(*per_pass))]
-        print(f"{'ratio to first, ' + str(root)[-24:]:<40}"
-              + "".join(f"{ratio:>18.3f}" for ratio in ratios))
+          f"{args.passes} passes: min / median; first circle of each triangle, "
+          "the later three, all")
+    print(f"{'tree':<34}{'circles':<8}" + "".join(f"{name:>18}" for name in names))
+    for root, per_group in zip(roots, times):
+        for group in GROUPS:
+            cells = [f"{min(col):8.1f} /{statistics.median(col):7.1f}"
+                     for col in zip(*per_group[group])]
+            print(f"{str(root)[-34:]:<34}{group:<8}" + "".join(f"{cell:>18}" for cell in cells))
+    for root, per_group in list(zip(roots, times))[1:]:
+        for group in GROUPS:
+            ratios = [statistics.median(b / a for a, b in zip(col0, col))
+                      for col0, col in zip(zip(*times[0][group]), zip(*per_group[group]))]
+            print(f"{'ratio to first, ' + str(root)[-17:]:<34}{group:<8}"
+                  + "".join(f"{ratio:>18.3f}" for ratio in ratios))
     return 0
 
 

@@ -7,7 +7,7 @@ from castillon import brocard, ccp_closed, centers, cli, core, sampling
 from castillon.ccp_closed import PHI
 from castillon.errors import OutOfRange
 
-from oracles import golden_coefficients, sin_angle
+from oracles import golden_coefficients, pair_rows, sin_angle
 
 
 def angle_at(V, P, W):
@@ -171,7 +171,7 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
 
 
 def _reference_rows(sd):
-    """The incircle rows of `ccp_closed.pair_rows` as written before it took
+    """The incircle rows of `oracles.pair_rows` as written before it took
     batches."""
     products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
     return tuple(t * products for t in golden_coefficients(PHI))
@@ -248,7 +248,7 @@ def test_printed_objects_bit_identical_to_scalar_formulas(triangles_100, tri6913
         for i, t in enumerate(tris):
             sd = ccp_closed.SignedSides.from_triangle(t)
             sd = sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
-            rows = ccp_closed.pair_rows(sd, core.INCIRCLE)
+            rows = pair_rows(sd, core.INCIRCLE)
             for got, want in zip(rows, _reference_rows(sd)):
                 assert np.array_equal(got, want)
             vm = ccp_closed.solutions_for(t, tag)[0]

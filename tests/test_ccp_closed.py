@@ -5,10 +5,11 @@ import pytest
 
 from castillon import ccp_closed, ccp_general, core, sampling
 from castillon.ccp_closed import PHI, SignedSides
-from castillon.errors import SeedMismatch
+from castillon.errors import InfinitePoint, SeedMismatch
 
 from conftest import set_deviation
-from oracles import golden_coefficients, incircle_vertices, sin_angle
+from oracles import (circle_center, golden_coefficients, incircle_vertices, pair_rows,
+                     sin_angle, solution_pair)
 
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 
@@ -112,8 +113,7 @@ def test_double_exversion_is_identity(tri345):
     sd = SignedSides.from_triangle(tri345)
     twice = sd.exverted("B").exverted("B")
     assert (twice.a, twice.b, twice.c) == (sd.a, sd.b, sd.c)
-    assert np.allclose(ccp_closed.pair_rows(twice, core.INCIRCLE)[0],
-                       ccp_closed.pair_rows(sd, core.INCIRCLE)[0])
+    assert np.allclose(pair_rows(twice, core.INCIRCLE)[0], pair_rows(sd, core.INCIRCLE)[0])
 
 
 def test_exversion_of_a_batch(triangles_100):
@@ -216,7 +216,7 @@ def _twenty_three_numpy(tri):
     order."""
     cyc = lambda f: lambda sd: np.roll(f(sd.rotated()), 1)
     bic = lambda f: lambda sd: f(sd.swapped_bc())[[0, 2, 1]]
-    base = lambda sd: ccp_closed.pair_rows(sd, core.INCIRCLE)[1][2]
+    base = lambda sd: pair_rows(sd, core.INCIRCLE)[1][2]
     sd = SignedSides.from_triangle(tri)
     out = []
     for formula in (base, bic(base)):
@@ -233,7 +233,7 @@ def test_twenty_three_bit_identical_to_numpy_pipeline(triangles_100, equilateral
         gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
         assert [g.coords for g in gen] == [tuple(r.tolist()) for r in _twenty_three_numpy(t)]
         assert ccp_closed.generator_seed(t) == tuple(
-            ccp_closed.pair_rows(SignedSides.from_triangle(t), core.INCIRCLE)[1][2].tolist())
+            ccp_closed.incircle_solutions(t)[1].rows[2].tolist())
 
 
 def test_equilateral_four_concyclic_sextets(equilateral):
@@ -265,6 +265,80 @@ def test_pair_in_one_pass_bit_identical(tag):
             assert vm.vertices.tobytes() == want.tobytes()
             assert vb.rows[i].tobytes() == vm.rows.tobytes()
             assert vb.vertices[i].tobytes() == vm.vertices.tobytes()
+
+
+def _needles_and_offsets():
+    """Needles down to the flatness cut-off, some with a circle at infinity,
+    and one triangle at offsets from 1 to 1e8."""
+    tris = []
+    for e in 10.0 ** -np.arange(1, 16):
+        for sides in ((2, 1, 1 + e), (1, 1, 2 - e), (1, 1.5, 2.5 - e), (PHI, 1 + e, PHI - 1 + e)):
+            try:
+                tris.append(core.triangle_from_sides(*sides))
+            except ValueError:
+                pass
+    rng = np.random.default_rng(3)
+    shape = rng.normal(size=(3, 2))
+    tris += [core.triangle_from_vertices(10.0 ** k + shape) for k in range(9)]
+    return tris
+
+
+def _assert_matches_reference(tri, batch=False) -> int:
+    """The stored centres, rows and vertices of every circle equal the
+    per-circle evaluation of `oracles`, bit for bit, and a circle raises
+    InfinitePoint exactly where the reference does; the number of raises."""
+    raised = 0
+    for tag in core.CIRCLE_TAGS:
+        try:
+            rows, vertices = solution_pair(tri, tag)
+        except InfinitePoint:
+            raised += 1
+            with pytest.raises(InfinitePoint):
+                ccp_closed.solutions_for(tri, tag)
+        else:
+            for j, vm in enumerate(ccp_closed.solutions_for(tri, tag)):
+                assert vm.rows.tobytes() == rows[..., j, :, :].tobytes(), (tri.sides, tag)
+                assert vm.vertices.tobytes() == vertices[..., j, :, :].tobytes(), (tri.sides, tag)
+        if batch:
+            continue
+        try:
+            center = circle_center(tri, tag)
+        except InfinitePoint:
+            raised += 1
+            with pytest.raises(InfinitePoint):
+                core.tagged_circle(tri, tag)
+        else:
+            assert core.tagged_circle(tri, tag).center.tobytes() == center.tobytes()
+    return raised
+
+
+def test_four_circles_bit_identical_to_per_circle_reference():
+    # the four circles of a triangle are one stacked evaluation; each circle
+    # must still read the bits of its own evaluation: on a seeded sweep, on
+    # an 81-triangle batch, on needles (some with a circle at infinity) and
+    # far from the origin
+    rng = np.random.default_rng(26)
+    tris = [sampling.random_triangle(rng) for _ in range(500)]
+    assert sum(_assert_matches_reference(t) for t in tris) == 0
+    assert sum(_assert_matches_reference(t) for t in _needles_and_offsets()) > 0
+    assert _assert_matches_reference(core.stack_triangles(tris[:81]), batch=True) == 0
+
+
+def test_solutions_for_at_infinity_raises():
+    # near u = 0 with v = (phi - 1) w, a row of the A-excircle's closed form
+    # sums to about u / s of its largest term: here below 1e-14, while its
+    # centre's weights (-a, b, c) still sum to 2u, above 1e-14 max(a, b, c);
+    # only the A-excircle's solutions raise, and only when read
+    t = core.triangle_from_sides(1.618033988749895, 1.000000000000012, 0.6180339887499069)
+    assert np.isfinite(core.tagged_circle(t, core.EXCIRCLE_A).center).all()
+    for call in (lambda: ccp_closed.solutions_for(t, core.EXCIRCLE_A),
+                 lambda: ccp_closed.excircle_solutions(t, "A"),
+                 lambda: solution_pair(t, core.EXCIRCLE_A)):
+        with pytest.raises(InfinitePoint):
+            call()
+    for tag in (core.INCIRCLE, core.EXCIRCLE_B, core.EXCIRCLE_C):
+        for vm in ccp_closed.solutions_for(t, tag):
+            assert np.isfinite(vm.vertices).all()
 
 
 # ---------------------------------------------------------------------------

@@ -533,21 +533,22 @@ def test_verify_sweep_80_meets_benchmark_checker(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("solver", ["closed", "all"])
 def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
-    # one closed-form pair serves both the solutions and the shared block
+    # the four circles' closed form is built once per triangle, and serves
+    # both the solutions and the shared block
     from castillon import ccp_closed
     calls = []
-    excircle_solutions = ccp_closed.excircle_solutions
+    four_pairs = ccp_closed._four_pairs
 
-    def counted(tri, which):
-        calls.append(which)
-        return excircle_solutions(tri, which)
+    def counted(tri):
+        calls.append(tri.sides)
+        return four_pairs(tri)
 
-    monkeypatch.setattr(ccp_closed, "excircle_solutions", counted)
+    monkeypatch.setattr(ccp_closed, "_four_pairs", counted)
     path = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
     assert run(["solve", path, "--solver", solver]) == 0
     capsys.readouterr()
-    assert calls == ["B"]
+    assert calls == [(6.0, 9.0, 13.0)]
 
 
 def _traced_layers() -> dict:

@@ -362,7 +362,7 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
              lambda: core.bary_to_cartesian(np.array([[1.0, 1.0, 1.0], row]), batch),
              lambda: core.rows_to_cartesian(rows, tri345.vertices),
              lambda: core.rows_to_cartesian(np.array([np.eye(3), rows]), batch.vertices),
-             # a closed-form pair, as `ccp_closed.solution_pair` evaluates it
+             # a stacked pair over one triangle's vertices
              lambda: core.rows_to_cartesian(np.array([np.eye(3), rows]), tri345.vertices[None]))
     for call in calls:
         if infinite:
@@ -370,6 +370,47 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
                 call()
         else:
             assert np.isfinite(call()).all()
+    # the four circles' stack, as the closed form and the centres are built:
+    # only the circle holding the row is flagged, and none raises or divides
+    # by zero
+    stack = np.array([np.eye(3), rows, np.eye(3), np.eye(3)])[:, None]
+    points, flags = core.circles_to_cartesian(stack, tri345.vertices)
+    assert flags == [False, infinite, False, False]
+    assert np.isfinite(points).all()
+
+
+def test_totals_sum_left_to_right(rng):
+    # a row's total is (x + y) + z on floats, also where another order would
+    # round differently, in any stack shape; its flag is the 1e-14 threshold
+    rows = rng.normal(size=(20_000, 3)) * 10.0 ** rng.integers(-16, 17, size=(20_000, 3))
+    rows[:5_000, 1] = -rows[:5_000, 0] * (1.0 + rng.normal(size=5_000) * 1e-15)
+    for shape in ((20_000, 3), (4, 2, 2_500, 1, 3), (5_000, 4, 3)):
+        totals, infinite = core._totals(rows.reshape(shape))
+        assert totals.shape == infinite.shape == shape[:-1] + (1,)
+        want = [x + y + z for x, y, z in rows.tolist()]
+        assert totals.ravel().tolist() == want
+        assert infinite.ravel().tolist() == [
+            abs(t) <= 1e-14 * max(abs(x), abs(y), abs(z))
+            for t, (x, y, z) in zip(want, rows.tolist())]
+    assert [x + y + z for x, y, z in rows.tolist()] != [x + (y + z) for x, y, z in rows.tolist()]
+
+
+def test_derived_values_are_read_only(tri6913):
+    # the circles and the closed form are kept with the triangle, so a write
+    # into a returned array raises instead of changing a later caller's answer
+    for tag in core.CIRCLE_TAGS:
+        circ = core.tagged_circle(tri6913, tag)
+        pair = ccp_closed.solutions_for(tri6913, tag)
+        before = [circ.center.copy()] + [x.copy() for vm in pair for x in (vm.rows, vm.vertices)]
+        for array in [circ.center] + [x for vm in pair for x in (vm.rows, vm.vertices)]:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array += 1.0
+        again = core.tagged_circle(tri6913, tag)
+        after = [again.center] + [x for vm in ccp_closed.solutions_for(tri6913, tag)
+                                  for x in (vm.rows, vm.vertices)]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])

@@ -9,10 +9,11 @@ Two independent algorithms are provided.
   quadratic, yielding 0, 1 or 2 real solutions.
 
 * `solve_ccp_perspectrix` (triangle/incircle-or-excircle case only) runs the
-  classical axis construction: three seeded chord paths, the two cross
-  intersections on the homography axis, and the axis-circle intersection.
-  Newton steps with the exact derivative polish the intersections, one
-  chord walk per step; fallback seedings are built only when needed.
+  classical axis construction: three seeded chord paths, their three cross
+  points on the homography axis, kept homogeneous so that a point at
+  infinity counts like any other, the join of the best-separated two, and
+  the axis-circle intersection.  Newton steps with the exact derivative
+  polish the intersections, one chord walk per step.
 
 Both walk their chords in the circle's own frame, on Python complex numbers:
 the point (x, y) is z = ((x - cx) + i (y - cy)) / r, so the circle is the
@@ -27,7 +28,9 @@ is the vertices as the walk computed them, (cx + r Re z, cy + r Im z).
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -247,43 +250,42 @@ def _touchpoints(A: complex, B: complex, C: complex) -> list[complex]:
     return [P - (Q - P) * (P / (Q - P)).real for P, Q in ((B, C), (C, A), (A, B))]
 
 
-def _cross_point(a: complex, b: complex, c: complex, d: complex) -> complex | None:
-    """Meet of the chords ab and cd of the unit circle,
-    (ab (c + d) - cd (a + b)) / (ab - cd); None where the ends of a chord
-    coincide (1e-14) or the chords are parallel to a sine of 1e-9: the sine
-    of the angle between them is |ab - cd| / 2."""
-    if abs(a - b) <= 1e-14 or abs(c - d) <= 1e-14:
-        return None
-    ab, cd = a * b, c * d
-    if abs(ab - cd) <= 2e-9:
-        return None
-    return (ab * (c + d) - cd * (a + b)) / (ab - cd)
+def _meet(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, float]:
+    """Meet of the chords ab and cd of the unit circle as the homogeneous
+    point (X : w): the point X / w, or the point at infinity in the
+    direction X where the chords are parallel (w = 0).  Chord ab is the line
+    Re(z conj(n)) = Re((a + b) conj(n)) / 2 with unit normal n = sqrt(ab):
+    no cancellation for nearby ends, the tangent where a = b and a diameter
+    where a = -b.  w = Im(conj(n) n') is the sine between the chords."""
+    n, m = cmath.sqrt(a * b), cmath.sqrt(c * d)
+    h, k = ((a + b) * n.conjugate()).real, ((c + d) * m.conjugate()).real
+    return 0.5j * (k * n - h * m), (n.conjugate() * m).imag
 
 
-def _axis_from_seeds(pivots, seeds) -> tuple[complex, float] | None:
-    """Walk the three seed paths and intersect cross-chords; returns the axis
-    through the cross points h1, h2 as (h2 - h1, Im(conj(h1) h2)), or None if
-    this seeding is degenerate."""
-    ends = []
-    for seed in seeds:
-        z = seed
-        for p in pivots:
-            z = _chord(z, p)
-        if abs(z - seed) <= 1e-6:
-            return None  # closed path: seed accidentally hit a solution vertex
-        ends.append((seed, z))
-    (a1, a4), (b1, b4), (c1, c4) = ends
-    # a None: a seed landed on another path's endpoint, or parallel chords
-    h1 = _cross_point(a1, b4, a4, b1)
-    h2 = _cross_point(a1, c4, a4, c1)
-    if h1 is None or h2 is None:
-        return None
-    # sine between (x, y, 1) and (x', y', 1): |(-Im d, Re d, moment)| over their norms
-    d, moment = h2 - h1, (h1.conjugate() * h2).imag
-    norms = math.hypot(abs(h1), 1.0) * math.hypot(abs(h2), 1.0)
-    if math.hypot(d.real, d.imag, moment) <= 1e-9 * norms:
-        return None
-    return d, moment
+def _axis(ends) -> tuple[complex, float]:
+    """The axis of the chord walk, from the (seed, end) pairs of three seed
+    paths, as (direction, moment): the line through the points h and h' is
+    (h' - h, Im(conj(h) h')) up to scale.  Any two paths a and b cross on
+    the axis, at infinity too: the chords a1 b4 and a4 b1 meet there.  Of
+    these three meets, as unit vectors (x, y, w), the axis joins the two
+    whose smallest sine is largest: the sine between the chords at either
+    meet and the sine between the two.  PathClosed where none exceeds 1e-9.
+    """
+    meets = []
+    for (a1, a4), (b1, b4) in combinations(ends, 2):
+        X, w = _meet(a1, b4, a4, b1)
+        size = math.hypot(X.real, X.imag, w) or 1.0  # coincident chords: no meet
+        meets.append((X / size, w / size, abs(w)))
+    best, axis = 1e-9, None
+    for (X, w, sine), (Y, v, sine2) in combinations(meets, 2):
+        d, moment = w * Y - v * X, X.real * Y.imag - X.imag * Y.real
+        score = min(sine, sine2, math.hypot(d.real, d.imag, moment))
+        if score > best:
+            best, axis = score, (d, moment)
+    if axis is None:
+        raise PathClosed("cannot build the axis: no two cross points of the seed "
+                         "paths span it")
+    return axis
 
 
 def _closure_gap(pivots, z: complex) -> tuple[float, float]:
@@ -322,29 +324,14 @@ def _polish_fixed_point(pivots, z: complex) -> complex:
     return z
 
 
-_TURNS = tuple(complex(math.cos(angle), math.sin(angle)) for angle in (0.37, 0.91, 1.53))
-
-
-def _seed_ladder(touchpoints):
-    """The seedings to try, in order, built one at a time: two touchpoints
-    plus the antipode of the third, then two antipodal variants, then the
-    three touchpoints rotated about the center by 0.37, 0.91 and 1.53 rad."""
-    t_a, t_b, t_c = touchpoints
-    yield -t_a, t_b, t_c
-    yield t_a, -t_b, -t_c
-    yield -t_a, -t_b, t_c
-    for turn in _TURNS:
-        yield t_a * turn, t_b * turn, t_c * turn
-
-
 def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolution]:
     """Axis construction on the incircle or an excircle of `tri`.
 
     Seeds follow the constructive recipe: two touchpoints plus the reflection
     of the third touchpoint through the circle center; every path is chained
-    by chords through B, then C, then A.  If a seeding degenerates (a path
-    closes or the two axis points collapse) the construction retries with a
-    deterministic ladder of alternative seeds.  Returns two `CcpSolution`s,
+    by chords through B, then C, then A.  This one seeding gives three cross
+    points on the axis (`_axis`); PathClosed where no two of them span it,
+    as on needles whose paths all but coincide.  Returns two `CcpSolution`s,
     ordered as `solve_ccp_mobius` orders its own, holding the walk's vertices
     as they are: a detour through barycentrics would only add rounding.
     """
@@ -353,15 +340,16 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolu
     A, B, C = [complex(x - cx, y - cy) / r for x, y in tri.vertices.tolist()]
     pivots = (B, C, A)
 
-    for seeds in _seed_ladder(_touchpoints(A, B, C)):
-        axis = _axis_from_seeds(pivots, seeds)
-        if axis is not None:
-            break
-    else:
-        raise PathClosed("all seed ladders degenerated; cannot build the axis")
+    t_a, t_b, t_c = _touchpoints(A, B, C)
+    ends = []
+    for seed in (-t_a, t_b, t_c):
+        z = seed
+        for p in pivots:
+            z = _chord(z, p)
+        ends.append((seed, z))
+    d, moment = _axis(ends)
 
     # unit direction u, signed distance dist: it meets the circle at u (+-half - i dist)
-    d, moment = axis
     u, dist = d / abs(d), moment / abs(d)
     if abs(dist) > 1.0 + 1e-9:
         raise NoRealIntersection("axis does not meet the circle")

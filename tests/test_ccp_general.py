@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -421,7 +422,7 @@ def test_solution_invariants_any_algorithm(triangles_100):
 
 
 # ---------------------------------------------------------------------------
-# the chord walk in the circle's frame and the perspectrix fallbacks
+# the chord walk in the circle's frame and the perspectrix axis
 
 
 def _walk(seed, pivots):
@@ -466,147 +467,177 @@ def test_chord_step_against_line_circle_oracle(cx, cy, r, theta, rho, phi):
     assert abs(math.hypot(got[0] - cx, got[1] - cy) - r) <= 1e-13 * r
 
 
-def test_axis_seed_on_solution_vertex_is_closed_path(tri6913):
-    circle, pivots, (t_a, t_b, t_c) = _chord_setup(tri6913)
-    assert ccp_general._axis_from_seeds(pivots, (-t_a, t_b, t_c)) is not None
-    # the closed-form vertex whose chord walk through B, C, A returns to itself
-    verts = ccp_closed.incircle_solutions(tri6913)[0].cartesian(tri6913)
-    V = min((_in_frame(circle, P) for P in verts), key=lambda V: abs(_walk(V, pivots) - V))
-    # exactly on the vertex the cross points collapse too; 1e-9 rad off it
-    # only the closed-path test rejects the seeding
-    for seed in (V, V * _on_unit(1e-9)):
-        assert abs(_walk(seed, pivots) - seed) <= 1e-6
-        assert ccp_general._axis_from_seeds(pivots, (seed, t_b, t_c)) is None
-    # the path closes when it ends within 1e-6 radii of its seed: the gap
-    # grows by |slope - 1| per radian off the vertex
-    _, gp = ccp_general._closure_gap(pivots, V)
-    for gap, refused in ((0.5e-6, True), (2e-6, False)):
-        seed = V * _on_unit(gap / abs(gp))
-        assert abs(_walk(seed, pivots) - seed) == pytest.approx(gap, rel=0.01)
-        assert (ccp_general._axis_from_seeds(pivots, (seed, t_b, t_c)) is None) == refused
+def _ends(pivots, seeds):
+    """The (seed, end) pair of each seed's walk through the pivots."""
+    return [(seed, _walk(seed, pivots)) for seed in seeds]
 
 
-def test_axis_seed_on_other_path_endpoint_has_no_cross_point(tri6913):
-    _, pivots, (t_a, _, t_c) = _chord_setup(tri6913)
-    a4 = _walk(t_a, pivots)
-    # neither path closes, so the None comes from the coincident cross chord
-    assert abs(a4 - t_a) > 1e-6
-    assert abs(_walk(a4, pivots) - a4) > 1e-6
-    assert ccp_general._axis_from_seeds(pivots, (t_a, a4, t_c)) is None
+def _fixed_points(tri, circle, pivots):
+    """The two solution vertices the walk through B, C, A returns to: one of
+    each closed-form solution, in the circle's frame."""
+    return [min((_in_frame(circle, P) for P in vm.cartesian(tri)),
+                key=lambda V: abs(_walk(V, pivots) - V))
+            for vm in ccp_closed.solutions_for(tri, core.identify_circle(tri, circle))]
 
 
-@pytest.mark.parametrize("tol", [1e-14, 1e-9])
-def test_meet_sine_threshold(tol):
-    # two chords of the unit circle meet unless the ends of one coincide
-    # (to 1e-14 radii) or they are parallel (to a sine of 1e-9)
-    meet = ccp_general._cross_point
-    a, b, d = _on_unit(0.3), _on_unit(2.0), _on_unit(2.8)
-    for x, refused in ((0.5 * tol, True), (2.0 * tol, False)):
-        if tol == 1e-14:
-            near = _on_unit(0.3 + x)
-            assert abs(near - a) == pytest.approx(x, rel=0.02)
-            got = (meet(a, near, _on_unit(-0.5), d), meet(_on_unit(-0.5), d, a, near))
-        else:
-            # chord (c, d) turned by x from parallel to chord (a, b)
-            c = _on_unit(-0.5 + 2.0 * math.asin(x))
-            assert abs(a * b - c * d) / 2.0 == pytest.approx(x, rel=1e-6)
-            got = (meet(a, b, c, d),)
-        assert all((h is None) == refused for h in got)
+def _off_axis(axis, z):
+    """Distance of z from the axis (d, moment), the line of the points h
+    with Im(conj(h) d) = moment."""
+    d, moment = axis
+    return abs((z.conjugate() * d).imag - moment) / abs(d)
+
+
+def _point(meet):
+    X, w = meet
+    return X / w
+
+
+def _homog(meet):
+    X, w = meet
+    return np.array([X.real, X.imag, w])
+
+
+def test_meet_of_tangents_and_diameters():
+    # chord aa is the tangent at a, and chord a(-a) the diameter through a
+    a, b, c, d = (_on_unit(t) for t in (0.3, 2.0, -0.5, 2.8))
+    tangent_chord = _point(ccp_general._meet(a, a, c, d))
+    assert abs((tangent_chord * a.conjugate()).real - 1.0) < 1e-15
+    assert core.incidence_residual(np.cross([c.real, c.imag, 1.0], [d.real, d.imag, 1.0]),
+                                   [tangent_chord.real, tangent_chord.imag, 1.0]) < 1e-15
+    # two tangents meet at the pole of the chord through their points
+    assert abs(_point(ccp_general._meet(a, a, b, b)) - 2.0 * a * b / (a + b)) < 1e-15
+    # the diameter through a meets the tangent at a in a itself
+    assert abs(_point(ccp_general._meet(a, -a, a, a)) - a) < 1e-15
+    diameter_chord = _point(ccp_general._meet(a, -a, c, d))
+    assert abs((diameter_chord * a.conjugate()).imag) < 1e-15
+
+
+def test_meet_of_parallel_or_equal_chords():
+    # the reflection z -> -conj(z) is the chord map through the point at
+    # infinity of the x axis, and its axis is the y axis.  Seeds a and -a
+    # give two vertical chords, exactly: their meet is the point at
+    # infinity of the y axis, with w = 0, and the axis joins the other two
+    a, c = _on_unit(0.7), _on_unit(2.9)
+    reflect = lambda z: -z.conjugate()
+    ends = [(seed, reflect(seed)) for seed in (a, -a, c)]
+    (a1, a4), (b1, b4) = ends[:2]
+    X, w = ccp_general._meet(a1, b4, a4, b1)
+    assert w == 0.0 and X.real == 0.0 and X.imag != 0.0
+    d, moment = ccp_general._axis(ends)
+    assert abs(d.real) <= 1e-16 * abs(d) and abs(moment) <= 1e-16 * abs(d)
+    # seeds on both fixed points, i and -i: their paths meet on one chord
+    # twice, which gives no point at all, (0 : 0); the other two meets are
+    # the seeds, and their join is the y axis again
+    ends = [(1j, 1j), (-1j, -1j), (c, reflect(c))]
+    assert ccp_general._meet(1j, -1j, 1j, -1j) == (0j, 0.0)
+    d, moment = ccp_general._axis(ends)
+    assert abs(d.real) <= 1e-16 * abs(d) and abs(moment) <= 1e-16 * abs(d)
+
+
+def test_axis_seed_on_another_paths_end(tri6913):
+    # seed b on the end of path a: one chord of their meet is the tangent
+    # at a4, and the meet still lies on the axis
+    circle, pivots, (t_a, _, t_c) = _chord_setup(tri6913)
+    ends = _ends(pivots, (t_a, _walk(t_a, pivots), t_c))
+    (a1, a4), (b1, b4) = ends[:2]
+    assert b1 == a4
+    meet = ccp_general._meet(a1, b4, a4, b1)
+    assert abs(meet[1]) > 0.1
+    axis = ccp_general._axis(ends)
+    for V in _fixed_points(tri6913, circle, pivots):
+        assert _off_axis(axis, V) < 1e-14
+    assert _off_axis(axis, _point(meet)) < 1e-14
+
+
+def test_axis_seed_on_solution_vertex(tri6913):
+    # a closed path meets each other path in its seed, which lies on the axis
+    circle, pivots, (_, t_b, t_c) = _chord_setup(tri6913)
+    V, W = _fixed_points(tri6913, circle, pivots)
+    ends = _ends(pivots, (V, t_b, t_c))
+    assert abs(ends[0][1] - V) < 1e-15
+    (a1, a4), (b1, b4), (c1, c4) = ends
+    for meet in (ccp_general._meet(a1, b4, a4, b1), ccp_general._meet(a1, c4, a4, c1)):
+        assert abs(_point(meet) - V) < 1e-14
+    axis = ccp_general._axis(ends)
+    assert max(_off_axis(axis, V), _off_axis(axis, W)) < 1e-14
+
+
+def test_axis_through_seeds_on_both_solution_vertices():
+    # two closed paths: their own meet is undefined (the same chord twice),
+    # and the two others are the seeds.  The undefined meet is the best
+    # separated from one of them, so only the sine between the chords at
+    # each meet keeps the axis off it: the join of the undefined meet and
+    # the seed on the second vertex lies 0.24 r off the first
+    tri = core.triangle_from_sides(6, 9, 13)
+    circle, pivots, (_, _, t_c) = _chord_setup(tri, core.EXCIRCLE_C)
+    V, W = _fixed_points(tri, circle, pivots)
+    (a1, a4), (b1, b4), (c1, c4) = ends = _ends(pivots, (V, W, t_c))
+    undefined, at_v, at_w = (ccp_general._meet(a1, b4, a4, b1),
+                             ccp_general._meet(a1, c4, a4, c1),
+                             ccp_general._meet(b1, c4, b4, c1))
+    assert abs(undefined[1]) < 1e-14
+    assert abs(_point(at_v) - V) < 1e-14 and abs(_point(at_w) - W) < 1e-14
+    assert sin_angle(_homog(undefined), _homog(at_w)) > sin_angle(_homog(at_v), _homog(at_w))
+    wrong = np.cross(_homog(undefined), _homog(at_w))
+    assert abs(wrong @ [V.real, V.imag, 1.0]) / math.hypot(*wrong[:2]) > 0.2
+    axis = ccp_general._axis(ends)
+    assert max(_off_axis(axis, V), _off_axis(axis, W)) < 1e-15
 
 
 def test_cross_point_is_the_meet_of_the_chords(rng):
     for _ in range(100):
         a, b, c, d = (_on_unit(t) for t in rng.uniform(0.0, 2.0 * math.pi, 4))
         homog = lambda z: [z.real, z.imag, 1.0]
-        h = homog(ccp_general._cross_point(a, b, c, d))
+        h = _homog(ccp_general._meet(a, b, c, d))
         for p, q in ((a, b), (c, d)):
             assert core.incidence_residual(np.cross(homog(p), homog(q)), h) < 1e-12
 
 
-def _cross_point_sine(pivots, a1, b1, c1):
-    """Sine between the homogeneous axis points (x, y, 1) of the circle's
-    frame that the seed pairs (a, b) and (a, c) give, recomputed with numpy."""
+def _span(pivots, seeds):
+    """The axis's score for these seeds, recomputed with numpy: each chord
+    the cross product of its ends (x, y, 1), each meet the cross product of
+    its chords, and the best pair of meets by its smallest sine."""
     homog = lambda z: np.array([z.real, z.imag, 1.0])
-    ends = [(homog(S), homog(_walk(S, pivots))) for S in (a1, b1, c1)]
-    (a1, a4), (b1, b4), (c1, c4) = ends
-    h1 = np.cross(np.cross(a1, b4), np.cross(a4, b1))
-    h2 = np.cross(np.cross(a1, c4), np.cross(a4, c1))
-    return sin_angle(h1, h2)
+    meets = []
+    for (a1, a4), (b1, b4) in combinations(_ends(pivots, seeds), 2):
+        ab, ba = np.cross(homog(a1), homog(b4)), np.cross(homog(a4), homog(b1))
+        meets.append((np.cross(ab, ba), sin_angle(ab[:2], ba[:2])))
+    return max(min(s, t, sin_angle(h, k)) for (h, s), (k, t) in combinations(meets, 2))
 
 
 def test_axis_points_sine_threshold(tri6913):
-    # seed c a rotation of seed b by delta: the two axis points approach each
-    # other linearly in delta, and the axis is refused once their sine is at
-    # most 1e-9
+    # seed c a rotation of seed b by delta: the paths b and c approach each
+    # other, and with them the three meets, linearly in delta; the axis is
+    # refused once no two meets span it to a sine above 1e-9
     _, pivots, (t_a, t_b, _) = _chord_setup(tri6913)
-    a1 = -t_a
     delta0 = 1e-5
-    per_delta = _cross_point_sine(pivots, a1, t_b, t_b * _on_unit(delta0)) / delta0
+    per_delta = _span(pivots, (-t_a, t_b, t_b * _on_unit(delta0))) / delta0
     for sine, refused in ((0.5e-9, True), (2e-9, False)):
-        c1 = t_b * _on_unit(sine / per_delta)
-        assert _cross_point_sine(pivots, a1, t_b, c1) == pytest.approx(sine, rel=0.01)
-        axis = ccp_general._axis_from_seeds(pivots, (a1, t_b, c1))
-        assert (axis is None) == refused
+        seeds = (-t_a, t_b, t_b * _on_unit(sine / per_delta))
+        assert _span(pivots, seeds) == pytest.approx(sine, rel=0.01)
+        if refused:
+            with pytest.raises(PathClosed, match="cannot build the axis"):
+                ccp_general._axis(_ends(pivots, seeds))
+        else:
+            ccp_general._axis(_ends(pivots, seeds))
 
 
-@pytest.mark.parametrize("failing", range(1, 6))
-def test_perspectrix_later_rungs_match_closed_form(tri6913, monkeypatch, failing):
-    real, calls = ccp_general._axis_from_seeds, []
-
-    def flaky(*args):
-        calls.append(args)
-        return None if len(calls) <= failing else real(*args)
-
-    monkeypatch.setattr(ccp_general, "_axis_from_seeds", flaky)
-    circ = core.tagged_circle(tri6913, core.INCIRCLE)
-    p1, p2 = ccp_general.solve_ccp_perspectrix(tri6913, circ)
-    assert len(calls) == failing + 1
-    vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
-    closed = np.vstack([vm1.cartesian(tri6913), vm2.cartesian(tri6913)])
-    pers = np.vstack([p1.cartesian(tri6913), p2.cartesian(tri6913)])
-    assert set_deviation(closed, pers) < 1e-9 * circ.radius
-
-
-def test_perspectrix_raises_when_every_rung_degenerates(tri6913, monkeypatch):
-    calls = []
-    monkeypatch.setattr(ccp_general, "_axis_from_seeds", lambda *args: calls.append(args))
-    with pytest.raises(PathClosed):
-        ccp_general.solve_ccp_perspectrix(tri6913, core.tagged_circle(tri6913, core.INCIRCLE))
-    assert len(calls) == 6
-
-
-def test_perspectrix_first_rung_builds_no_rotated_seeds(tri6913, monkeypatch):
-    # the ladder is lazy: rungs 4-6 rotate the touchpoints only when the
-    # rungs before them degenerate, so none is built for these circles
-    real, built = ccp_general._seed_ladder, []
-
-    def counted(touchpoints):
-        built.append(0)
-        for rung in real(touchpoints):
-            built[-1] += 1
-            yield rung
-
-    monkeypatch.setattr(ccp_general, "_seed_ladder", counted)
-    for tri in (tri6913, core.triangle_from_sides(3, 4, 5)):
+def test_perspectrix_integer_family_matches_closed_form():
+    # every integer-sided triangle with sides 1-11 and all four circles, 2,684
+    # problems: one seeding builds every axis, a cross point at infinity
+    # included, and the vertices agree with the closed form
+    problems = 0
+    for a, b, c in product(range(1, 12), repeat=3):
+        if not (a < b + c and b < c + a and c < a + b):
+            continue
+        tri = core.triangle_from_sides(a, b, c)
         for tag in core.CIRCLE_TAGS:
-            ccp_general.solve_ccp_perspectrix(tri, core.tagged_circle(tri, tag))
-    assert len(built) == 8 and max(built) <= 3
-    # the first rung multiplies no touchpoint by a rotation
-    turns = []
-
-    class Counted(complex):
-        def __mul__(self, other):
-            turns.append(other)
-            return complex(self) * other
-
-    _, _, touch = _chord_setup(tri6913)
-    next(real([Counted(t) for t in touch]))
-    assert turns == []
-    # all six rungs, the rotated ones last, when every one degenerates
-    rungs = list(real(touch))
-    assert len(rungs) == 6
-    for rung, angle in zip(rungs[3:], (0.37, 0.91, 1.53)):
-        assert all(abs(z - t * _on_unit(angle)) < 1e-15 for z, t in zip(rung, touch))
+            circ = core.tagged_circle(tri, tag)
+            persp = np.vstack([s.vertices for s in ccp_general.solve_ccp_perspectrix(tri, circ)])
+            closed = np.vstack([vm.cartesian(tri) for vm in ccp_closed.solutions_for(tri, tag)])
+            assert set_deviation(closed, persp) <= 1e-12 * circ.radius, (a, b, c, tag)
+            problems += 1
+    assert problems == 2684
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +684,8 @@ def test_polish_takes_one_walk_per_vertex(monkeypatch):
     ((0.3, 0.0), 1),     # |gp| < 1e-8: flat gap, no step
     ((0.3, -1.0), 1),    # |step| = 0.3 > 0.05: never hop to the other root
     ((1e-10, 1.0), 1),   # a step of at most 1e-9 rad is the last
+    ((1e-10, 0.5e-8), 1),  # |gp| < 1e-8 even where the step would stay local
+    ((1e-10, 2e-8), 4),  # |gp| >= 1e-8: steps of 0.005 rad run to the cap
     ((1e-16, 1.0), 1),   # |g| < 1e-15: already closed
     ((1e-6, 1.0), 4),    # larger steps run to the iteration cap
 ])

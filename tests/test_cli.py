@@ -677,6 +677,20 @@ def test_solve_all_agrees_on_a_far_shifted_triangle(tmp_path, capsys, circle):
         assert doc["residuals"]["cross_solver_max_deviation"] <= 1e-8, offset
 
 
+def test_solve_all_on_a_needle_exits_degenerate(tmp_path, capsys):
+    # on the needle (2, 1, 1 + 1e-8) the three seed paths of the A-excircle
+    # all but coincide, so no two of their cross points span the axis: the
+    # perspectrix refuses instead of returning vertices 0.88 r off the closed
+    # form, which mobius matches to 2.7e-4 r
+    path = write(tmp_path, "p.json", {"triangle": {"a": 2, "b": 1, "c": 1.00000001},
+                                      "circle": "excircle-A"})
+    assert run(["solve", path, "--solver", "all"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: cannot build the axis: no two cross points of the seed paths span it\n")
+    assert run(["solve", path, "--solver", "mobius"]) == 0
+    capsys.readouterr()
+
+
 def test_clockwise_vertex_input(tmp_path, capsys):
     # negatively oriented vertex triples work through every code path
     path = write(tmp_path, "p.json",

@@ -640,6 +640,64 @@ def test_perspectrix_integer_family_matches_closed_form():
     assert problems == 2684
 
 
+def _record_axis_ends(monkeypatch):
+    """Record the touchpoints and the (seed, end) pairs the solver builds."""
+    touched, axes = [], []
+    real_touch, real_axis = ccp_general._touchpoints, ccp_general._axis
+    monkeypatch.setattr(ccp_general, "_touchpoints",
+                        lambda *args: touched.append(real_touch(*args)) or touched[-1])
+    monkeypatch.setattr(ccp_general, "_axis",
+                        lambda ends: axes.append(list(ends)) or real_axis(ends))
+    return touched, axes
+
+
+def test_perspectrix_first_rung_builds_no_rotated_seeds(tri6913, monkeypatch):
+    # the one seeding is the old ladder's first rung: two touchpoints and the
+    # antipode of the third, none multiplied by a rotation, and one axis per
+    # circle with no retry
+    touched, axes = _record_axis_ends(monkeypatch)
+    for tri in (tri6913, core.triangle_from_sides(3, 4, 5)):
+        for tag in core.CIRCLE_TAGS:
+            ccp_general.solve_ccp_perspectrix(tri, core.tagged_circle(tri, tag))
+    assert len(touched) == len(axes) == 8
+    for (t_a, t_b, t_c), ends in zip(touched, axes):
+        assert [seed for seed, _ in ends] == [-t_a, t_b, t_c]
+
+
+# the seedings the old ladder fell back on, as maps of the touchpoints
+_LATER_RUNGS = (
+    lambda t_a, t_b, t_c: (t_a, -t_b, -t_c),
+    lambda t_a, t_b, t_c: (-t_a, -t_b, t_c),
+) + tuple(
+    (lambda turn: lambda t_a, t_b, t_c: (t_a * turn, t_b * turn, t_c * turn))(_on_unit(angle))
+    for angle in (0.37, 0.91, 1.53)
+)
+
+
+@pytest.mark.parametrize("failing", range(1, 6))
+def test_perspectrix_later_rungs_match_closed_form(tri6913, monkeypatch, failing):
+    # the axis is the walk's, not the seeds': seeded as the old ladder's rung
+    # failing + 1, the one construction still solves the incircle in one axis
+    rung, real_touch = _LATER_RUNGS[failing - 1], ccp_general._touchpoints
+    touched, axes = _record_axis_ends(monkeypatch)
+
+    def reseeded(*args):
+        # the solver seeds (-t_a, t_b, t_c), so hand it touchpoints that give the rung
+        touched.append(real_touch(*args))
+        s_a, s_b, s_c = rung(*touched[-1])
+        return -s_a, s_b, s_c
+
+    monkeypatch.setattr(ccp_general, "_touchpoints", reseeded)
+    circ = core.tagged_circle(tri6913, core.INCIRCLE)
+    p1, p2 = ccp_general.solve_ccp_perspectrix(tri6913, circ)
+    assert len(touched) == len(axes) == 1
+    assert [seed for seed, _ in axes[0]] == list(rung(*touched[0]))
+    vm1, vm2 = ccp_closed.incircle_solutions(tri6913)
+    closed = np.vstack([vm1.cartesian(tri6913), vm2.cartesian(tri6913)])
+    pers = np.vstack([p1.cartesian(tri6913), p2.cartesian(tri6913)])
+    assert set_deviation(closed, pers) < 1e-9 * circ.radius
+
+
 # ---------------------------------------------------------------------------
 # the Newton polish on the closure gap
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ccp_closed, centers, core
-from .core import CircleData, ConicMatrix, TriangleData, VertexMatrix
+from .core import CircleData, ConicMatrix, TriangleData
 from .errors import OutOfRange
 
 Array = np.ndarray
@@ -89,32 +89,16 @@ def brocard_frame(t: TriangleData) -> BrocardFrame:
     return BrocardFrame(t)
 
 
-class SolvedTriangle:
-    """A reference triangle, or a batch of them, with what the closed form
-    gives for each circle: the two solutions and their cartesian vertices,
-    kept with the triangle (`ccp_closed.solutions_for`), and the Brocard
-    frame of each solution, built on first use.  `solve`, `render` and the
-    claim verifiers read these, so a caller solves each circle and builds
-    each frame once.  Every residual has the triangle's batch shape: one
-    entry per triangle, or a scalar for a single one.
-    """
+def _solution_frame(t: TriangleData, tag: str, k: int) -> BrocardFrame:
+    return brocard_frame(core.triangle_from_vertices(ccp_closed.solutions_for(t, tag)[k].vertices))
 
-    def __init__(self, triangle: TriangleData):
-        self.triangle = triangle
-        self._frames: dict = {}
 
-    def solutions(self, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-        return ccp_closed.solutions_for(self.triangle, tag)
-
-    def frame(self, tag: str, k: int = 0) -> BrocardFrame:
-        """Brocard frame of solution k: 0 for T1, 1 for T2."""
-        if (tag, k) not in self._frames:
-            self._frames[tag, k] = brocard_frame(
-                core.triangle_from_vertices(self.solutions(tag)[k].vertices))
-        return self._frames[tag, k]
-
-    def frames(self, tag: str) -> tuple[BrocardFrame, BrocardFrame]:
-        return self.frame(tag, 0), self.frame(tag, 1)
+def solution_frame(t: TriangleData, tag: str, k: int = 0) -> BrocardFrame:
+    """The Brocard frame of solution k (0 for T1, 1 for T2) on circle `tag`
+    of a triangle or batch, built on first read and kept with the triangle
+    (`TriangleData.derived`), so `solve`, `render` and the verifiers build
+    each frame once."""
+    return t.derived(_solution_frame, tag, k)
 
 
 def brocard_angle_from_eccentricity(delta: float, R: float) -> float:
@@ -226,14 +210,13 @@ def _radical_axis(c1: CircleData, c2: CircleData) -> Array:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def verify_shared_objects(st: SolvedTriangle) -> Report:
+def verify_shared_objects(t: TriangleData) -> Report:
     """Check that both incircle solutions share every Brocard-frame object.
 
     Triangles whose solution frames are degenerate (equilateral) skip the
     axis-dependent comparisons; all remaining ones must still agree.
     """
-    t = st.triangle
-    f1, f2 = st.frames(core.INCIRCLE)
+    f1, f2 = (solution_frame(t, core.INCIRCLE, k) for k in (0, 1))
     tri1, tri2 = f1.triangle, f2.triangle
     e1, e2 = brocard_inellipse(f1), brocard_inellipse(f2)
     R = f1.R
@@ -306,11 +289,10 @@ def _isodynamic_defect(frame: BrocardFrame) -> Array:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def de_longchamps_concurrence(st: SolvedTriangle) -> Report:
+def de_longchamps_concurrence(t: TriangleData) -> Report:
     """Check that the four shared Brocard axes (incircle + three excircles)
     all contain the reference's de Longchamps point, and that the incircle
     axis is the reference's Soddy line (through X1 and X7)."""
-    t = st.triangle
     X1, X7, X20 = (core.bary_to_cartesian(centers.center(k, t), t) for k in (1, 7, 20))
 
     def on_axis(X, frame):
@@ -318,7 +300,7 @@ def de_longchamps_concurrence(st: SolvedTriangle) -> Report:
 
     checks: list[Check] = []
     for tag in core.CIRCLE_TAGS:
-        g1, g2 = st.frames(tag)
+        g1, g2 = (solution_frame(t, tag, k) for k in (0, 1))
         flat = g1.degenerate | g2.degenerate
         checks.append(check(f"axes-{tag}-shared", core.sin_angles(g1.axis_cart, g2.axis_cart),
                             1e-9, flat, EQUILATERAL))

@@ -151,19 +151,31 @@ def solution_pairs(sides: Array, vertices: Array) -> tuple[Array, Array, list[bo
 
 
 def _four_pairs(tri: TriangleData) -> tuple[Array, Array, list[bool]]:
-    return solution_pairs(core.signed_sides(tri), tri.vertices)
+    """The four circles' `solution_pairs`, each circle flagged where its
+    centre (`core.four_centers`) or one of its six rows lies at infinity."""
+    rows, vertices, infinite = solution_pairs(core.signed_sides(tri), tri.vertices)
+    centers_infinite = tri.derived(core.four_centers)[1]
+    return rows, vertices, [a or b for a, b in zip(infinite, centers_infinite)]
 
 
 def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on a circle, by tag: its slice of
     the four circles' `solution_pairs`, built once per triangle.  Only a
-    circle with a row at infinity raises InfinitePoint."""
+    circle whose centre or closed form lies at infinity raises InfinitePoint,
+    so a circle `core.tagged_circle` cannot build has no solutions either."""
     k = core.circle_index(tag)
     rows, vertices, infinite = tri.derived(_four_pairs)
     if infinite[k]:
         raise InfinitePoint(core.AT_INFINITY)
     return (VertexMatrix(rows[k, 0], "T1", vertices[k, 0]),
             VertexMatrix(rows[k, 1], "T2", vertices[k, 1]))
+
+
+def require_closed_form(tri: TriangleData) -> None:
+    """InfinitePoint unless `solutions_for` solves every circle of the
+    triangle, or of each triangle of a batch."""
+    if any(tri.derived(_four_pairs)[2]):
+        raise InfinitePoint(core.AT_INFINITY)
 
 
 def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:

@@ -228,7 +228,7 @@ def _data_only(name: str) -> brocard.Check:
     return brocard.check(name, 0.0, 0.0, skipped=True, note="data-only")
 
 
-def verify_correspondences(st: brocard.SolvedTriangle) -> brocard.Report:
+def verify_correspondences(t: TriangleData) -> brocard.Report:
     """For every pair [i, k] with both indices in the registry, check that
     X_i of either incircle solution coincides with X_k of the reference.
 
@@ -238,8 +238,7 @@ def verify_correspondences(st: brocard.SolvedTriangle) -> brocard.Report:
     vanishes on an equilateral triangle skips the triangles whose incircle
     solutions are equilateral.
     """
-    t = st.triangle
-    f1, f2 = st.frames(core.INCIRCLE)
+    f1, f2 = (brocard.solution_frame(t, core.INCIRCLE, k) for k in (0, 1))
     tri1, tri2 = f1.triangle, f2.triangle
     flat = f1.degenerate | f2.degenerate
     checks = []

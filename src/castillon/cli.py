@@ -72,12 +72,12 @@ def _solution_entry(verts, tri=None, multiplicity=ccp_general.TWO_DISTINCT) -> d
     return entry
 
 
-def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
-    tri, frame = st.triangle, st.frame(tag)
+def _shared_block(tri: core.TriangleData, tag: str) -> dict:
+    frame = brocard.solution_frame(tri, tag)
     first, second = brocard.shared_brocard_points(tri)
     return {
         "symmedian": list(core.normalize_bary(
-            ccp_closed.solution_symmedian(st.solutions(tag)[0], tri))),
+            ccp_closed.solution_symmedian(ccp_closed.solutions_for(tri, tag)[0], tri))),
         "brocard_points": [list(core.normalize_bary(first)),
                            list(core.normalize_bary(second))],
         "brocard_angle": frame.omega,
@@ -91,9 +91,8 @@ def _shared_block(st: brocard.SolvedTriangle, tag: str) -> dict:
 
 def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
     tri, circle = spec.triangle, spec.circle
-    st = brocard.SolvedTriangle(tri)
     solvers = {
-        "closed": lambda: st.solutions(spec.circle_tag),
+        "closed": lambda: ccp_closed.solutions_for(tri, spec.circle_tag),
         "mobius": lambda: ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri, circle)),
         "perspectrix": lambda: ccp_general.solve_ccp_perspectrix(tri, circle),
     }
@@ -110,7 +109,7 @@ def _solve_triangle_circle(spec: ProblemSpec, solver: str) -> tuple[dict, int]:
         "solver": solver,
         "circle": {"center": list(circle.center), "radius": circle.radius},
         "solutions": [_solution_entry(verts, tri) for verts in primary],
-        "shared": _shared_block(st, spec.circle_tag),
+        "shared": _shared_block(tri, spec.circle_tag),
         "residuals": core.solution_residuals(circle, primary, tri.vertices, nearest=True),
     }
     if solver == "all":
@@ -181,11 +180,10 @@ def cmd_solve(args) -> int:
 # verify
 
 
-def _twenty_three_claim(st: brocard.SolvedTriangle) -> brocard.Report:
-    t = st.triangle
+def _twenty_three_claim(t: core.TriangleData) -> brocard.Report:
     gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
     mats = {(tag, vm.label): vm.rows
-            for tag in core.CIRCLE_TAGS for vm in st.solutions(tag)}
+            for tag in core.CIRCLE_TAGS for vm in ccp_closed.solutions_for(t, tag)}
     worst = 0.0
     for gv in gen:
         worst = np.maximum(worst, core.sin_angles(np.stack(gv.coords, axis=-1),
@@ -232,14 +230,15 @@ def cmd_verify(args) -> int:
         from .sampling import random_triangle
         triangles += [random_triangle(rng) for _ in range(args.sweep)]
 
-    st = brocard.SolvedTriangle(core.stack_triangles(triangles))
+    t = core.stack_triangles(triangles)
+    ccp_closed.require_closed_form(t)  # every claim reads all four circles
     rows = []
     for claim in (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
                   centers.verify_correspondences, _twenty_three_claim):
-        rep = claim(st)
+        rep = claim(t)
         rows.append((rep.name, rep.passed, rep.max_residual,
                      rep.note or f"{len(rep.checks)} checks"))
-        rows += _failed_rows(rep, st.triangle)
+        rows += _failed_rows(rep, t)
     width = max(len(row[0]) for row in rows)
     if args.sweep:
         print(f"verified on {len(triangles)} triangles "

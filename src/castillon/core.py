@@ -148,15 +148,17 @@ class TriangleData(_Triangle):
     def _derived(self) -> dict:
         return {}
 
-    def derived(self, build):
-        """`build(self)`, evaluated on the first call and kept with the
-        triangle.  `build` must be a pure function of the triangle whose
-        arrays are read-only, so that no caller can change another caller's
-        answer."""
+    def derived(self, build, *args):
+        """`build(self, *args)`, evaluated on the first call and kept with
+        the triangle, one value per `build` and `args`.  `build` must be a
+        pure function of the triangle and `args`, and every caller shares
+        what it returns, so no caller may write into it (the stacked builds
+        return read-only arrays)."""
+        key = (build, *args) if args else build
         store = self._derived
-        if build not in store:
-            store[build] = build(self)
-        return store[build]
+        if key not in store:
+            store[key] = build(self, *args)
+        return store[key]
 
 
 def stack_triangles(triangles) -> TriangleData:
@@ -409,15 +411,16 @@ def _radius(tri: TriangleData, k: int) -> float:
     return tri.area / getattr(tri, _RADIUS_FIELD[k])
 
 
-def _four_centers(tri: TriangleData) -> tuple[Array, list[bool]]:
+def four_centers(tri: TriangleData) -> tuple[Array, list[bool]]:
     """The centres of the four circles, `bary_to_cartesian` of their weights
-    bit for bit (one matmul per centre, numpy's rounding), as one stack."""
+    bit for bit (one matmul per centre, numpy's rounding), as one stack, and
+    for each circle whether its centre lies at infinity."""
     centers, infinite = circles_to_cartesian(signed_sides(tri)[..., None, :], tri.vertices)
     return centers[..., 0, :], infinite
 
 
 def _center(tri: TriangleData, k: int) -> Array:
-    centers, infinite = tri.derived(_four_centers)
+    centers, infinite = tri.derived(four_centers)
     if infinite[k]:
         raise InfinitePoint(AT_INFINITY)
     return centers[k]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import brocard, centers, core, inconic
+from . import brocard, ccp_closed, centers, core, inconic
 from .core import TriangleData
 
 MARGIN = 0.06  # padding around a figure's contents, a fraction of their larger extent
@@ -138,24 +138,23 @@ def _document(frame: Frame, body: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _incircle_body(st: brocard.SolvedTriangle) -> list[str]:
-    V1, V2 = (vm.vertices for vm in st.solutions(core.INCIRCLE))
-    return [_circle(core.tagged_circle(st.triangle, core.INCIRCLE), "circle"),
-            _polygon(st.triangle.vertices, "reference"),
+def _incircle_body(tri: TriangleData) -> list[str]:
+    V1, V2 = (vm.vertices for vm in ccp_closed.solutions_for(tri, core.INCIRCLE))
+    return [_circle(core.tagged_circle(tri, core.INCIRCLE), "circle"),
+            _polygon(tri.vertices, "reference"),
             _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
 
 
 def render_incircle(tri: TriangleData) -> str:
     """Reference triangle, incircle, and the two solutions: 3 polygons, 1 circle."""
-    return _document(shared_frame(tri), _incircle_body(brocard.SolvedTriangle(tri)))
+    return _document(shared_frame(tri), _incircle_body(tri))
 
 
 def render_brocard(tri: TriangleData) -> str:
     """Incircle figure plus the shared Brocard objects of the solutions."""
     frame = shared_frame(tri)
-    st = brocard.SolvedTriangle(tri)
-    f = st.frame(core.INCIRCLE)
-    body = _incircle_body(st) + [_ellipse_element(brocard.brocard_inellipse(f), "conic")]
+    f = brocard.solution_frame(tri, core.INCIRCLE)
+    body = _incircle_body(tri) + [_ellipse_element(brocard.brocard_inellipse(f), "conic")]
     if f.circle.radius > 1e-9 * f.R:
         body.append(_circle(f.circle, "circle"))
     if not f.degenerate:
@@ -170,14 +169,13 @@ def render_excircles(tri: TriangleData) -> str:
     """All four circles with their solution pairs, the four shared axes and
     the de Longchamps point they concur on."""
     frame = shared_frame(tri)
-    st = brocard.SolvedTriangle(tri)
     body = [_polygon(tri.vertices, "reference")]
     axes = []
     for tag in core.CIRCLE_TAGS:
-        V1, V2 = (vm.vertices for vm in st.solutions(tag))
+        V1, V2 = (vm.vertices for vm in ccp_closed.solutions_for(tri, tag))
         body += [_circle(core.tagged_circle(tri, tag), "circle"),
                  _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
-        f = st.frame(tag)
+        f = brocard.solution_frame(tri, tag)
         if not f.degenerate:
             axes.append(_clipped_line(f.axis_cart, frame, "axis"))
     body += axes
@@ -213,9 +211,8 @@ def render_inconic(tri: TriangleData, perspector) -> str:
     ]
     tx = top.x0 - scale * (min(img_xs) - pad)
     ty = offset_y + scale * (max(img_ys) + pad)
-    solved = brocard.SolvedTriangle(image)
-    V1, V2 = (vm.vertices for vm in solved.solutions(core.INCIRCLE))
-    img_ell = brocard.brocard_inellipse(solved.frame(core.INCIRCLE))
+    V1, V2 = (vm.vertices for vm in ccp_closed.solutions_for(image, core.INCIRCLE))
+    img_ell = brocard.brocard_inellipse(brocard.solution_frame(image, core.INCIRCLE))
     body += [f'<g id="panel-image" '
              f'transform="translate({_fmt(tx)} {_fmt(ty)}) scale({_fmt(scale)})">',
              _polygon(image.vertices, "reference"),

@@ -47,15 +47,15 @@ def sweep_triangles():
 
 
 @pytest.fixture(scope="module")
-def solved_sweep(sweep_triangles):
+def sweep_batch(sweep_triangles):
     """The sweep as one batch; each row is bit-identical to its triangle
     alone, so every residual below is the one-at-a-time value."""
-    return brocard.SolvedTriangle(core.stack_triangles(sweep_triangles))
+    return core.stack_triangles(sweep_triangles)
 
 
 @pytest.fixture(scope="module")
-def shared_report(solved_sweep):
-    return brocard.verify_shared_objects(solved_sweep)
+def shared_report(sweep_batch):
+    return brocard.verify_shared_objects(sweep_batch)
 
 
 def _failures(check) -> int:
@@ -149,8 +149,8 @@ def test_criterion_05_brocard_point_closed_form(shared_report):
                    f"max {worst:.2e} (tol 1e-9), {bad} failures")
 
 
-def test_criterion_06_de_longchamps(solved_sweep):
-    rep = brocard.de_longchamps_concurrence(solved_sweep)
+def test_criterion_06_de_longchamps(sweep_batch):
+    rep = brocard.de_longchamps_concurrence(sweep_batch)
     assert rep.passed, [(c.name, np.max(c.residual)) for c in rep.checks if _failures(c)]
     worst = rep.max_residual
     ok = worst <= 1e-9
@@ -158,11 +158,11 @@ def test_criterion_06_de_longchamps(solved_sweep):
                    f"max residual {worst:.2e} (tol 1e-9)")
 
 
-def test_criterion_07_twenty_three_from_one(solved_sweep):
-    t = solved_sweep.triangle
+def test_criterion_07_twenty_three_from_one(sweep_batch):
+    t = sweep_batch
     gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
     mats = {(tag, vm.label): vm.rows
-            for tag in core.CIRCLE_TAGS for vm in solved_sweep.solutions(tag)}
+            for tag in core.CIRCLE_TAGS for vm in ccp_closed.solutions_for(t, tag)}
     worst = max(float(np.max(core.sin_angles(np.stack(g.coords, axis=-1),
                                              mats[(g.circle, g.label)][:, g.row])))
                 for g in gen)
@@ -195,7 +195,7 @@ def test_criterion_08_inconic_transport():
 def test_criterion_09_correspondence_pairs():
     rng = np.random.default_rng(SWEEP_SEED + 2)
     batch = core.stack_triangles([random_triangle(rng) for _ in range(100)])
-    rep = centers.verify_correspondences(brocard.SolvedTriangle(batch))
+    rep = centers.verify_correspondences(batch)
     assert rep.passed
     worst = rep.max_residual
     n_verified = sum(c.note != "data-only" for c in rep.checks)

@@ -113,24 +113,24 @@ def test_shared_brocard_points_cyclic_structure(tri6913):
 
 def test_verify_shared_objects_fixed(tri6913, tri345, equilateral):
     for t in (tri6913, tri345, equilateral):
-        report = brocard.verify_shared_objects(brocard.SolvedTriangle(t))
+        report = brocard.verify_shared_objects(t)
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_verify_shared_objects_sweep(triangles_100):
     for t in triangles_100:
-        report = brocard.verify_shared_objects(brocard.SolvedTriangle(t))
+        report = brocard.verify_shared_objects(t)
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_de_longchamps_fixed(tri6913, tri345, equilateral):
     for t in (tri6913, tri345, equilateral):
-        report = brocard.de_longchamps_concurrence(brocard.SolvedTriangle(t))
+        report = brocard.de_longchamps_concurrence(t)
         assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
 
 
 def test_soddy_membership_345(tri345):
-    report = brocard.de_longchamps_concurrence(brocard.SolvedTriangle(tri345))
+    report = brocard.de_longchamps_concurrence(tri345)
     names = {c.name for c in report.checks}
     assert "incircle-axis-contains-X1" in names
     assert "incircle-axis-contains-X7" in names
@@ -138,16 +138,15 @@ def test_soddy_membership_345(tri345):
 
 def test_de_longchamps_sweep(triangles_100):
     for t in triangles_100[:40]:
-        assert brocard.de_longchamps_concurrence(brocard.SolvedTriangle(t)).passed
+        assert brocard.de_longchamps_concurrence(t).passed
 
 
 def _claim_residuals(t):
     """(claim, check) -> (residual, tolerance) of every non-skipped check."""
-    st = brocard.SolvedTriangle(t)
     claims = (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
               centers.verify_correspondences, cli._twenty_three_claim)
     return {(rep.name, c.name): (c.residual, c.tolerance)
-            for rep in (claim(st) for claim in claims)
+            for rep in (claim(t) for claim in claims)
             for c in rep.checks if not c.skipped}
 
 
@@ -292,13 +291,12 @@ def test_batch_squares_and_angles_round_like_plain_floats():
 def _assert_rows_match_alone(claims, tris):
     """Every check's residual and skip flag for row i of one batch equal the
     triangle evaluated alone, bit for bit, and as a batch of one."""
-    st = brocard.SolvedTriangle(core.stack_triangles(tris))
-    reports = [claim(st) for claim in claims]
+    batch = core.stack_triangles(tris)
+    reports = [claim(batch) for claim in claims]
     for i, t in enumerate(tris):
-        alone = brocard.SolvedTriangle(t)
-        one = brocard.SolvedTriangle(core.stack_triangles([t])) if i < 20 else None
+        one = core.stack_triangles([t]) if i < 20 else None
         for claim, rep in zip(claims, reports):
-            for other in (alone, one) if one else (alone,):
+            for other in (t, one) if one else (t,):
                 single = claim(other)
                 assert [c.name for c in single.checks] == [c.name for c in rep.checks]
                 for c, s in zip(rep.checks, single.checks):
@@ -316,6 +314,6 @@ def test_batch_rows_match_single_triangles(tri6913, equilateral):
     tris = [sampling.random_triangle(rng) for _ in range(300)] + [tri6913, equilateral]
     _assert_rows_match_alone((brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
                               cli._twenty_three_claim), tris)
-    st = brocard.SolvedTriangle(core.stack_triangles(tris))
-    skipped = {c.name: c.skipped for c in brocard.verify_shared_objects(st).checks}
+    skipped = {c.name: c.skipped
+               for c in brocard.verify_shared_objects(core.stack_triangles(tris)).checks}
     assert list(np.flatnonzero(skipped["axis-shared"])) == [len(tris) - 1]

@@ -286,11 +286,14 @@ def _needles_and_offsets():
 def _assert_matches_reference(tri, batch=False) -> int:
     """The stored centres, rows and vertices of every circle equal the
     per-circle evaluation of `oracles`, bit for bit, and a circle raises
-    InfinitePoint exactly where the reference does; the number of raises."""
+    InfinitePoint exactly where the reference does (its solutions also where
+    its centre does); the number of raises."""
     raised = 0
     for tag in core.CIRCLE_TAGS:
         try:
             rows, vertices = solution_pair(tri, tag)
+            if not batch:
+                circle_center(tri, tag)
         except InfinitePoint:
             raised += 1
             with pytest.raises(InfinitePoint):
@@ -339,6 +342,25 @@ def test_solutions_for_at_infinity_raises():
     for tag in (core.INCIRCLE, core.EXCIRCLE_B, core.EXCIRCLE_C):
         for vm in ccp_closed.solutions_for(t, tag):
             assert np.isfinite(vm.vertices).all()
+
+
+def test_circle_at_infinity_has_no_solutions():
+    # on the needle (2, 1, 1 + 1e-14) the A-excircle's centre weights
+    # (-a, b, c) sum to 1e-14 of the largest, a point at infinity, while its
+    # six closed-form rows alone still sum to finite totals (their vertices
+    # lie 1.1% of the true radius off the true A-excircle): the circle's one
+    # flag covers both, so its solutions raise where its centre does
+    t = core.triangle_from_sides(2, 1, 1 + 1e-14)
+    assert np.isfinite(solution_pair(t, core.EXCIRCLE_A)[1]).all()
+    for call in (lambda: core.tagged_circle(t, core.EXCIRCLE_A),
+                 lambda: ccp_closed.solutions_for(t, core.EXCIRCLE_A),
+                 lambda: ccp_closed.require_closed_form(t)):
+        with pytest.raises(InfinitePoint):
+            call()
+    assert np.isfinite(core.tagged_circle(t, core.EXCIRCLE_B).center).all()
+    for vm in ccp_closed.solutions_for(t, core.EXCIRCLE_B):
+        assert np.isfinite(vm.vertices).all()
+    ccp_closed.require_closed_form(core.triangle_from_sides(6, 9, 13))
 
 
 # ---------------------------------------------------------------------------

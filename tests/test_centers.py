@@ -195,7 +195,7 @@ def test_pair_file_complete():
 
 def test_correspondences_fixed_triangles(tri6913, tri345):
     for t in (tri6913, tri345):
-        rep = centers.verify_correspondences(brocard.SolvedTriangle(t))
+        rep = centers.verify_correspondences(t)
         assert rep.passed
         assert len(rep.checks) == 56
         assert sum(not c.skipped for c in rep.checks) >= 10
@@ -208,7 +208,7 @@ def test_correspondences_fixed_triangles(tri6913, tri345):
 
 def test_correspondences_sweep(triangles_100):
     for t in triangles_100[:40]:
-        rep = centers.verify_correspondences(brocard.SolvedTriangle(t))
+        rep = centers.verify_correspondences(t)
         assert rep.passed, [(c.name, c.residual) for c in rep.checks if not c.passed]
 
 
@@ -274,10 +274,10 @@ def test_correspondence_batch_rows_match_single_triangles(tri6913, equilateral):
     from castillon import sampling
     rng = np.random.default_rng(20261018)
     tris = [sampling.random_triangle(rng) for _ in range(300)] + [tri6913, equilateral]
-    rep = centers.verify_correspondences(brocard.SolvedTriangle(core.stack_triangles(tris)))
+    rep = centers.verify_correspondences(core.stack_triangles(tris))
     assert rep.note == "11 verified, 45 data-only"
     for i, t in enumerate(tris):
-        alone = centers.verify_correspondences(brocard.SolvedTriangle(t))
+        alone = centers.verify_correspondences(t)
         for c, s in zip(rep.checks, alone.checks, strict=True):
             assert c.name == s.name
             assert np.broadcast_to(c.residual, (len(tris),))[i] == s.residual, (c.name, t.sides)
@@ -294,7 +294,7 @@ def test_equilateral_skips_only_its_own_row(equilateral, rng):
     # exactly the rows whose incircle solutions are equilateral
     from castillon import sampling
     tris = [equilateral] + [sampling.random_triangle(rng) for _ in range(20)]
-    rep = centers.verify_correspondences(brocard.SolvedTriangle(core.stack_triangles(tris)))
+    rep = centers.verify_correspondences(core.stack_triangles(tris))
     assert rep.passed and rep.note == "11 verified, 45 data-only"
     skipped = np.zeros(len(tris), dtype=bool)
     for c in rep.checks:

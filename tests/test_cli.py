@@ -491,31 +491,31 @@ def test_verify_builds_lazy_frames_once_per_sweep(tmp_path, capsys, monkeypatch)
     # what the de Longchamps check reads (the axis), never their Brocard
     # points or Lemoine line
     from castillon import brocard
-    rolls, solved = [], []
-    roll = np.roll
+    rolls, batches = [], []
+    roll, stack = np.roll, core.stack_triangles
 
     def counted_roll(*args, **kwargs):
         rolls.append(args)
         return roll(*args, **kwargs)
 
-    class Recorded(brocard.SolvedTriangle):
-        def __init__(self, triangle):
-            super().__init__(triangle)
-            solved.append(self)
+    def recorded_stack(triangles):
+        batches.append(stack(triangles))
+        return batches[-1]
 
     monkeypatch.setattr(np, "roll", counted_roll)
-    monkeypatch.setattr(brocard, "SolvedTriangle", Recorded)
+    monkeypatch.setattr(core, "stack_triangles", recorded_stack)
     path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
     assert run(["verify", path, "--sweep", "80"]) == 0
     capsys.readouterr()
     assert rolls == []
-    (st,) = solved
-    assert len(st.triangle.a) == 81
+    (batch,) = batches
+    assert len(batch.a) == 81
     for tag in core.CIRCLE_TAGS[1:]:
-        for frame in st.frames(tag):
-            built = set(vars(frame)) - {"triangle", "R", "a2", "b2", "c2"}
+        for k in (0, 1):
+            built = set(vars(brocard.solution_frame(batch, tag, k))) - {
+                "triangle", "R", "a2", "b2", "c2"}
             assert built == {"X3", "X6", "X3_cart", "X6_cart", "delta", "axis_cart"}
-    incircle_built = set(vars(st.frames(core.INCIRCLE)[0]))
+    incircle_built = set(vars(brocard.solution_frame(batch, core.INCIRCLE)))
     assert {"Omega1", "Omega1_cart", "lemoine", "lemoine_cart", "X187"} <= incircle_built
 
 
@@ -549,6 +549,54 @@ def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
     assert run(["solve", path, "--solver", solver]) == 0
     capsys.readouterr()
     assert calls == [(6.0, 9.0, 13.0)]
+
+
+@pytest.mark.parametrize("argv, frames", [
+    (["solve", "--solver", "closed"], 1),
+    (["solve", "--solver", "all"], 1),
+    (["render", "--figure", "broc", "--out", "fig.svg"], 1),
+    (["render", "--figure", "excs", "--out", "fig.svg"], 4),
+])
+def test_solve_and_render_build_each_frame_once(tmp_path, capsys, monkeypatch, argv, frames):
+    # a frame is kept with its triangle: `solve` reads the T1 frame of its
+    # circle for the shared block and builds no T2 frame, `render broc` the
+    # incircle's T1 frame, `render excs` the T1 frame of each circle
+    from castillon import brocard
+    calls = []
+    frame = brocard.brocard_frame
+
+    def counted_frame(tri):
+        calls.append(tri.sides)
+        return frame(tri)
+
+    monkeypatch.setattr(brocard, "brocard_frame", counted_frame)
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
+    assert run([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == frames
+
+
+def test_verify_on_a_circle_at_infinity_exits_degenerate(tmp_path, capsys):
+    # the needle (2, 1, 1 + 1e-14) has its A-excircle's centre at infinity,
+    # so that circle has no closed-form solutions: verify stops before any
+    # claim, where it used to fail on a meaningless incircle frame
+    path = write(tmp_path, "p.json", {"triangle": {"a": 2, "b": 1, "c": 1 + 1e-14}})
+    assert run(["verify", path]) == 4
+    assert capsys.readouterr() == ("", f"error: {core.AT_INFINITY}\n")
+
+
+@pytest.mark.parametrize("solver", ["perspectrix", "all"])
+def test_solve_exits_degenerate_where_the_axis_misses_the_circle(tmp_path, capsys, solver):
+    # on this needle the perspectrix axis of the B-excircle misses the
+    # circle (`NoRealIntersection`); mobius's exit 3 here is a known wrong
+    # answer, since two solutions exist, so it is not pinned
+    path = write(tmp_path, "p.json", {
+        "triangle": {"a": 5.336233865690943, "b": 5.495607786573558, "c": 0.1593739907196531},
+        "circle": "excircle-B"})
+    assert run(["solve", path, "--solver", solver]) == 4
+    assert capsys.readouterr() == ("", "error: axis does not meet the circle\n")
 
 
 def _traced_layers() -> dict:
@@ -644,10 +692,10 @@ def test_verify_names_worst_triangle_of_failed_check(tmp_path, capsys, monkeypat
     claim = brocard.verify_shared_objects
     seen = []
 
-    def forced(st):
-        seen.append(st.triangle)
-        rep = claim(st)
-        return rep._replace(checks=rep.checks + (brocard.check("forced", st.triangle.a, 5.0),))
+    def forced(t):
+        seen.append(t)
+        rep = claim(t)
+        return rep._replace(checks=rep.checks + (brocard.check("forced", t.a, 5.0),))
 
     monkeypatch.setattr(cli.brocard, "verify_shared_objects", forced)
     monkeypatch.setenv("CASTILLON_SEED", "3")

@@ -191,10 +191,9 @@ def test_tangency_residual_sees_a_moved_side(tri6913):
     # their Brocard inellipse, and moving any one side line by 1e-6 r
     # breaks it (the smallest moved residual reads 2.0e-9)
     from castillon import brocard
-    st = brocard.SolvedTriangle(tri6913)
-    conic = brocard.brocard_inellipse(st.frame(core.INCIRCLE))
+    conic = brocard.brocard_inellipse(brocard.solution_frame(tri6913, core.INCIRCLE))
     sides = np.concatenate([core.side_lines(core.triangle_from_vertices(vm.vertices))
-                            for vm in st.solutions(core.INCIRCLE)])
+                            for vm in ccp_closed.solutions_for(tri6913, core.INCIRCLE)])
     assert core.tangency_residual(conic, sides) < 1e-12
     r = core.tagged_circle(tri6913, core.INCIRCLE).radius
     for k in range(6):
@@ -397,7 +396,20 @@ def test_totals_sum_left_to_right(rng):
 
 def test_derived_values_are_read_only(tri6913):
     # the circles and the closed form are kept with the triangle, so a write
-    # into a returned array raises instead of changing a later caller's answer
+    # into a returned array raises instead of changing a later caller's answer;
+    # a build with arguments is kept once per (build, *args): the eight
+    # solution frames are eight objects, each read back as the same object
+    from castillon import brocard
+    t = core.triangle_from_sides(6, 9, 13)
+    frames = {(tag, k): brocard.solution_frame(t, tag, k)
+              for tag in core.CIRCLE_TAGS for k in (0, 1)}
+    assert len({id(f) for f in frames.values()}) == 8
+    for (tag, k), frame in frames.items():
+        assert brocard.solution_frame(t, tag, k) is frame
+        assert t.derived(brocard._solution_frame, tag, k) is frame
+        vertices = ccp_closed.solutions_for(t, tag)[k].vertices
+        assert frame.triangle.vertices.tobytes() == vertices.tobytes()
+    assert brocard.solution_frame(t, core.INCIRCLE) is frames[core.INCIRCLE, 0]
     for tag in core.CIRCLE_TAGS:
         circ = core.tagged_circle(tri6913, tag)
         pair = ccp_closed.solutions_for(tri6913, tag)

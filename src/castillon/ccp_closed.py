@@ -8,8 +8,9 @@ The golden-ratio matrices are written out once, for the incircle (`T1`,
 sidelength negated (exversion, `SignedSides.exverted`: a -> -a for the
 A-excircle), with the two solutions' labels swapped and the rows put in the
 excircle's letter order (`_LETTER_ROW`).  The four circles' coefficient
-pairs are built at import, as one 4 x 2 x 3 x 3 array, and the solutions of
-all four circles of a triangle are evaluated together, once per triangle.
+pairs are built at import, and the centres and solutions of all four
+circles of a triangle are evaluated together, once per triangle
+(`four_circles`).
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -124,57 +125,63 @@ def _coefficient_pair(tag: str) -> Array:
     return np.array([T2[order], T1[order]])
 
 
-# The four circles' coefficient pairs, in `core.CIRCLE_TAGS` order: 4 x 2 x 3 x 3.
-_COEFFICIENTS = np.array([_coefficient_pair(tag) for tag in core.CIRCLE_TAGS])
+# Each circle's coefficient pair as 18 floats, rows T1 then T2, by tag.
+_COEFFICIENTS = {tag: _coefficient_pair(tag).ravel().tolist() for tag in core.CIRCLE_TAGS}
 
 
-def solution_pairs(sides: Array, vertices: Array) -> tuple[Array, Array, list[bool]]:
-    """The solution pairs of the first k circles of `core.CIRCLE_TAGS` in one
-    stacked evaluation, from their formal sides (a, b, c), (k,) + batch +
-    (3,), exverted for an excircle.  The cleared rows are each circle's
-    coefficient pair times the column products (vw, uw, uv) of u = s - a,
-    v = s - b, w = s - c, of shape (k, 2) + batch + (3, 3); their cartesian
-    vertices over `vertices` come from one matmul and one division; and the
-    flags say which circles have a row at infinity
-    (`core.circles_to_cartesian`)."""
-    s = 0.5 * (sides[..., 0] + sides[..., 1] + sides[..., 2])
-    uvw = s[..., None] - sides
-    # neighbours in (u, v, w, u, v, w): v w, w u and u v, and w u is u w
-    twice = np.concatenate([uvw, uvw], axis=-1)
-    products = (twice[..., 1:4] * twice[..., 2:5])[:, None, ..., None, :]
-    coefficients = _COEFFICIENTS[:len(sides)].reshape(
-        (len(sides), 2) + (1,) * (products.ndim - 4) + (3, 3))
-    # C order, so that each (batch, 3, 3) slice's matmuls round as one triangle's
-    rows = np.ascontiguousarray(coefficients * products)
-    rows.flags.writeable = False
-    return (rows, *core.circles_to_cartesian(rows, vertices))
+def circle_rows(a, b, c, tag: str) -> list:
+    """The circle `tag` of formal sides a, b, c (one negated for an
+    excircle) as 27 numbers, three blocks of three barycentric rows: its
+    centre's weights, the sides, thrice, then the cleared rows of its T1 and
+    T2, its coefficient pair times the products (vw, uw, uv) of u = s - a,
+    v = s - b, w = s - c; floats for one triangle, arrays for a batch."""
+    s = 0.5 * (a + b + c)
+    u, v, w = s - a, s - b, s - c
+    return [a, b, c] * 3 + [*map(operator.mul, _COEFFICIENTS[tag], (v * w, u * w, u * v) * 6)]
 
 
-def _four_pairs(tri: TriangleData) -> tuple[Array, Array, list[bool]]:
-    """The four circles' `solution_pairs`, each circle flagged where its
-    centre (`core.four_centers`) or one of its six rows lies at infinity."""
-    rows, vertices, infinite = solution_pairs(core.signed_sides(tri), tri.vertices)
-    centers_infinite = tri.derived(core.four_centers)[1]
-    return rows, vertices, [a or b for a, b in zip(infinite, centers_infinite)]
+def four_circles(tri: TriangleData) -> tuple[Array, list[bool], Array, Array, list[bool]]:
+    """The four circles of a triangle (or batch), `core.CIRCLE_TAGS` order,
+    from one stack of their `circle_rows`, batch + (36, 3), and its points
+    (`core.circles_to_cartesian`): the centres, (4,) + batch + (2,), bit for
+    bit `core.bary_to_cartesian` of their weights, and whether each lies at
+    infinity; read-only views of the rows, (4, 3) + batch + (3, 3), centre,
+    T1 and T2 blocks, and of their points; and whether a row lies there."""
+    a, b, c = tri.a, tri.b, tri.c
+    entries = []
+    # an excircle's formal sides negate the one opposite its vertex (exversion)
+    for tag, sides in zip(core.CIRCLE_TAGS, ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))):
+        entries += circle_rows(*sides, tag)
+    stack = np.array(entries)
+    batch = stack.shape[1:]
+    if batch:  # the batch axis goes first, ahead of the rows
+        stack = np.ascontiguousarray(stack.T)
+    stack = stack.reshape(batch + (36, 3))
+    stack.flags.writeable = False
+    points, centers_infinite, infinite = core.circles_to_cartesian(stack, tri.vertices)
+    rows, points = stack.reshape(batch + (4, 3, 3, 3)), points.reshape(batch + (4, 3, 3, 2))
+    if batch:  # and the readers' views put it after the circle and block axes
+        rows, points = np.moveaxis(rows, 0, 2), np.moveaxis(points, 0, 2)
+    return points[:, 0, ..., 0, :], centers_infinite, rows, points, infinite
 
 
 def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
     """The two inscribed solution triangles on a circle, by tag: its slice of
-    the four circles' `solution_pairs`, built once per triangle.  Only a
-    circle whose centre or closed form lies at infinity raises InfinitePoint,
-    so a circle `core.tagged_circle` cannot build has no solutions either."""
+    the triangle's `four_circles`, built once per triangle.  Only a circle
+    whose centre or closed form lies at infinity raises InfinitePoint, so a
+    circle `core.tagged_circle` cannot build has no solutions either."""
     k = core.circle_index(tag)
-    rows, vertices, infinite = tri.derived(_four_pairs)
+    _, _, rows, points, infinite = tri.derived(four_circles)
     if infinite[k]:
         raise InfinitePoint(core.AT_INFINITY)
-    return (VertexMatrix(rows[k, 0], "T1", vertices[k, 0]),
-            VertexMatrix(rows[k, 1], "T2", vertices[k, 1]))
+    return (VertexMatrix(rows[k, 1], "T1", points[k, 1]),
+            VertexMatrix(rows[k, 2], "T2", points[k, 2]))
 
 
 def require_closed_form(tri: TriangleData) -> None:
     """InfinitePoint unless `solutions_for` solves every circle of the
     triangle, or of each triangle of a batch."""
-    if any(tri.derived(_four_pairs)[2]):
+    if any(tri.derived(four_circles)[-1]):
         raise InfinitePoint(core.AT_INFINITY)
 
 
@@ -230,9 +237,9 @@ class GeneratedVertex(NamedTuple):
 
 
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of the incircle's T2 in `solution_pairs` of `sd` on plain floats (or on
-    arrays of a batch), from the same coefficients and products, so
-    bit-identical to it."""
+    """Row 3 of the incircle's T2 in `circle_rows` of the sides of `sd`, on
+    plain floats (or on arrays of a batch), from the same coefficients and
+    products, so bit-identical to it."""
     u, v, w = sd.u, sd.v, sd.w
     k1, k2, k3 = T2[2].tolist()
     return (k1 * (v * w), k2 * (u * w), k3 * (u * v))

@@ -229,18 +229,24 @@ def rows_to_cartesian(rows: Array, vertices: Array) -> Array:
     return (rows @ vertices) / totals
 
 
-def circles_to_cartesian(rows: Array, vertices: Array) -> tuple[Array, list[bool]]:
-    """`rows_to_cartesian` of a stack whose leading axis runs over circles,
-    without raising: the points, read-only, and for each circle whether a row
-    of it lies at infinity, so that only a reader of that circle fails."""
-    totals, infinite = _totals(rows)
-    flags = [False] * len(rows)
-    if infinite.any():  # a flagged circle divides by 1: its points are never read
-        flags = infinite.reshape(len(rows), -1).any(axis=1).tolist()
-        totals = np.where(infinite, 1.0, totals)
-    points = (rows @ vertices) / totals
+def circles_to_cartesian(stack: Array, vertices: Array) -> tuple[Array, list[bool], list[bool]]:
+    """`rows_to_cartesian` of k circles' rows, batch + (9 k, 3), one matmul
+    per triangle, each circle three blocks of rows: its centre's weights
+    thrice, then its two solutions'.  Without raising: the points, read-only,
+    and per circle whether its centre, and whether any row, lies at infinity
+    (`_totals`), so that only a reader of that circle fails."""
+    totals = stack.sum(axis=-1, keepdims=True)
+    centers = rows = [False] * (stack.shape[-2] // 9)
+    # no row lies at infinity where no total is at most 1e-14 of the largest entry
+    if abs(totals).min() <= 1e-14 * abs(stack).max():
+        infinite = _totals(stack)[1]
+        per_circle = infinite.reshape(-1, len(rows), 3, 3)
+        centers = per_circle[:, :, 0].any(axis=(0, 2)).tolist()
+        rows = per_circle.any(axis=(0, 2, 3)).tolist()
+        totals = np.where(infinite, 1.0, totals)  # a flagged circle's points are never read
+    points = (stack @ vertices) / totals
     points.flags.writeable = False
-    return points, flags
+    return points, centers, rows
 
 
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
@@ -384,10 +390,7 @@ EXCIRCLE_B = "excircle-B"
 EXCIRCLE_C = "excircle-C"
 CIRCLE_TAGS = (INCIRCLE, EXCIRCLE_A, EXCIRCLE_B, EXCIRCLE_C)
 
-# The one definition of each circle, in `CIRCLE_TAGS` order: the signs of the
-# sides (a, b, c) in its formulas and centre weights, negated at an excircle's
-# vertex (exversion), and the field its radius divides the area by.
-CIRCLE_SIGNS = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+# The field each circle's radius divides the area by, in `CIRCLE_TAGS` order.
 _RADIUS_FIELD = ("s", "u", "v", "w")
 
 
@@ -399,28 +402,18 @@ def circle_index(tag: str) -> int:
     return CIRCLE_TAGS.index(tag)
 
 
-def signed_sides(tri: TriangleData) -> Array:
-    """The sides (a, b, c) of each circle's formulas, exverted by
-    `CIRCLE_SIGNS`, as one (4,) + batch + (3,) array."""
-    sides = np.array(tri.sides).T
-    signs = CIRCLE_SIGNS.reshape((4,) + (1,) * (sides.ndim - 1) + (3,))
-    return np.ascontiguousarray(signs * sides)
-
-
 def _radius(tri: TriangleData, k: int) -> float:
     return tri.area / getattr(tri, _RADIUS_FIELD[k])
 
 
-def four_centers(tri: TriangleData) -> tuple[Array, list[bool]]:
-    """The centres of the four circles, `bary_to_cartesian` of their weights
-    bit for bit (one matmul per centre, numpy's rounding), as one stack, and
-    for each circle whether its centre lies at infinity."""
-    centers, infinite = circles_to_cartesian(signed_sides(tri)[..., None, :], tri.vertices)
-    return centers[..., 0, :], infinite
+def _centers(tri: TriangleData) -> tuple[Array, list[bool]]:
+    """`ccp_closed.four_circles`' centres and their flags (it imports this module)."""
+    from .ccp_closed import four_circles
+    return tri.derived(four_circles)[:2]
 
 
 def _center(tri: TriangleData, k: int) -> Array:
-    centers, infinite = tri.derived(four_centers)
+    centers, infinite = tri.derived(_centers)
     if infinite[k]:
         raise InfinitePoint(AT_INFINITY)
     return centers[k]

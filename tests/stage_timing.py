@@ -4,25 +4,31 @@
 
 Draws N triangles with `sampling.random_triangle` from numpy seed S and
 times the four stages of one oracle problem per circle of each, as the
-benchmark's oracle worker solves it: `circle` (`core.tagged_circle`),
-`closed` (`ccp_closed.solutions_for` and the cartesian vertices), `mobius`
-(`ccp_general.solve_ccp_mobius` on `CcpProblem.on_triangle`) and
-`perspectrix` (`ccp_general.solve_ccp_perspectrix`).  Each pass draws fresh
-triangle objects from the same seed, untimed, as the worker draws new ones:
-a triangle keeps what it has derived (`TriangleData.derived`), so reused
-objects would time warm values the worker never reads.  A pass runs each
-stage over the first circle of every triangle, which pays for what is built
-for all four, and then over the other three circles.  The report gives the
-min and the median over the passes of the microseconds per problem, for the
-first circle, the later circles and all problems.
+benchmark's oracle worker (`perfbench/oracle_worker.py`) solves it:
+`circle` (`core.tagged_circle`), `closed` (`ccp_closed.solutions_for` and
+the cartesian vertices), `mobius` (`ccp_general.solve_ccp_mobius` on
+`CcpProblem.on_triangle`) and `perspectrix`
+(`ccp_general.solve_ccp_perspectrix`).  The problems run in the worker's
+order: triangle by triangle, its four circles one after the other, each
+solved through all four stages and then, untimed, checked by the worker's
+own `checks.check_oracle`, so each stage meets its code as cold as the
+worker does.  Each pass draws fresh triangle objects from the same seed,
+untimed, as the worker draws new ones: a triangle keeps what it has
+derived (`TriangleData.derived`), so reused objects would time warm values
+the worker never reads.  The first circle of each triangle pays for what
+is built for all four, so its problems are reported apart from the other
+three.  The report gives the min and the median over the passes of the
+microseconds per problem, for the first circle, the later circles and all
+problems.
 
 Each `--tree` is a checkout whose `src/castillon` is imported as a package
 of its own (default: the checkout holding this script), so two trees run
 side by side in one process.  Their passes alternate, the first tree first
 on even passes, so both see the same drift of the host's speed, and the
 last block gives the median over passes of each tree's time over the first
-tree's.  Standard library and numpy only.  Not a test module: pytest does
-not collect it.
+tree's.  Standard library and numpy only; the checker comes from this
+script's own checkout, whichever trees it times.  Not a test module:
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -58,31 +64,40 @@ def draw(modules, n: int, seed: int):
     return [modules["sampling"].random_triangle(rng) for _ in range(n)]
 
 
-def one_pass(modules, tris) -> list[list[float]]:
+def load_checker():
+    """The oracle worker's output check, from this checkout's `perfbench/`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("stage_timing_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.check_oracle
+
+
+def one_pass(modules, tris, check) -> list[list[float]]:
     """Microseconds per problem of each stage, in `STAGES` order, for the
-    first circle of each triangle and then for the other three."""
+    first circle of each triangle and for the other three, the problems
+    solved one by one in the worker's order with `check` after each."""
     core, closed, general = modules["core"], modules["ccp_closed"], modules["ccp_general"]
-    tags = core.CIRCLE_TAGS
     clock = time.perf_counter_ns
-    out = []
-    for probs in ([(tri, tags[0]) for tri in tris],
-                  [(tri, tag) for tri in tris for tag in tags[1:]]):
-        t0 = clock()
-        circles = [core.tagged_circle(tri, tag) for tri, tag in probs]
-        t1 = clock()
-        for tri, tag in probs:
-            [vm.cartesian(tri) for vm in closed.solutions_for(tri, tag)]
-        t2 = clock()
-        for (tri, _), circ in zip(probs, circles):
-            [s.vertices for s in
-             general.solve_ccp_mobius(general.CcpProblem.on_triangle(tri, circ))]
-        t3 = clock()
-        for (tri, _), circ in zip(probs, circles):
-            [s.cartesian(tri) for s in general.solve_ccp_perspectrix(tri, circ)]
-        t4 = clock()
-        out.append([(b - a) / 1e3 / len(probs)
-                    for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))])
-    return out
+    totals = [[0] * len(STAGES), [0] * len(STAGES)]  # first circle, later circles
+    for tri in tris:
+        for j, tag in enumerate(core.CIRCLE_TAGS):
+            t0 = clock()
+            circ = core.tagged_circle(tri, tag)
+            t1 = clock()
+            closed_form = [vm.cartesian(tri) for vm in closed.solutions_for(tri, tag)]
+            t2 = clock()
+            mobius = [s.vertices for s in
+                      general.solve_ccp_mobius(general.CcpProblem.on_triangle(tri, circ))]
+            t3 = clock()
+            persp = [s.cartesian(tri) for s in general.solve_ccp_perspectrix(tri, circ)]
+            t4 = clock()
+            check(tri.vertices, tag, closed_form, mobius, persp)
+            row = totals[j > 0]
+            for k, (a, b) in enumerate(((t0, t1), (t1, t2), (t2, t3), (t3, t4))):
+                row[k] += b - a
+    return [[ns / 1e3 / (count * len(tris)) for ns in row]
+            for row, count in zip(totals, (1, len(core.CIRCLE_TAGS) - 1))]
 
 
 GROUPS = ("first", "later", "all")
@@ -97,12 +112,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = args.tree or [Path(__file__).resolve().parents[1]]
     trees = [load_tree(root, f"castillon_tree{k}") for k, root in enumerate(roots)]
+    check = load_checker()
     # tree, group, pass, stage (the last column the sum)
     times = [{group: [] for group in GROUPS} for _ in trees]
     for k in range(args.passes):
         order = range(len(trees)) if k % 2 == 0 else reversed(range(len(trees)))
         for t in order:
-            first, later = one_pass(trees[t], draw(trees[t], args.triangles, args.seed))
+            first, later = one_pass(trees[t], draw(trees[t], args.triangles, args.seed), check)
             every = [(f + 3.0 * l) / 4.0 for f, l in zip(first, later)]
             for group, stages in zip(GROUPS, (first, later, every)):
                 times[t][group].append(stages + [sum(stages)])

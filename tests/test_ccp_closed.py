@@ -315,6 +315,41 @@ def _assert_matches_reference(tri, batch=False) -> int:
     return raised
 
 
+def _raises(call) -> bool:
+    try:
+        call()
+    except InfinitePoint:
+        return True
+    return False
+
+
+def _assert_batch_flags(members) -> set:
+    """A batch of `members` flags a circle's centre exactly where a member's
+    `tagged_circle` raises, and the circle exactly where a member's
+    `solutions_for` does; a flagged circle raises for the batch, and an
+    unflagged one reads each member's own bits.  The (centre, circle) flag
+    pairs seen."""
+    batch = core.stack_triangles(members)
+    _, centers_infinite, _, _, infinite = ccp_closed.four_circles(batch)
+    seen = set()
+    for k, tag in enumerate(core.CIRCLE_TAGS):
+        center = any(_raises(lambda: core.tagged_circle(t, tag)) for t in members)
+        rows = any(_raises(lambda: ccp_closed.solutions_for(t, tag)) for t in members)
+        assert (centers_infinite[k], infinite[k]) == (center, rows), tag
+        seen.add((center, rows))
+        if rows:
+            with pytest.raises(InfinitePoint):
+                ccp_closed.solutions_for(batch, tag)
+            continue
+        pair = ccp_closed.solutions_for(batch, tag)
+        for i, t in enumerate(members):
+            for vb, vm in zip(pair, ccp_closed.solutions_for(t, tag)):
+                assert vb.rows[i].tobytes() == vm.rows.tobytes()
+                assert vb.vertices[i].tobytes() == vm.vertices.tobytes()
+    assert _raises(lambda: ccp_closed.require_closed_form(batch)) == any(infinite)
+    return seen
+
+
 def test_four_circles_bit_identical_to_per_circle_reference():
     # the four circles of a triangle are one stacked evaluation; each circle
     # must still read the bits of its own evaluation: on a seeded sweep, on
@@ -323,8 +358,16 @@ def test_four_circles_bit_identical_to_per_circle_reference():
     rng = np.random.default_rng(26)
     tris = [sampling.random_triangle(rng) for _ in range(500)]
     assert sum(_assert_matches_reference(t) for t in tris) == 0
-    assert sum(_assert_matches_reference(t) for t in _needles_and_offsets()) > 0
+    needles = _needles_and_offsets()
+    assert sum(_assert_matches_reference(t) for t in needles) > 0
     assert _assert_matches_reference(core.stack_triangles(tris[:81]), batch=True) == 0
+    # batches with needles: each needle with sweep triangles, and all of them
+    # at once; a circle's centre flag and its row flag stay apart (a PHI
+    # needle's A-excircle has rows at infinity and a finite centre)
+    seen = set()
+    for extra in [[t] for t in needles] + [needles]:
+        seen |= _assert_batch_flags(tris[:8] + extra)
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def test_solutions_for_at_infinity_raises():

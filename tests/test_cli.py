@@ -533,17 +533,17 @@ def test_verify_sweep_80_meets_benchmark_checker(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("solver", ["closed", "all"])
 def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
-    # the four circles' closed form is built once per triangle, and serves
-    # both the solutions and the shared block
+    # the four circles and their closed form are built once per triangle,
+    # and serve the circle, the solutions and the shared block
     from castillon import ccp_closed
     calls = []
-    four_pairs = ccp_closed._four_pairs
+    four_circles = ccp_closed.four_circles
 
     def counted(tri):
         calls.append(tri.sides)
-        return four_pairs(tri)
+        return four_circles(tri)
 
-    monkeypatch.setattr(ccp_closed, "_four_pairs", counted)
+    monkeypatch.setattr(ccp_closed, "four_circles", counted)
     path = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
     assert run(["solve", path, "--solver", solver]) == 0

@@ -369,13 +369,20 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
                 call()
         else:
             assert np.isfinite(call()).all()
-    # the four circles' stack, as the closed form and the centres are built:
-    # only the circle holding the row is flagged, and none raises or divides
-    # by zero
-    stack = np.array([np.eye(3), rows, np.eye(3), np.eye(3)])[:, None]
-    points, flags = core.circles_to_cartesian(stack, tri345.vertices)
-    assert flags == [False, infinite, False, False]
-    assert np.isfinite(points).all()
+    # the four circles' stack as `ccp_closed.four_circles` builds it, each
+    # circle's centre weights and then its two solutions' rows, for one
+    # triangle and for a batch: the row in a centre's place flags that
+    # circle's centre and the circle, in a solution row's place the circle
+    # alone; no other circle is flagged, and none raises or divides by zero
+    for batch_shape, vertices in (((), tri345.vertices), ((2,), batch.vertices)):
+        for block, centers in ((0, [False, infinite, False, False]), (2, [False] * 4)):
+            stack = np.broadcast_to(np.eye(3), batch_shape + (4, 3, 3, 3)).copy()
+            stack[(1,) * len(batch_shape) + (1, block, 1)] = row
+            points, center_flags, flags = core.circles_to_cartesian(
+                stack.reshape(batch_shape + (36, 3)), vertices)
+            assert center_flags == centers
+            assert flags == [False, infinite, False, False]
+            assert np.isfinite(points).all()
 
 
 def test_totals_sum_left_to_right(rng):

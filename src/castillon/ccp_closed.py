@@ -8,9 +8,8 @@ The golden-ratio matrices are written out once, for the incircle (`T1`,
 sidelength negated (exversion, `SignedSides.exverted`: a -> -a for the
 A-excircle), with the two solutions' labels swapped and the rows put in the
 excircle's letter order (`_LETTER_ROW`).  The four circles' coefficient
-pairs are built at import, and the centres and solutions of all four
-circles of a triangle are evaluated together, once per triangle
-(`four_circles`).
+pairs are built at import; a triangle's four circles, centres and
+solutions, are evaluated together, once per triangle (`core.four_circles`).
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
@@ -130,58 +129,79 @@ _COEFFICIENTS = {tag: _coefficient_pair(tag).ravel().tolist() for tag in core.CI
 
 
 def circle_rows(a, b, c, tag: str) -> list:
-    """The circle `tag` of formal sides a, b, c (one negated for an
-    excircle) as 27 numbers, three blocks of three barycentric rows: its
-    centre's weights, the sides, thrice, then the cleared rows of its T1 and
-    T2, its coefficient pair times the products (vw, uw, uv) of u = s - a,
-    v = s - b, w = s - c; floats for one triangle, arrays for a batch."""
+    """The cleared rows of the circle `tag`'s T1 and T2, of formal sides a,
+    b, c (one negated for an excircle), as 18 numbers: its coefficient pair
+    times the products (vw, uw, uv) of u = s - a, v = s - b, w = s - c;
+    floats for one triangle, arrays for a batch."""
     s = 0.5 * (a + b + c)
     u, v, w = s - a, s - b, s - c
-    return [a, b, c] * 3 + [*map(operator.mul, _COEFFICIENTS[tag], (v * w, u * w, u * v) * 6)]
+    return list(map(operator.mul, _COEFFICIENTS[tag], (v * w, u * w, u * v) * 6))
 
 
-def four_circles(tri: TriangleData) -> tuple[Array, list[bool], Array, Array, list[bool]]:
-    """The four circles of a triangle (or batch), `core.CIRCLE_TAGS` order,
-    from one stack of their `circle_rows`, batch + (36, 3), and its points
-    (`core.circles_to_cartesian`): the centres, (4,) + batch + (2,), bit for
-    bit `core.bary_to_cartesian` of their weights, and whether each lies at
-    infinity; read-only views of the rows, (4, 3) + batch + (3, 3), centre,
-    T1 and T2 blocks, and of their points; and whether a row lies there."""
+class FourCircles(NamedTuple):
+    """The four circles of a triangle (or batch), `core.CIRCLE_TAGS` order."""
+
+    centers: Array  # (4,) + batch + (2,), `core.bary_to_cartesian` of their weights
+    centers_infinite: list[bool]  # per circle: `core.tagged_circle` raises
+    rows: Array  # (4, 3) + batch + (3, 3), read-only: centre weights, T1, T2
+    points: Array  # (4, 3) + batch + (3, 2), read-only, their points
+    infinite: list[bool]  # per circle, its centre or a row: `solutions_for` raises
+
+
+def circles_to_cartesian(stack: Array, vertices: Array) -> tuple[Array, list[bool], list[bool]]:
+    """`core.rows_to_cartesian` of `build_four_circles`' stack, without
+    raising: the points, read-only, and per circle whether its centre (block
+    0), and whether its centre or any row, lies at infinity (`core.row_totals`)."""
+    totals, infinite = core.row_totals(stack)
+    centers = rows = [False] * 4
+    if infinite.any():  # a flagged circle divides by 1: its points are never read
+        blocks = infinite.reshape(-1, 4, 3, 3)  # batch, circle, block, row
+        centers = blocks[:, :, 0].any(axis=(0, 2)).tolist()
+        rows = blocks.any(axis=(0, 2, 3)).tolist()
+        totals = np.where(infinite, 1.0, totals)
+    points = (stack @ vertices) / totals
+    points.flags.writeable = False
+    return points, centers, rows
+
+
+def build_four_circles(tri: TriangleData) -> FourCircles:
+    """The four circles of a triangle (or batch) from one stack, batch +
+    (36, 3), of three blocks of three rows per circle, its centre's weights
+    (its formal sides) thrice, then its `circle_rows`: one matmul a triangle."""
     a, b, c = tri.a, tri.b, tri.c
     entries = []
     # an excircle's formal sides negate the one opposite its vertex (exversion)
     for tag, sides in zip(core.CIRCLE_TAGS, ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))):
-        entries += circle_rows(*sides, tag)
+        entries += [*sides * 3, *circle_rows(*sides, tag)]
     stack = np.array(entries)
     batch = stack.shape[1:]
     if batch:  # the batch axis goes first, ahead of the rows
         stack = np.ascontiguousarray(stack.T)
     stack = stack.reshape(batch + (36, 3))
     stack.flags.writeable = False
-    points, centers_infinite, infinite = core.circles_to_cartesian(stack, tri.vertices)
+    points, center_flags, flags = circles_to_cartesian(stack, tri.vertices)
     rows, points = stack.reshape(batch + (4, 3, 3, 3)), points.reshape(batch + (4, 3, 3, 2))
     if batch:  # and the readers' views put it after the circle and block axes
         rows, points = np.moveaxis(rows, 0, 2), np.moveaxis(points, 0, 2)
-    return points[:, 0, ..., 0, :], centers_infinite, rows, points, infinite
+    return FourCircles(points[:, 0, ..., 0, :], center_flags, rows, points, flags)
 
 
 def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-    """The two inscribed solution triangles on a circle, by tag: its slice of
-    the triangle's `four_circles`, built once per triangle.  Only a circle
-    whose centre or closed form lies at infinity raises InfinitePoint, so a
-    circle `core.tagged_circle` cannot build has no solutions either."""
+    """The two inscribed solution triangles on a circle, by tag, read from the
+    triangle's `core.four_circles`; InfinitePoint where the circle's centre or
+    a row lies at infinity, so a circle `core.tagged_circle` cannot build has none."""
     k = core.circle_index(tag)
-    _, _, rows, points, infinite = tri.derived(four_circles)
-    if infinite[k]:
+    circles = tri.derived(core.four_circles)
+    if circles.infinite[k]:
         raise InfinitePoint(core.AT_INFINITY)
-    return (VertexMatrix(rows[k, 1], "T1", points[k, 1]),
-            VertexMatrix(rows[k, 2], "T2", points[k, 2]))
+    rows, points = circles.rows[k], circles.points[k]
+    return VertexMatrix(rows[1], "T1", points[1]), VertexMatrix(rows[2], "T2", points[2])
 
 
 def require_closed_form(tri: TriangleData) -> None:
     """InfinitePoint unless `solutions_for` solves every circle of the
     triangle, or of each triangle of a batch."""
-    if any(tri.derived(four_circles)[-1]):
+    if any(tri.derived(core.four_circles).infinite):
         raise InfinitePoint(core.AT_INFINITY)
 
 
@@ -237,12 +257,8 @@ class GeneratedVertex(NamedTuple):
 
 
 def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of the incircle's T2 in `circle_rows` of the sides of `sd`, on
-    plain floats (or on arrays of a batch), from the same coefficients and
-    products, so bit-identical to it."""
-    u, v, w = sd.u, sd.v, sd.w
-    k1, k2, k3 = T2[2].tolist()
-    return (k1 * (v * w), k2 * (u * w), k3 * (u * v))
+    """Row 3 of the incircle's T2 in `circle_rows` of the sides of `sd`."""
+    return tuple(circle_rows(*sd, core.INCIRCLE)[15:])
 
 
 _ROLL = operator.itemgetter(2, 0, 1)     # np.roll(v, 1) on a tuple

@@ -210,7 +210,7 @@ def triangle_from_vertices(pts) -> TriangleData:
 AT_INFINITY = "barycentric point at infinity has no cartesian image"
 
 
-def _totals(p: Array) -> tuple[Array, Array]:
+def row_totals(p: Array) -> tuple[Array, Array]:
     """The sum of each triple along the last axis, left to right (x + y) + z
     as numpy sums three entries, as an axis of 1; and where that sum is at
     most 1e-14 max |component|, a point at infinity."""
@@ -223,30 +223,10 @@ def rows_to_cartesian(rows: Array, vertices: Array) -> Array:
     vertex arrays (..., 3, 2) that broadcast with them: one matmul (numpy
     rounds each entry as a chain of fused multiply-adds, each matrix of a
     stack as alone) and one division; InfinitePoint if a row is at infinity."""
-    totals, infinite = _totals(rows)
+    totals, infinite = row_totals(rows)
     if infinite.any():
         raise InfinitePoint(AT_INFINITY)
     return (rows @ vertices) / totals
-
-
-def circles_to_cartesian(stack: Array, vertices: Array) -> tuple[Array, list[bool], list[bool]]:
-    """`rows_to_cartesian` of k circles' rows, batch + (9 k, 3), one matmul
-    per triangle, each circle three blocks of rows: its centre's weights
-    thrice, then its two solutions'.  Without raising: the points, read-only,
-    and per circle whether its centre, and whether any row, lies at infinity
-    (`_totals`), so that only a reader of that circle fails."""
-    totals = stack.sum(axis=-1, keepdims=True)
-    centers = rows = [False] * (stack.shape[-2] // 9)
-    # no row lies at infinity where no total is at most 1e-14 of the largest entry
-    if abs(totals).min() <= 1e-14 * abs(stack).max():
-        infinite = _totals(stack)[1]
-        per_circle = infinite.reshape(-1, len(rows), 3, 3)
-        centers = per_circle[:, :, 0].any(axis=(0, 2)).tolist()
-        rows = per_circle.any(axis=(0, 2, 3)).tolist()
-        totals = np.where(infinite, 1.0, totals)  # a flagged circle's points are never read
-    points = (stack @ vertices) / totals
-    points.flags.writeable = False
-    return points, centers, rows
 
 
 def bary_to_cartesian(p, tri: TriangleData) -> Array:
@@ -406,17 +386,18 @@ def _radius(tri: TriangleData, k: int) -> float:
     return tri.area / getattr(tri, _RADIUS_FIELD[k])
 
 
-def _centers(tri: TriangleData) -> tuple[Array, list[bool]]:
-    """`ccp_closed.four_circles`' centres and their flags (it imports this module)."""
-    from .ccp_closed import four_circles
-    return tri.derived(four_circles)[:2]
+def four_circles(tri: TriangleData):
+    """The `TriangleData.derived` build of a triangle's `ccp_closed.FourCircles`,
+    imported once per triangle, at call time, since ccp_closed imports core."""
+    from .ccp_closed import build_four_circles
+    return build_four_circles(tri)
 
 
 def _center(tri: TriangleData, k: int) -> Array:
-    centers, infinite = tri.derived(_centers)
-    if infinite[k]:
+    circles = tri.derived(four_circles)
+    if circles.centers_infinite[k]:
         raise InfinitePoint(AT_INFINITY)
-    return centers[k]
+    return circles.centers[k]
 
 
 def tagged_circle(tri: TriangleData, tag: str) -> CircleData:

@@ -76,7 +76,7 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     u, v, w = 1.0 / p
     # positive u, v, w make every term of the incircle's rows positive, so
     # none lies at infinity
-    rows = np.array(ccp_closed.circle_rows(v + w, u + w, u + v, core.INCIRCLE)[9:]).reshape(2, 3, 3)
+    rows = np.array(ccp_closed.circle_rows(v + w, u + w, u + v, core.INCIRCLE)).reshape(2, 3, 3)
     triangles = core.rows_to_cartesian(rows, tri.vertices)
 
     Binv = np.linalg.inv(rows[0] / rows[0].sum(axis=1, keepdims=True))

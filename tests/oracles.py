@@ -126,7 +126,7 @@ def incircle_vertices(tri: core.TriangleData, phi) -> Array:
 def finite_total(x: float, y: float, z: float) -> float:
     """Sum of one barycentric triple, left to right on floats; InfinitePoint
     where it is at most 1e-14 max |component|.  The per-triple reference of
-    `core._totals`."""
+    `core.row_totals`."""
     total = x + y + z
     if abs(total) <= 1e-14 * max(abs(x), abs(y), abs(z)):
         raise InfinitePoint(core.AT_INFINITY)

@@ -330,7 +330,8 @@ def _assert_batch_flags(members) -> set:
     unflagged one reads each member's own bits.  The (centre, circle) flag
     pairs seen."""
     batch = core.stack_triangles(members)
-    _, centers_infinite, _, _, infinite = ccp_closed.four_circles(batch)
+    circles = ccp_closed.build_four_circles(batch)
+    centers_infinite, infinite = circles.centers_infinite, circles.infinite
     seen = set()
     for k, tag in enumerate(core.CIRCLE_TAGS):
         center = any(_raises(lambda: core.tagged_circle(t, tag)) for t in members)

@@ -537,13 +537,13 @@ def test_solve_computes_closed_form_once(tmp_path, capsys, monkeypatch, solver):
     # and serve the circle, the solutions and the shared block
     from castillon import ccp_closed
     calls = []
-    four_circles = ccp_closed.four_circles
+    build = ccp_closed.build_four_circles
 
     def counted(tri):
         calls.append(tri.sides)
-        return four_circles(tri)
+        return build(tri)
 
-    monkeypatch.setattr(ccp_closed, "four_circles", counted)
+    monkeypatch.setattr(ccp_closed, "build_four_circles", counted)
     path = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "excircle-B"})
     assert run(["solve", path, "--solver", solver]) == 0

@@ -369,7 +369,7 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
                 call()
         else:
             assert np.isfinite(call()).all()
-    # the four circles' stack as `ccp_closed.four_circles` builds it, each
+    # the four circles' stack as `ccp_closed.build_four_circles` makes it, each
     # circle's centre weights and then its two solutions' rows, for one
     # triangle and for a batch: the row in a centre's place flags that
     # circle's centre and the circle, in a solution row's place the circle
@@ -378,7 +378,7 @@ def test_point_at_infinity_threshold(tri345, total, infinite):
         for block, centers in ((0, [False, infinite, False, False]), (2, [False] * 4)):
             stack = np.broadcast_to(np.eye(3), batch_shape + (4, 3, 3, 3)).copy()
             stack[(1,) * len(batch_shape) + (1, block, 1)] = row
-            points, center_flags, flags = core.circles_to_cartesian(
+            points, center_flags, flags = ccp_closed.circles_to_cartesian(
                 stack.reshape(batch_shape + (36, 3)), vertices)
             assert center_flags == centers
             assert flags == [False, infinite, False, False]
@@ -391,7 +391,7 @@ def test_totals_sum_left_to_right(rng):
     rows = rng.normal(size=(20_000, 3)) * 10.0 ** rng.integers(-16, 17, size=(20_000, 3))
     rows[:5_000, 1] = -rows[:5_000, 0] * (1.0 + rng.normal(size=5_000) * 1e-15)
     for shape in ((20_000, 3), (4, 2, 2_500, 1, 3), (5_000, 4, 3)):
-        totals, infinite = core._totals(rows.reshape(shape))
+        totals, infinite = core.row_totals(rows.reshape(shape))
         assert totals.shape == infinite.shape == shape[:-1] + (1,)
         want = [x + y + z for x, y, z in rows.tolist()]
         assert totals.ravel().tolist() == want

@@ -68,22 +68,6 @@ class SignedSides(NamedTuple):
     def from_triangle(cls, tri: TriangleData) -> "SignedSides":
         return cls(tri.a, tri.b, tri.c)
 
-    @property
-    def s(self) -> float:
-        return 0.5 * (self.a + self.b + self.c)
-
-    @property
-    def u(self) -> float:
-        return self.s - self.a
-
-    @property
-    def v(self) -> float:
-        return self.s - self.b
-
-    @property
-    def w(self) -> float:
-        return self.s - self.c
-
     def exverted(self, vertex: str) -> "SignedSides":
         sides, i = list(self), ("A", "B", "C").index(vertex.upper())
         sides[i] = -sides[i]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -174,15 +173,20 @@ def _first_vertex_angle(walk) -> float:
 def _solutions(circ, walks, multiplicity: str = TWO_DISTINCT) -> list[CcpSolution]:
     """The walks (lists of vertices in the circle's frame, at most two) as
     cartesian solutions, ordered by `_first_vertex_angle`: one array, built
-    from a flat list."""
-    if not walks:
+    from a flat list, its rows taken by index."""
+    n = len(walks)
+    if not n:
         return []
     cx, cy, r = circ
-    if len(walks) == 2 and _first_vertex_angle(walks[1]) < _first_vertex_angle(walks[0]):
+    if n == 2 and _first_vertex_angle(walks[1]) < _first_vertex_angle(walks[0]):
         walks.reverse()
-    flat = [x for walk in walks for z in walk for x in (cx + r * z.real, cy + r * z.imag)]
-    return [CcpSolution(verts, multiplicity)
-            for verts in np.array(flat).reshape(len(walks), -1, 2)]
+    flat = []
+    for walk in walks:
+        for z in walk:
+            flat += (cx + r * z.real, cy + r * z.imag)
+    verts = np.array(flat).reshape(n, -1, 2)
+    first = CcpSolution(verts[0], multiplicity)
+    return [first, CcpSolution(verts[1], multiplicity)] if n == 2 else [first]
 
 
 def _projective_quadratic_roots(a: float, b: float, c: float, tol: float):
@@ -229,13 +233,13 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     # parameter to zero.  The composite's kernel then solves the quadratic
     # too, but the walk from it runs into that zero: it is no polygon.
     norm = math.hypot(m00, m01, m10, m11)
-    genuine = [(p, q) for p, q in roots
-               if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm]
-
-    # each root t = p/q is the point (q + ip)^2 / (p^2 + q^2) of the frame
-    walks = [_walk(complex(q, p) ** 2 / (p * p + q * q), pivots[:-1]) for p, q in genuine]
+    walks = []
+    for p, q in roots:
+        if math.hypot(m00 * p + m01 * q, m10 * p + m11 * q) > 1e-13 * norm:
+            # the root t = p/q is the point (q + ip)^2 / (p^2 + q^2) of the frame
+            walks.append(_walk(complex(q, p) ** 2 / (p * p + q * q), pivots[:-1]))
     multiplicity = (TANGENT_DOUBLE if kind == "one"
-                    else SINGLE if len(genuine) < len(roots) else TWO_DISTINCT)
+                    else SINGLE if len(walks) < len(roots) else TWO_DISTINCT)
     return _solutions(circ, walks, multiplicity)
 
 
@@ -244,10 +248,11 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
 # in the circle's frame
 
 
-def _touchpoints(A: complex, B: complex, C: complex) -> list[complex]:
+def _touchpoints(A: complex, B: complex, C: complex) -> tuple[complex, complex, complex]:
     """Tangency points of the unit circle with lines BC, CA, AB: the feet of
     the perpendiculars from the origin."""
-    return [P - (Q - P) * (P / (Q - P)).real for P, Q in ((B, C), (C, A), (A, B))]
+    return (B - (C - B) * (B / (C - B)).real, C - (A - C) * (C / (A - C)).real,
+            A - (B - A) * (A / (B - A)).real)
 
 
 def _meet(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, float]:
@@ -271,13 +276,14 @@ def _axis(ends) -> tuple[complex, float]:
     whose smallest sine is largest: the sine between the chords at either
     meet and the sine between the two.  PathClosed where none exceeds 1e-9.
     """
+    (a1, a4), (b1, b4), (c1, c4) = ends
     meets = []
-    for (a1, a4), (b1, b4) in combinations(ends, 2):
-        X, w = _meet(a1, b4, a4, b1)
+    for X, w in (_meet(a1, b4, a4, b1), _meet(a1, c4, a4, c1), _meet(b1, c4, b4, c1)):
         size = math.hypot(X.real, X.imag, w) or 1.0  # coincident chords: no meet
         meets.append((X / size, w / size, abs(w)))
+    ab, ac, bc = meets
     best, axis = 1e-9, None
-    for (X, w, sine), (Y, v, sine2) in combinations(meets, 2):
+    for (X, w, sine), (Y, v, sine2) in ((ab, ac), (ab, bc), (ac, bc)):
         d, moment = w * Y - v * X, X.real * Y.imag - X.imag * Y.real
         score = min(sine, sine2, math.hypot(d.real, d.imag, moment))
         if score > best:
@@ -337,16 +343,15 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolu
     """
     core.identify_circle(tri, circle)
     circ = cx, cy, r = circle.xyr
-    A, B, C = [complex(x - cx, y - cy) / r for x, y in tri.vertices.tolist()]
+    (xa, ya), (xb, yb), (xc, yc) = tri.vertices.tolist()
+    A, B, C = (complex(xa - cx, ya - cy) / r, complex(xb - cx, yb - cy) / r,
+               complex(xc - cx, yc - cy) / r)
     pivots = (B, C, A)
 
     t_a, t_b, t_c = _touchpoints(A, B, C)
     ends = []
     for seed in (-t_a, t_b, t_c):
-        z = seed
-        for p in pivots:
-            z = _chord(z, p)
-        ends.append((seed, z))
+        ends.append((seed, _chord(_chord(_chord(seed, B), C), A)))
     d, moment = _axis(ends)
 
     # unit direction u, signed distance dist: it meets the circle at u (+-half - i dist)
@@ -354,11 +359,9 @@ def solve_ccp_perspectrix(tri: TriangleData, circle: CircleData) -> list[CcpSolu
     if abs(dist) > 1.0 + 1e-9:
         raise NoRealIntersection("axis does not meet the circle")
     half = math.sqrt(max(1.0 - dist * dist, 0.0))
-
-    def triangle_of(M):
+    walks = []
+    for M in (u * complex(half, -dist), u * complex(-half, -dist)):
         M = _polish_fixed_point(pivots, M)
         v2 = _chord(M, B)
-        return M, v2, _chord(v2, C)
-
-    return _solutions(circ, [triangle_of(u * complex(half, -dist)),
-                             triangle_of(u * complex(-half, -dist))])
+        walks.append((M, v2, _chord(v2, C)))
+    return _solutions(circ, walks)

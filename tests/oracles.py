@@ -114,11 +114,18 @@ def golden_coefficients(phi):
     return t1, t2
 
 
+def signed_uvw(sd: SignedSides) -> tuple:
+    """(u, v, w) = (s - a, s - b, s - c) of a formal side triple, with
+    s = (a + b + c) / 2; elementwise, so on a batch's arrays too."""
+    s = 0.5 * (sd.a + sd.b + sd.c)
+    return s - sd.a, s - sd.b, s - sd.c
+
+
 def incircle_vertices(tri: core.TriangleData, phi) -> Array:
     """Cartesian vertices of the two incircle solutions (T1, T2), as one
     (2, 3, 2) array, from the coefficient matrices at any phi."""
-    sd = SignedSides.from_triangle(tri)
-    products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
+    u, v, w = signed_uvw(SignedSides.from_triangle(tri))
+    products = np.array([v * w, u * w, u * v])
     rows = np.array(golden_coefficients(phi)) * products
     return core.rows_to_cartesian(rows, tri.vertices)
 
@@ -149,7 +156,7 @@ def pair_rows(sd: SignedSides, tag: str) -> Array:
     """Cleared rows of one circle's two solutions, (..., 2, 3, 3): its
     coefficient pair times the column products (vw, uw, uv) of `sd`, which is
     exverted for an excircle, evaluated for that circle alone."""
-    u, v, w = sd.u, sd.v, sd.w
+    u, v, w = signed_uvw(sd)
     products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
     return np.ascontiguousarray(ccp_closed._coefficient_pair(tag) * products)
 

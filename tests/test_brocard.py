@@ -7,7 +7,7 @@ from castillon import brocard, ccp_closed, centers, cli, core, sampling
 from castillon.ccp_closed import PHI
 from castillon.errors import OutOfRange
 
-from oracles import golden_coefficients, pair_rows, sin_angle
+from oracles import golden_coefficients, pair_rows, signed_uvw, sin_angle
 
 
 def angle_at(V, P, W):
@@ -172,7 +172,8 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
 def _reference_rows(sd):
     """The incircle rows of `oracles.pair_rows` as written before it took
     batches."""
-    products = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
+    u, v, w = signed_uvw(sd)
+    products = np.array([v * w, u * w, u * v])
     return tuple(t * products for t in golden_coefficients(PHI))
 
 

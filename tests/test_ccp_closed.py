@@ -9,7 +9,7 @@ from castillon.errors import InfinitePoint, SeedMismatch
 
 from conftest import set_deviation
 from oracles import (circle_center, golden_coefficients, incircle_vertices, pair_rows,
-                     sin_angle, solution_pair)
+                     signed_uvw, sin_angle, solution_pair)
 
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 
@@ -103,7 +103,8 @@ def test_exversion_of_gergonne_matches_displayed_triple(tri6913):
     # A-exverted [1/u : 1/v : 1/w] equals [(b-s)(c-s), (b-s)s, (c-s)s]
     t = tri6913
     sd = SignedSides.from_triangle(t).exverted("A")
-    exverted = np.array([sd.v * sd.w, sd.u * sd.w, sd.u * sd.v])
+    u, v, w = signed_uvw(sd)
+    exverted = np.array([v * w, u * w, u * v])
     s = t.s
     displayed = np.array([(t.b - s) * (t.c - s), (t.b - s) * s, (t.c - s) * s])
     assert sin_angle(exverted, displayed) < 1e-14

@@ -622,6 +622,80 @@ def test_axis_points_sine_threshold(tri6913):
             ccp_general._axis(_ends(pivots, seeds))
 
 
+def _reference_scores(ends):
+    """The axis's candidates as `ccp_general._axis` formed them before it
+    was unrolled: the unit meets of the paths and the pairs of meets, each
+    taken by `itertools.combinations`, as (score, (d, moment)) per pair."""
+    meets = []
+    for (a1, a4), (b1, b4) in combinations(ends, 2):
+        X, w = ccp_general._meet(a1, b4, a4, b1)
+        size = math.hypot(X.real, X.imag, w) or 1.0
+        meets.append((X / size, w / size, abs(w)))
+    scores = []
+    for (X, w, sine), (Y, v, sine2) in combinations(meets, 2):
+        d, moment = w * Y - v * X, X.real * Y.imag - X.imag * Y.real
+        scores.append((min(sine, sine2, math.hypot(d.real, d.imag, moment)), (d, moment)))
+    return scores
+
+
+def _reference_axis(ends):
+    """The old `_axis`: the first pair whose score beats 1e-9 and every
+    score before it, or PathClosed."""
+    best, axis = 1e-9, None
+    for score, candidate in _reference_scores(ends):
+        if score > best:
+            best, axis = score, candidate
+    if axis is None:
+        raise PathClosed("cannot build the axis")
+    return axis
+
+
+def _assert_axis_as_reference(ends):
+    try:
+        want = _reference_axis(ends)
+    except PathClosed:
+        with pytest.raises(PathClosed, match="cannot build the axis"):
+            ccp_general._axis(ends)
+        return
+    bits = lambda axis: np.array([axis[0].real, axis[0].imag, axis[1]]).tobytes()
+    assert bits(ccp_general._axis(ends)) == bits(want)
+
+
+def test_unrolled_axis_is_bit_identical_to_combinations(rng):
+    # random ends, three paths with no relation between seed and end
+    for _ in range(1000):
+        ends = [tuple(_on_unit(t) for t in pair)
+                for pair in rng.uniform(0.0, 2.0 * math.pi, (3, 2)).tolist()]
+        _assert_axis_as_reference(ends)
+    # the degenerate ends of the tests above: two vertical chords meeting at
+    # infinity, two paths closed on the fixed points (meet (0 : 0)), and
+    # seeds on both solution vertices of a real walk
+    a, c = _on_unit(0.7), _on_unit(2.9)
+    reflect = lambda z: -z.conjugate()
+    _assert_axis_as_reference([(seed, reflect(seed)) for seed in (a, -a, c)])
+    _assert_axis_as_reference([(1j, 1j), (-1j, -1j), (c, reflect(c))])
+    tri = core.triangle_from_sides(6, 9, 13)
+    circle, pivots, (_, _, t_c) = _chord_setup(tri, core.EXCIRCLE_C)
+    V, W = _fixed_points(tri, circle, pivots)
+    _assert_axis_as_reference(_ends(pivots, (V, W, t_c)))
+    # all three paths closed on one point: no two meets span the axis
+    _assert_axis_as_reference([(a, a)] * 3)
+
+
+def test_axis_keeps_the_first_of_two_equal_best_scores():
+    # chords a1 b4 and a4 b1 at a sine of 0.01, so the meet of paths a and b
+    # scores 0.01 against either other meet; path c all but closed at i, so
+    # the other two meets lie 1e-4 apart.  The pairs (ab, ac) and (ab, bc)
+    # tie exactly, and the axis joins the first
+    a1, b4, a4 = _on_unit(0.3), _on_unit(2.0), _on_unit(-1.0)
+    ends = [(a1, a4), (a1 * b4 / a4 * _on_unit(0.02), b4), (1j, 1j * _on_unit(1e-4))]
+    (first, ab_ac), (second, ab_bc), (third, _) = _reference_scores(ends)
+    assert first == second > third > 1e-9
+    assert ab_ac != ab_bc
+    assert ccp_general._axis(ends) == ab_ac
+    _assert_axis_as_reference(ends)
+
+
 def test_perspectrix_integer_family_matches_closed_form():
     # every integer-sided triangle with sides 1-11 and all four circles, 2,684
     # problems: one seeding builds every axis, a cross point at infinity

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from castillon import cli, core
-from castillon.problemfile import ProblemFileError, parse_problem_text
+from castillon.problemfile import ProblemFileError, parse_problem_text, round15
 
 from conftest import bench_module
 from oracles import sin_angle
@@ -315,8 +316,21 @@ def test_non_finite_numbers_are_invalid_input(tmp_path, capsys, text, literal):
     assert capsys.readouterr().err == f"error: number {literal} is not a finite double\n"
 
 
+def test_output_rounding_rejects_non_finite_and_unknown_values():
+    # an output document holds only finite numbers, strings, booleans and
+    # None, in dicts and lists; floats keep 15 significant digits
+    doc = {"x": (0.1 + 0.2, -0.0, np.float64(2.0 / 3.0)), "n": [np.int64(3), "s", True, None]}
+    assert round15(doc) == {"x": [0.3, 0.0, 0.666666666666667], "n": [3, "s", True, None]}
+    for bad in (math.nan, -math.inf, np.float64(math.inf)):
+        with pytest.raises(ValueError, match="non-finite value in output document"):
+            round15({"residuals": [1.0, bad]})
+    for bad in (object(), {1.0}, np.zeros(2), 1j):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            round15({"vertices": [bad]})
+
+
 GENERAL = {"circle": {"center": [0, 0], "radius": 1}, "points": [[2, 0], [0, 2], [-2, 0]]}
-NO_KIND = ("no problem kind resolvable: give triangle+named circle, "
+NO_KIND =("no problem kind resolvable: give triangle+named circle, "
            "triangle+inconic_perspector, or circle+points")
 
 

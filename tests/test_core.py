@@ -524,6 +524,21 @@ def test_ellipse_axes_of_a_rotated_ellipse():
             core.ellipse_axes(core.ConicMatrix(not_ellipse))
 
 
+def test_conic_matrix_rejects_other_shapes_and_asymmetry():
+    for shape in ((3,), (2, 2), (3, 2), (4, 4), (2, 3, 2)):
+        with pytest.raises(GeometryError, match="3x3 symmetric"):
+            core.ConicMatrix(np.ones(shape))
+    # an asymmetry up to 1e-12 of the largest entry is rounding, and is
+    # averaged away; beyond it the matrix is refused, alone or in a batch
+    M = np.diag([0.5, 0.5, -1.0])
+    M[0, 1], M[1, 0] = 0.25, 0.25 + 0.5e-12
+    assert np.array_equal(core.ConicMatrix(M).m, core.ConicMatrix(M).m.T)
+    M[1, 0] = 0.25 + 2e-12
+    for m in (M, np.stack([np.diag([1.0, 1.0, -1.0]), M])):
+        with pytest.raises(GeometryError, match="3x3 symmetric"):
+            core.ConicMatrix(m)
+
+
 def test_normalize_bary():
     p = core.normalize_bary(np.array([2.0, 2.0, 4.0]))
     assert abs(p.sum() - 1) < 1e-15

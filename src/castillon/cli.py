@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 
-from . import brocard, ccp_closed, ccp_general, centers, core, figures, inconic, problemfile
+from . import (brocard, ccp_closed, ccp_general, centers, core, figures, inconic,
+               problemfile, sampling)
 from .ccp_general import CcpProblem
 from .errors import (
     DegenerateComposition,
@@ -33,6 +34,9 @@ EXIT_CLAIM_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NO_SOLUTION = 3
 EXIT_DEGENERATE = 4
+
+# triangles per batch of a `verify --sweep`, so its memory does not grow with N
+VERIFY_CHUNK = 4096
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -193,19 +197,44 @@ def _twenty_three_claim(t: core.TriangleData) -> brocard.Report:
                           note="24 vertices")
 
 
-def _failed_rows(rep: brocard.Report, t: core.TriangleData) -> list:
-    """One row per failing check: its largest failing residual and the
-    triangle that has it, by index in the batch (0 is the input) and sides."""
-    rows, n = [], len(t.a)
-    for c in rep.checks:
-        failed = np.broadcast_to(np.logical_not(c.passed), (n,))
-        if failed.any():
+class _Tally:
+    """One claim's checks over the chunks of a sweep, reduced chunk by chunk
+    to what its rows print: per check, the largest residual and the largest
+    failing residual (the first of equal ones, and a NaN before all, as
+    `np.max` and `np.argmax` pick), with the triangle that has it, by index
+    in the sweep (0 is the input) and sides."""
+
+    def __init__(self, rep: brocard.Report):
+        self.name, self.note = rep.name, rep.note or f"{len(rep.checks)} checks"
+        self.checks = [(c.name, c.tolerance) for c in rep.checks]
+        self.top = [-np.inf] * len(rep.checks)
+        self.worst = [None] * len(rep.checks)  # per check: (residual, index, sides)
+
+    def add(self, rep: brocard.Report, t: core.TriangleData, first: int) -> None:
+        n = len(t.a)
+        for k, c in enumerate(rep.checks):
+            self.top[k] = np.maximum(self.top[k], np.max(c.residual))
+            failed = np.broadcast_to(np.logical_not(c.passed), (n,))
+            if not failed.any():
+                continue
             residual = np.broadcast_to(c.residual, (n,))
             i = int(np.argmax(np.where(failed, residual, -np.inf)))
-            sides = ", ".join(repr(float(x[i])) for x in t.sides)
-            rows.append((f"  {c.name}", False, residual[i],
-                         f"worst triangle {i} (sides {sides}), tol {c.tolerance:g}"))
-    return rows
+            worst = self.worst[k]
+            if worst is None or residual[i] > worst[0] or (
+                    np.isnan(residual[i]) and not np.isnan(worst[0])):
+                self.worst[k] = (residual[i], first + i, tuple(float(x[i]) for x in t.sides))
+
+    def rows(self) -> list:
+        """The claim's row, then one row per failing check."""
+        rows = [(self.name, all(w is None for w in self.worst),
+                 max(map(float, self.top), default=0.0), self.note)]
+        for (name, tol), worst in zip(self.checks, self.worst):
+            if worst is not None:
+                residual, i, sides = worst
+                rows.append((f"  {name}", False, residual,
+                             f"worst triangle {i} (sides {', '.join(map(repr, sides))}), "
+                             f"tol {tol:g}"))
+        return rows
 
 
 def _load_triangle_problem(args) -> ProblemSpec:
@@ -216,32 +245,47 @@ def _load_triangle_problem(args) -> ProblemSpec:
     return spec
 
 
+def _sweep_chunks(head: core.TriangleData, n: int, rng):
+    """The batch `head` of the input triangle, then n triangles drawn from
+    `rng`, as batches of VERIFY_CHUNK triangles (the last one shorter), each
+    drawn when the one before has been verified."""
+    draws = sampling.TriangleDraws(rng)
+    first = min(n, VERIFY_CHUNK - 1)
+    yield core.concat_triangles([head, draws.take(first)])
+    for left in range(n - first, 0, -VERIFY_CHUNK):
+        yield draws.take(min(left, VERIFY_CHUNK))
+
+
 def cmd_verify(args) -> int:
     if args.sweep < 0:
         raise ProblemFileError(f"--sweep must be a non-negative count, got {args.sweep}")
     spec = _load_triangle_problem(args)
-    triangles = [spec.triangle]
+    head = core.stack_triangles([spec.triangle])
+    chunks = [head]
     if args.sweep:
         text = os.environ.get("CASTILLON_SEED", "0")
         if not text.strip().isdecimal():
             raise ProblemFileError(f"CASTILLON_SEED must be a non-negative integer, got {text!r}")
         seed = int(text)
-        rng = np.random.default_rng(seed)
-        from .sampling import random_triangle
-        triangles += [random_triangle(rng) for _ in range(args.sweep)]
+        chunks = _sweep_chunks(head, args.sweep, np.random.default_rng(seed))
 
-    t = core.stack_triangles(triangles)
-    ccp_closed.require_closed_form(t)  # every claim reads all four circles
-    rows = []
-    for claim in (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
-                  centers.verify_correspondences, _twenty_three_claim):
-        rep = claim(t)
-        rows.append((rep.name, rep.passed, rep.max_residual,
-                     rep.note or f"{len(rep.checks)} checks"))
-        rows += _failed_rows(rep, t)
+    claims = (brocard.verify_shared_objects, brocard.de_longchamps_concurrence,
+              centers.verify_correspondences, _twenty_three_claim)
+    tallies = {}
+    done = 0
+    for t in chunks:
+        ccp_closed.require_closed_form(t)  # every claim reads all four circles
+        for claim in claims:
+            rep = claim(t)
+            if claim not in tallies:
+                tallies[claim] = _Tally(rep)
+            tallies[claim].add(rep, t, done)
+        done += len(t.a)
+        del t, rep  # before the next chunk is drawn
+    rows = [row for tally in tallies.values() for row in tally.rows()]
     width = max(len(row[0]) for row in rows)
     if args.sweep:
-        print(f"verified on {len(triangles)} triangles "
+        print(f"verified on {done} triangles "
               f"(input + {args.sweep} random, seed {seed})")
     for name, ok, residual, note in rows:
         status = "PASS" if ok else "FAIL"

@@ -166,14 +166,53 @@ def stack_triangles(triangles) -> TriangleData:
     return TriangleData(*(np.array(field) for field in zip(*triangles)))
 
 
-def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
+def concat_triangles(batches) -> TriangleData:
+    """Batches joined in order as one batch."""
+    return TriangleData(*(np.concatenate(fields) for fields in zip(*batches)))
+
+
+def select_triangles(t: TriangleData, index) -> TriangleData:
+    """The rows of a batch that a mask or slice selects, as a new batch."""
+    return TriangleData(*(field[index] for field in t))
+
+
+# The tests a triangle fails, on floats or elementwise on arrays; each reads
+# True where it fails.  The scalar builders raise on the first that fails,
+# `triangles_from_sides` keeps the rows that fail none.
+
+
+def _unembedded(y2):
+    """A has no height above BC: its squared height y2 is not positive."""
+    return y2 <= 0.0
+
+
+def _breaks_inequality(a, b, c, u, v, w):
+    """A side is not positive or breaks the strict triangle inequality."""
+    return (a <= 0.0) | (b <= 0.0) | (c <= 0.0) | (u <= 0.0) | (v <= 0.0) | (w <= 0.0)
+
+
+def _flat(area, s):
+    return area < AREA_CUTOFF * s * s
+
+
+def _fails(test) -> bool:
+    """Whether a test fails on a triangle, or on any triangle of a batch."""
+    return test.any() if isinstance(test, np.ndarray) else bool(test)
+
+
+def _tangents(a, b, c):
+    """The semiperimeter s and the tangent lengths s - a, s - b, s - c."""
     s = 0.5 * (a + b + c)
-    u, v, w = s - a, s - b, s - c
-    if np.array((a, b, c, u, v, w)).min() <= 0.0:
-        raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
-    area = mathmap(math.sqrt, s * u * v * w)  # Heron's formula
-    if np.asarray(area < AREA_CUTOFF * s * s).any():
-        raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
+    return s, s - a, s - b, s - c
+
+
+def _apex(a, b, c):
+    """x of A in the canonical embedding, and y2, the square of its height."""
+    x = (a * a + c * c - b * b) / (2.0 * a)
+    return x, c * c - x * x
+
+
+def _triangle(a, b, c, s, u, v, w, area, vertices) -> TriangleData:
     return TriangleData(
         a=a, b=b, c=c, s=s, u=u, v=v, w=w,
         area=area, r=area / s, R=a * b * c / (4.0 * area),
@@ -181,16 +220,41 @@ def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
     )
 
 
+def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
+    s, u, v, w = _tangents(a, b, c)
+    if _fails(_breaks_inequality(a, b, c, u, v, w)):
+        raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
+    area = mathmap(math.sqrt, s * u * v * w)  # Heron's formula
+    if _fails(_flat(area, s)):
+        raise DegenerateTriangle(f"triangle ({a}, {b}, {c}) is numerically flat")
+    return _triangle(a, b, c, s, u, v, w, area, vertices)
+
+
 def triangle_from_sides(a: float, b: float, c: float) -> TriangleData:
     """Build a triangle in the canonical embedding B=(0,0), C=(a,0), A above."""
     if not all(math.isfinite(x) for x in (a, b, c)):
         raise DegenerateTriangle("non-finite sidelength")
-    x = (a * a + c * c - b * b) / (2.0 * a) if a > 0 else 0.0
-    y2 = c * c - x * x
-    if y2 <= 0.0:
+    x, y2 = _apex(a, b, c) if a > 0 else (0.0, c * c)
+    if _unembedded(y2):
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) do not embed")
     vertices = np.array([[x, math.sqrt(y2)], [0.0, 0.0], [a, 0.0]])
     return _derive(float(a), float(b), float(c), vertices)
+
+
+@np.errstate(invalid="ignore")  # Heron's product is negative where the inequality fails
+def triangles_from_sides(a: Array, b: Array, c: Array) -> TriangleData:
+    """The triangles `triangle_from_sides` builds from positive finite side
+    arrays a, b, c, as one batch of the rows it accepts, in order.  Each row
+    takes the same IEEE operations (`np.sqrt` rounds as `math.sqrt`), so it
+    is bit-identical to `triangle_from_sides` of its sides."""
+    x, y2 = _apex(a, b, c)
+    s, u, v, w = _tangents(a, b, c)
+    area = np.sqrt(s * u * v * w)  # Heron's formula
+    keep = ~(_unembedded(y2) | _breaks_inequality(a, b, c, u, v, w) | _flat(area, s))
+    a, b, c, s, u, v, w, area, x, y2 = (q[keep] for q in (a, b, c, s, u, v, w, area, x, y2))
+    vertices = np.zeros(a.shape + (3, 2))
+    vertices[:, 0, 0], vertices[:, 0, 1], vertices[:, 2, 0] = x, np.sqrt(y2), a
+    return _triangle(a, b, c, s, u, v, w, area, vertices)
 
 
 def triangle_from_vertices(pts) -> TriangleData:

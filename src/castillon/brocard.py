@@ -174,14 +174,6 @@ class Report(NamedTuple):
     checks: tuple[Check, ...]
     note: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return all(np.all(c.passed) for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max((float(np.max(c.residual)) for c in self.checks), default=0.0)
-
 
 EQUILATERAL = "skipped where a solution frame is equilateral (no Brocard axis)"
 

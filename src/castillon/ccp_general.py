@@ -98,22 +98,12 @@ def _compose(outer: tuple, inner: tuple) -> tuple[float, float, float, float]:
     return p00 / scale, p01 / scale, p10 / scale, p11 / scale
 
 
-class MobiusMap(NamedTuple):
-    """Real 2x2 matrix [[m00, m01], [m10, m11]] acting projectively on the
-    circle parameter; its methods read any tuple of its four floats."""
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-
-    def compose(self, inner: tuple) -> "MobiusMap":
-        return MobiusMap(*_compose(self, inner))
-
-    def identity_defect(self) -> float:
-        a, b, c, d = self
-        half = 0.5 * (a + d)
-        return math.hypot(a - half, b, c, d - half) / math.hypot(a, b, c, d)
+def _identity_defect(m: tuple) -> float:
+    """Distance of the four entries [[a, b], [c, d]] from a multiple of the
+    identity, relative to their size."""
+    a, b, c, d = m
+    half = 0.5 * (a + d)
+    return math.hypot(a - half, b, c, d - half) / math.hypot(a, b, c, d)
 
 
 def _involution(p: complex) -> tuple[float, float, float, float]:
@@ -220,7 +210,7 @@ def solve_ccp_mobius(prob: CcpProblem) -> list[CcpSolution]:
     for p in pivots[1:]:
         composite = _compose(_involution(p), composite)
 
-    if MobiusMap.identity_defect(composite) <= 1e-10:
+    if _identity_defect(composite) <= 1e-10:
         raise DegenerateComposition(
             "composed chord map is the identity: special configuration with "
             "infinitely many inscribed polygons"

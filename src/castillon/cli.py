@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 verification claim failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -346,7 +347,10 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds reference cycles, which a
+    parser per call would leave to the collector."""
     parser = argparse.ArgumentParser(
         prog="castillon",
         description="Inscribed-triangle solvers on incircles, excircles and "
@@ -359,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("closed", "mobius", "perspectrix", "all"),
                    default="closed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="verify the shared-object claims")
     p.add_argument("input", help="problem JSON path (triangle-based)")
     p.add_argument("--sweep", type=int, default=0, metavar="N",
                    help="also verify N random triangles (seed: CASTILLON_SEED)")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("centers", help="print triangle-center barycentrics")
     p.add_argument("input", help="problem JSON path (triangle-based)")
@@ -373,21 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Kimberling index (repeatable; default: whole registry)")
     p.add_argument("--pairs", action="store_true",
                    help="list the correspondence pairs and their status")
-    p.set_defaults(fn=cmd_centers)
 
     p = sub.add_parser("render", help="render an SVG figure")
     p.add_argument("input", help="problem JSON path (triangle-based)")
     p.add_argument("--figure", choices=("inc", "broc", "excs", "inconic"),
                    required=True)
     p.add_argument("--out", required=True, help="SVG output path")
-    p.set_defaults(fn=cmd_render)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a command replaced on the module is the one run
+    commands = {"solve": cmd_solve, "verify": cmd_verify, "centers": cmd_centers,
+                "render": cmd_render}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except (ProblemFileError, UnknownCenter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

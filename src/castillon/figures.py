@@ -87,8 +87,9 @@ def _marker(P, name: str, size: float) -> str:
             f'd="{d}"/>')
 
 
-def _clipped_line(line, frame: Frame, cls: str) -> str:
-    """Draw a homogeneous cartesian line clipped to the frame rectangle."""
+def _clipped_line(line, frame: Frame, cls: str) -> list[str]:
+    """A homogeneous cartesian line clipped to the frame rectangle, as a list
+    of one element, or of none where the line misses the frame."""
     l, m, n = line
     x0, y0s, x1, y1s = frame.svg_corners()
     ylo, yhi = -(y1s), -(y0s)  # math-coordinate bounds
@@ -104,11 +105,11 @@ def _clipped_line(line, frame: Frame, cls: str) -> str:
             if x0 - 1e-9 <= x <= x1 + 1e-9:
                 pts.append((x, y))
     if len(pts) < 2:
-        return ""
+        return []
     pts.sort()
     P, Q = pts[0], pts[-1]
-    return (f'<line class="{cls}" x1="{_fmt(P[0])}" y1="{_fmt(-P[1])}" '
-            f'x2="{_fmt(Q[0])}" y2="{_fmt(-Q[1])}"/>')
+    return [f'<line class="{cls}" x1="{_fmt(P[0])}" y1="{_fmt(-P[1])}" '
+            f'x2="{_fmt(Q[0])}" y2="{_fmt(-Q[1])}"/>']
 
 
 def _ellipse_element(conic, cls: str) -> str:
@@ -158,8 +159,8 @@ def render_brocard(tri: TriangleData) -> str:
     if f.circle.radius > 1e-9 * f.R:
         body.append(_circle(f.circle, "circle"))
     if not f.degenerate:
-        body.append(_clipped_line(f.axis_cart, frame, "axis"))
-        body.append(_clipped_line(f.lemoine_cart, frame, "axis"))
+        body += _clipped_line(f.axis_cart, frame, "axis")
+        body += _clipped_line(f.lemoine_cart, frame, "axis")
     body.append(_marker(f.Omega1_cart, "omega1", 0.012 * frame.width))
     body.append(_marker(f.Omega2_cart, "omega2", 0.012 * frame.width))
     return _document(frame, body)
@@ -177,7 +178,7 @@ def render_excircles(tri: TriangleData) -> str:
                  _polygon(V1, "solution-1"), _polygon(V2, "solution-2")]
         f = brocard.solution_frame(tri, tag)
         if not f.degenerate:
-            axes.append(_clipped_line(f.axis_cart, frame, "axis"))
+            axes += _clipped_line(f.axis_cart, frame, "axis")
     body += axes
     X20 = core.bary_to_cartesian(centers.center(20, tri), tri)
     body.append(_marker(X20, "x20", 0.012 * frame.width))

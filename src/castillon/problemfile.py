@@ -222,10 +222,10 @@ def canonical(values, norm) -> list:
     entry above 1e-14 in size is positive."""
     values = np.asarray(values, dtype=float)
     values = values / np.linalg.norm(values, norm)
-    for x in values.flat:
-        if abs(x) > 1e-14:
-            return (values if x > 0 else -values).tolist()
-    return values.tolist()
+    # either norm leaves finite non-zero values an entry of size >= 1/3; any
+    # other values now hold a NaN, which `round15` rejects
+    lead = values.flat[np.argmax(np.abs(values) > 1e-14)]
+    return (values if lead > 0 else -values).tolist()
 
 
 def dump_document(doc: dict) -> str:

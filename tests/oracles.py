@@ -14,7 +14,7 @@ import numpy as np
 
 from castillon import ccp_closed, core
 from castillon.ccp_closed import SignedSides
-from castillon.ccp_general import MobiusMap, _involution
+from castillon.ccp_general import _involution
 from castillon.core import CircleData, ConicMatrix
 from castillon.errors import CenterPoint, GeometryError, InfinitePoint
 
@@ -171,18 +171,29 @@ def solution_pair(tri: core.TriangleData, tag: str) -> tuple[Array, Array]:
     return rows, vertices / np.array(totals).reshape(rows.shape[:-1] + (1,))
 
 
+def report_passed(report) -> bool:
+    """Whether every check of a `brocard.Report` passes on every triangle."""
+    return all(np.all(c.passed) for c in report.checks)
+
+
+def report_max_residual(report) -> float:
+    """Largest residual over the checks of a `brocard.Report`; 0 for none."""
+    return max((float(np.max(c.residual)) for c in report.checks), default=0.0)
+
+
 def random_interior_perspector(rng: np.random.Generator) -> Array:
     """Positive barycentric triple, each entry in [PERSPECTOR_FLOOR, 1), so
     bounded away from the triangle's sides."""
     return rng.uniform(PERSPECTOR_FLOOR, 1.0, 3)
 
 
-def chord_involution(circle: CircleData, P) -> MobiusMap:
-    """Involution t -> t' pairing the two circle intersections of chords
-    through P.  P at the center yields the antipodal map t -> -1/t; P on the
-    circle yields the (degenerate) constant map onto its own parameter."""
+def chord_involution(circle: CircleData, P) -> tuple[float, float, float, float]:
+    """Entries [[m00, m01], [m10, m11]] of the involution t -> t' pairing the
+    two circle intersections of chords through P.  P at the center yields
+    the antipodal map t -> -1/t; P on the circle yields the (degenerate)
+    constant map onto its own parameter."""
     x, y = map(float, P)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise CenterPoint("chord pivot must be a finite point")
     cx, cy, r = circle.xyr
-    return MobiusMap(*_involution(complex(x - cx, y - cy) / r))
+    return _involution(complex(x - cx, y - cy) / r)

@@ -10,10 +10,14 @@ path, so the suite's own process and the command-line subprocesses its tests
 start are traced alike; each writes the lines it ran in the package to a
 file when it exits.  The denominator is the line table of every code object
 of each module (`co_lines`, without the line 0 a module starts at), and a
-`raise` counts as reached when its first line ran.  Prints one row per module, its unreached lines and its unreached
-raises with their source, and the totals.  Standard library only; tracing
-makes the suite several times slower.  Not a test module: pytest does not
-collect it.
+`raise` counts as reached when its first line ran.  Prints one row per
+module, its unreached lines and its unreached raises with their source, and
+the totals.
+
+It is a gate: it exits 1 when the suite fails, when a line outside `ARGUED`
+is unreached, or when an `ARGUED` entry is reached after all or names no
+line of code.  Standard library only; tracing makes the suite several times
+slower.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ import castillon
 
 PACKAGE = Path(castillon.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
+
+# "module.py:line" -> why no run of the package can reach that line
+ARGUED: dict[str, str] = {}
 
 SITECUSTOMIZE = '''\
 import atexit, json, os, sys, tempfile, threading
@@ -130,7 +137,21 @@ def main() -> int:
             print(f"\n{name}: unreached lines {ranges(unreached)}")
         for node in missed:
             print(f"  unreached raise {name}:{node.lineno}: {text[node.lineno - 1].strip()}")
-    return code
+    failures = gate({f"{name}:{line}" for name, unreached, _, _ in rows for line in unreached})
+    print()
+    for failure in failures:
+        print(f"GATE {failure}")
+    print(f"gate {'FAIL' if code or failures else 'PASS'}: suite exit code {code}, "
+          f"{len(failures)} unargued or stale lines, {len(ARGUED)} argued")
+    return 1 if code or failures else 0
+
+
+def gate(unreached: set[str]) -> list[str]:
+    """The "module.py:line" names of unreached lines that `ARGUED` does not
+    list, and of its entries that are not unreached lines."""
+    return ([f"{line} unreached" for line in sorted(unreached - ARGUED.keys())]
+            + [f"{line} argued, but reached or no line of code"
+               for line in sorted(ARGUED.keys() - unreached)])
 
 
 if __name__ == "__main__":

@@ -91,16 +91,16 @@ def test_involution_self_inverse(px, py, theta):
     assume(np.linalg.norm(P - UNIT.center) > 1e-3)  # stay off the circle center
     assume(abs(np.linalg.norm(P) - 1.0) > 1e-3)     # and off the circle itself
     inv = chord_involution(UNIT, P)
-    assert inv.compose(inv).identity_defect() < 1e-12
+    assert ccp_general._identity_defect(ccp_general._compose(inv, inv)) < 1e-12
     z, p = _on_unit(theta), complex(px, py)
     assert abs(ccp_general._chord(ccp_general._chord(z, p), p) - z) < 1e-10
 
 
 def test_mobius_composite_is_a_chain_of_compose(rng, monkeypatch):
     # the solver composes the chord maps of its points in order, on plain
-    # floats, through the formula `MobiusMap.compose` uses: its composite
-    # equals the chain of `compose` over `chord_involution` bit for bit,
-    # also with a pivot on the circle (a rank-1 chord map)
+    # floats, through `_compose`: its composite equals the chain of
+    # `_compose` over `chord_involution` bit for bit, also with a pivot on
+    # the circle (a rank-1 chord map)
     circle = core.CircleData(np.array([0.3, -1.2]), 1.7)
     for k in range(50):
         points = rng.normal(scale=2.0, size=(3 + k % 3, 2))
@@ -120,7 +120,7 @@ def test_mobius_composite_is_a_chain_of_compose(rng, monkeypatch):
                 pass
         chain = chord_involution(circle, points[0])
         for P in points[1:]:
-            chain = chord_involution(circle, P).compose(chain)
+            chain = ccp_general._compose(chord_involution(circle, P), chain)
         assert len(composites) == len(points) - 1
         assert np.array(composites[-1]).tobytes() == np.array(chain).tobytes()
 

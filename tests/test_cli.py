@@ -87,6 +87,18 @@ def test_solve_thin_inconic_exits_degenerate(tmp_path, capsys):
     assert "common conic misses a solution side" in capsys.readouterr().err
 
 
+def test_solve_inconic_near_a_side_exits_degenerate(tmp_path, capsys):
+    # the perspector lies ~1e-10 from side BC: the common conic still touches
+    # every solution side, but the sides miss A, B, C by ~1.6e-7 of the
+    # triangle's size, so the incidence check (tol 1e-9) rejects them
+    path = write(tmp_path, "p.json",
+                 {"triangle": {"a": 6, "b": 9, "c": 13},
+                  "inconic_perspector": [1e-10, 1, 1]})
+    assert run(["solve", path]) == 4
+    assert capsys.readouterr() == (
+        "", "error: solution sides do not pass cyclically through A, B, C\n")
+
+
 def test_solve_negative_perspector_is_its_positive_twin(tmp_path, capsys):
     # an all-negative perspector names the same inconic; only the echoed
     # problem differs
@@ -403,6 +415,17 @@ def test_render_excircles_structure(tmp_path):
     assert np.linalg.norm(got - X20) < 1e-6
 
 
+def test_render_brocard_leaves_out_an_axis_off_the_frame(tmp_path):
+    # the Lemoine axis of this triangle's solutions misses the viewport: it
+    # adds no line, and no blank one, while the Brocard axis is drawn
+    prob = write(tmp_path, "p.json", {"triangle": {"a": 2, "b": 2, "c": 2.1}})
+    out = tmp_path / "fig.svg"
+    assert run(["render", prob, "--figure", "broc", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "\n\n" not in svg
+    assert svg.count('class="axis"') == 1
+
+
 def test_render_deterministic(tmp_path):
     prob = write(tmp_path, "p.json",
                  {"triangle": {"a": 6, "b": 9, "c": 13}, "circle": "incircle"})
@@ -604,13 +627,24 @@ def test_verify_on_a_circle_at_infinity_exits_degenerate(tmp_path, capsys):
 @pytest.mark.parametrize("solver", ["perspectrix", "all"])
 def test_solve_exits_degenerate_where_the_axis_misses_the_circle(tmp_path, capsys, solver):
     # on this needle the perspectrix axis of the B-excircle misses the
-    # circle (`NoRealIntersection`); mobius's exit 3 here is a known wrong
-    # answer, since two solutions exist, so it is not pinned
+    # circle (`NoRealIntersection`)
     path = write(tmp_path, "p.json", {
         "triangle": {"a": 5.336233865690943, "b": 5.495607786573558, "c": 0.1593739907196531},
         "circle": "excircle-B"})
     assert run(["solve", path, "--solver", solver]) == 4
     assert capsys.readouterr() == ("", "error: axis does not meet the circle\n")
+
+
+def test_solve_mobius_finds_no_solution_on_a_needle(tmp_path, capsys):
+    # the needle above, through mobius: its composite's quadratic has no
+    # real root, so `solve` reports no solution.  The answer is wrong, as
+    # the closed form has two; it is pinned until the general solvers
+    # refuse where they cannot answer (ROADMAP), which turns it into exit 4
+    path = write(tmp_path, "p.json", {
+        "triangle": {"a": 5.336233865690943, "b": 5.495607786573558, "c": 0.1593739907196531},
+        "circle": "excircle-B"})
+    assert run(["solve", path, "--solver", "mobius"]) == 3
+    assert capsys.readouterr() == ('{\n  "solutions": []\n}\n', "no real solution\n")
 
 
 def _bench_constant(module: str, name: str):
@@ -697,7 +731,8 @@ def test_solving_and_verifying_leave_no_reference_cycles(tmp_path, capsys, monke
     monkeypatch.setenv("CASTILLON_SEED", "5")
     path = write(tmp_path, "p.json", {"triangle": {"vertices": [[1.5, 4.0], [0.0, 0.0],
                                                                 [6.0, 0.5]]}})
-    # argparse's parser is cyclic itself, so it is built before the count
+    # argparse's parser is cyclic itself; `cli.main` builds it once per
+    # process, here before the count
     args = cli.build_parser().parse_args(["verify", path, "--sweep", "20"])
     gc.collect()
     gc.disable()
@@ -713,6 +748,9 @@ def test_solving_and_verifying_leave_no_reference_cycles(tmp_path, capsys, monke
                 assert len(ccp_general.solve_ccp_perspectrix(tri, circle)) == 2
         del tri, circle
         assert cli.cmd_verify(args) == 0
+        assert cli.main(["verify", path, "--sweep", "20"]) == 0
+        assert cli.main(["render", path, "--figure", "broc",
+                         "--out", str(tmp_path / "broc.svg")]) == 0
         capsys.readouterr()
         assert gc.collect() == 0
     finally:

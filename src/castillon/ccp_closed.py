@@ -1,20 +1,22 @@
 """Closed-form solutions of the inscribed-triangle problem on the incircle
-and excircles, golden-ratio vertex matrices, and the substitution machinery
-(cyclic relabeling, bicentric swap, exversion) that derives all 24 solution
-vertices from a single one.
+and excircles, golden-ratio vertex matrices, and the substitutions (cyclic
+relabeling, bicentric swap, exversion) that derive all 24 solution vertices
+from a single one.
 
 The golden-ratio matrices are written out once, for the incircle (`T1`,
 `T2`).  Every excircle matrix is an incircle matrix evaluated with one
-sidelength negated (exversion, `SignedSides.exverted`: a -> -a for the
-A-excircle), with the two solutions' labels swapped and the rows put in the
-excircle's letter order (`_LETTER_ROW`).  The four circles' coefficient
-pairs are built at import; a triangle's four circles, centres and
-solutions, are evaluated together, once per triangle (`core.four_circles`).
+sidelength negated (exversion, `signed_sides`: a -> -a for the A-excircle),
+with the two solutions' labels swapped and the rows put in the excircle's
+letter order (`_LETTER_ROW`).  The four circles' coefficient pairs are built
+at import; a triangle's four circles, centres and solutions, are evaluated
+together, once per triangle (`core.four_circles`).
 
 Vertex matrices are stored with per-row denominators cleared (each row is a
 polynomial triple in the sidelengths), which keeps entries finite for
 near-degenerate triangles; rows are homogeneous so the clearing factor is
-immaterial.
+immaterial.  `twenty_three_from_one` evaluates the 24 vertices a second way,
+each one vertex's formula at permuted, signed sides (`_SUBSTITUTIONS`), for
+`castillon verify` to compare with those rows.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import TriangleData, VertexMatrix
-from .errors import InfinitePoint, SeedMismatch
+from .core import CcpSolution, TriangleData
+from .errors import InfinitePoint
 
 Array = np.ndarray
 
@@ -49,38 +51,6 @@ T2 = np.array([
 
 
 # ---------------------------------------------------------------------------
-# signed evaluation context
-
-
-class SignedSides(NamedTuple):
-    """Formal sidelength triple for evaluating closed-form expressions.
-
-    Components may be negative: negating one side ("exversion") turns every
-    incircle formula into the matching excircle formula.  Every expression
-    is elementwise, so the components may be arrays of a batch of triangles.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    @classmethod
-    def from_triangle(cls, tri: TriangleData) -> "SignedSides":
-        return cls(tri.a, tri.b, tri.c)
-
-    def exverted(self, vertex: str) -> "SignedSides":
-        sides, i = list(self), ("A", "B", "C").index(vertex.upper())
-        sides[i] = -sides[i]
-        return SignedSides(*sides)
-
-    def rotated(self) -> "SignedSides":
-        return SignedSides(self.b, self.c, self.a)
-
-    def swapped_bc(self) -> "SignedSides":
-        return SignedSides(self.a, self.c, self.b)
-
-
-# ---------------------------------------------------------------------------
 # vertex matrices
 
 
@@ -88,7 +58,7 @@ class SignedSides(NamedTuple):
 # (a vertex's letter is the reference vertex its opposite side crosses).
 # Determined once numerically from the side-incidence patterns.  The table is
 # the one source of row order: `_COEFFICIENTS` holds its rows in it and
-# `twenty_three_from_one` reports rows by it.
+# `_SUBSTITUTIONS` places the 24 vertices by it.
 _LETTER_ROW = {
     core.INCIRCLE: {"A": 2, "B": 0, "C": 1},
     core.EXCIRCLE_A: {"A": 0, "B": 1, "C": 2},
@@ -110,6 +80,12 @@ def _coefficient_pair(tag: str) -> Array:
 
 # Each circle's coefficient pair as 18 floats, rows T1 then T2, by tag.
 _COEFFICIENTS = {tag: _coefficient_pair(tag).ravel().tolist() for tag in core.CIRCLE_TAGS}
+
+
+def signed_sides(a, b, c) -> tuple:
+    """Each circle's formal sides, `core.CIRCLE_TAGS` order: an excircle's
+    negate the one opposite its vertex (exversion)."""
+    return (a, b, c), (-a, b, c), (a, -b, c), (a, b, -c)
 
 
 def circle_rows(a, b, c, tag: str) -> list:
@@ -152,10 +128,8 @@ def build_four_circles(tri: TriangleData) -> FourCircles:
     """The four circles of a triangle (or batch) from one stack, batch +
     (36, 3), of three blocks of three rows per circle, its centre's weights
     (its formal sides) thrice, then its `circle_rows`: one matmul a triangle."""
-    a, b, c = tri.a, tri.b, tri.c
     entries = []
-    # an excircle's formal sides negate the one opposite its vertex (exversion)
-    for tag, sides in zip(core.CIRCLE_TAGS, ((a, b, c), (-a, b, c), (a, -b, c), (a, b, -c))):
+    for tag, sides in zip(core.CIRCLE_TAGS, signed_sides(tri.a, tri.b, tri.c)):
         entries += [*sides * 3, *circle_rows(*sides, tag)]
     stack = np.array(entries)
     batch = stack.shape[1:]
@@ -170,16 +144,16 @@ def build_four_circles(tri: TriangleData) -> FourCircles:
     return FourCircles(points[:, 0, ..., 0, :], center_flags, rows, points, flags)
 
 
-def solutions_for(tri: TriangleData, tag: str) -> tuple[VertexMatrix, VertexMatrix]:
-    """The two inscribed solution triangles on a circle, by tag, read from the
-    triangle's `core.four_circles`; InfinitePoint where the circle's centre or
-    a row lies at infinity, so a circle `core.tagged_circle` cannot build has none."""
+def solutions_for(tri: TriangleData, tag: str) -> tuple[CcpSolution, CcpSolution]:
+    """The two inscribed solution triangles on a circle, by tag, T1 then T2,
+    read from the triangle's `core.four_circles`; InfinitePoint where the
+    circle's centre or a row lies at infinity, so a circle
+    `core.tagged_circle` cannot build has none."""
     k = core.circle_index(tag)
     circles = tri.derived(core.four_circles)
     if circles.infinite[k]:
         raise InfinitePoint(core.AT_INFINITY)
-    rows, points = circles.rows[k], circles.points[k]
-    return VertexMatrix(rows[1], "T1", points[1]), VertexMatrix(rows[2], "T2", points[2])
+    return CcpSolution(circles.points[k, 1]), CcpSolution(circles.points[k, 2])
 
 
 def require_closed_form(tri: TriangleData) -> None:
@@ -189,7 +163,7 @@ def require_closed_form(tri: TriangleData) -> None:
         raise InfinitePoint(core.AT_INFINITY)
 
 
-def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:
+def incircle_solutions(tri: TriangleData) -> tuple[CcpSolution, CcpSolution]:
     """The two inscribed solution triangles on the incircle.
 
     Row order is fixed: rows are the B-, C- and A-labeled vertices (a row's
@@ -199,7 +173,7 @@ def incircle_solutions(tri: TriangleData) -> tuple[VertexMatrix, VertexMatrix]:
     return solutions_for(tri, core.INCIRCLE)
 
 
-def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, VertexMatrix]:
+def excircle_solutions(tri: TriangleData, which: str) -> tuple[CcpSolution, CcpSolution]:
     """The two inscribed solution triangles on the chosen excircle, by
     exversion: its coefficient pair evaluated with the chosen side negated."""
     which = which.upper()
@@ -213,14 +187,14 @@ def excircle_solutions(tri: TriangleData, which: str) -> tuple[VertexMatrix, Ver
 # shared symmedian point
 
 
-def solution_symmedian(vm: VertexMatrix, tri: TriangleData) -> Array:
+def solution_symmedian(sol: CcpSolution, tri: TriangleData) -> Array:
     """Symmedian point of a solution triangle, in reference barycentrics.
 
     Embeds the solution, forms its own symmedian (squared sidelengths as
     weights) and converts back.  For incircle solutions this lands on the
     reference point [1/(s-a) : 1/(s-b) : 1/(s-c)].
     """
-    verts = vm.cartesian(tri)
+    verts = sol.cartesian(tri)
     a2 = float(np.sum((verts[1] - verts[2]) ** 2))
     b2 = float(np.sum((verts[2] - verts[0]) ** 2))
     c2 = float(np.sum((verts[0] - verts[1]) ** 2))
@@ -232,74 +206,44 @@ def solution_symmedian(vm: VertexMatrix, tri: TriangleData) -> Array:
 # twenty-three vertices from one
 
 
-class GeneratedVertex(NamedTuple):
-    circle: str
-    label: str    # "T1" | "T2"
-    row: int      # row index in the matching vertex matrix
-    vertex: str   # "A" | "B" | "C": reference vertex the opposite side crosses
-    coords: tuple[float, float, float]
+def _generator_row(a, b, c) -> list:
+    """Row 3 of the incircle's T2 in `circle_rows` of formal sides a, b, c:
+    the A-lettered vertex of the second incircle solution."""
+    return circle_rows(a, b, c, core.INCIRCLE)[15:]
 
 
-def _generator_row(sd: SignedSides) -> tuple[float, float, float]:
-    """Row 3 of the incircle's T2 in `circle_rows` of the sides of `sd`."""
-    return tuple(circle_rows(*sd, core.INCIRCLE)[15:])
-
-
-_ROLL = operator.itemgetter(2, 0, 1)     # np.roll(v, 1) on a tuple
-_SWAP_BC = operator.itemgetter(0, 2, 1)
-
-
-def _cyc(formula):
-    """Cyclic substitution a->b->c->a with the matching coordinate rotation."""
-    return lambda sd: _ROLL(formula(sd.rotated()))
-
-
-def _bic(formula):
-    """Bicentric swap: b <-> c with coordinate positions 2 and 3 swapped."""
-    return lambda sd: _SWAP_BC(formula(sd.swapped_bc()))
-
-
-def _exv(formula, vertex):
-    return lambda sd: formula(sd.exverted(vertex))
-
-
-def generator_seed(tri: TriangleData) -> tuple[float, float, float]:
-    """The single vertex all others derive from: the A-labeled vertex of the
-    second incircle solution (row 3 of its matrix)."""
-    return _generator_row(SignedSides.from_triangle(tri))
-
-
-def twenty_three_from_one(seed, tri: TriangleData) -> list[GeneratedVertex]:
-    """Derive all 24 solution vertices (4 circles x 2 solutions x 3 vertices)
-    from the single seed vertex.
-
-    The pipeline: a bicentric swap crosses to the other solution of the same
-    circle; cyclic substitutions walk the vertex letter A -> B -> C within a
-    solution; an exversion (applied last) moves from the incircle to an
-    excircle, crossing solutions (T2 <-> T1) with the vertex letter kept.
-
-    The seed must match `generator_seed(tri)` up to scale (1e-10 angular),
-    otherwise SeedMismatch is raised.  On a batch of triangles each
-    coordinate is an array with one entry per triangle.
-    """
-    sd = SignedSides.from_triangle(tri)
-    if np.any(core.sin_angles(np.stack(seed, axis=-1),
-                              np.stack(_generator_row(sd), axis=-1)) > 1e-10):
-        raise SeedMismatch("seed is not the generator vertex of this triangle")
-
-    out: list[GeneratedVertex] = []
+def _substitutions() -> list:
+    """Per circle, a (solution, row, side order, coordinate order) for each of
+    its six vertices: `_generator_row` of the circle's formal sides in that
+    order, its coordinates read in that order, lands on that row.  k cyclic
+    substitutions (a -> b -> c -> a, coordinates rotated back) walk the
+    vertex letter A -> B -> C; a bicentric swap (b <-> c, coordinates 2 and 3
+    swapped) crosses to the incircle's other solution; exversion (an
+    excircle's formal sides) crosses solutions too, the letter kept."""
+    table = [[] for _ in core.CIRCLE_TAGS]
     for swapped in (False, True):
-        in_label = "T1" if swapped else "T2"
-        exc_label = "T2" if swapped else "T1"
-        formula = _bic(_generator_row) if swapped else _generator_row
-        for letter in "ABC":
-            out.append(GeneratedVertex(
-                core.INCIRCLE, in_label, _LETTER_ROW[core.INCIRCLE][letter],
-                letter, formula(sd)))
-            for exc in "ABC":
-                tag = f"excircle-{exc}"
-                out.append(GeneratedVertex(
-                    tag, exc_label, _LETTER_ROW[tag][letter], letter,
-                    _exv(formula, exc)(sd)))
-            formula = _cyc(formula)
-    return out
+        for k, letter in enumerate("ABC"):
+            order, coords = [(k + i) % 3 for i in range(3)], [(i - k) % 3 for i in range(3)]
+            if swapped:
+                order, coords = [order[i] for i in (0, 2, 1)], [(0, 2, 1)[i] for i in coords]
+            for circle, tag in enumerate(core.CIRCLE_TAGS):
+                solution = int((circle == 0) != swapped)  # the generator row is on T2
+                table[circle].append((solution, _LETTER_ROW[tag][letter], order, coords))
+    return table
+
+
+_SUBSTITUTIONS = _substitutions()
+
+
+def twenty_three_from_one(tri: TriangleData) -> Array:
+    """All 24 solution vertices (4 circles x 2 solutions x 3 vertices) of a
+    triangle (or batch) by `_SUBSTITUTIONS`, laid out like
+    `FourCircles.rows[:, 1:]`, (4, 2) + batch + (3, 3), so that each should
+    be proportional to the row it lands on."""
+    out = [[[None] * 3 for _ in range(2)] for _ in core.CIRCLE_TAGS]
+    for circle, sides in enumerate(signed_sides(tri.a, tri.b, tri.c)):
+        for solution, row, order, coords in _SUBSTITUTIONS[circle]:
+            vertex = _generator_row(*(sides[i] for i in order))
+            out[circle][solution][row] = [vertex[i] for i in coords]
+    rows = np.array(out)
+    return np.moveaxis(rows, -1, 2) if rows.ndim > 4 else rows  # batch after (4, 2)

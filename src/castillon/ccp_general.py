@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import CircleData, TriangleData
+from .core import SINGLE, TANGENT_DOUBLE, TWO_DISTINCT, CcpSolution, CircleData, TriangleData
 from .errors import (
     CenterPoint,
     DegenerateComposition,
@@ -138,20 +138,6 @@ class CcpProblem(_Problem):
         """The triangle's vertices as the points, which `TriangleData`
         already checked."""
         return _Problem.__new__(cls, circle, tri.vertices)
-
-
-TWO_DISTINCT = "two-distinct"
-TANGENT_DOUBLE = "tangent-double"
-SINGLE = "single"  # the root left alone after the kernel root is dropped
-
-
-class CcpSolution(NamedTuple):
-    vertices: Array  # Nx2 on the circle, side i..i+1 passes through point i
-    multiplicity: str = TWO_DISTINCT
-
-    def cartesian(self, tri: TriangleData) -> Array:
-        """The vertices, already cartesian; read like `VertexMatrix.cartesian`."""
-        return self.vertices
 
 
 def _first_vertex_angle(walk) -> float:

@@ -65,7 +65,7 @@ def _vertex_set_deviation(groups) -> float:
     return worst
 
 
-def _solution_entry(verts, tri=None, multiplicity=ccp_general.TWO_DISTINCT) -> dict:
+def _solution_entry(verts, tri=None, multiplicity=core.TWO_DISTINCT) -> dict:
     entry = {
         "vertices": [list(map(float, V)) for V in verts],
         "multiplicity": multiplicity,
@@ -186,13 +186,9 @@ def cmd_solve(args) -> int:
 
 
 def _twenty_three_claim(t: core.TriangleData) -> brocard.Report:
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-    mats = {(tag, vm.label): vm.rows
-            for tag in core.CIRCLE_TAGS for vm in ccp_closed.solutions_for(t, tag)}
-    worst = 0.0
-    for gv in gen:
-        worst = np.maximum(worst, core.sin_angles(np.stack(gv.coords, axis=-1),
-                                                  mats[(gv.circle, gv.label)][..., gv.row, :]))
+    """The 24 derived vertices against the rows of the four circles' solutions."""
+    rows = t.derived(core.four_circles).rows[:, 1:]
+    worst = core.sin_angles(ccp_closed.twenty_three_from_one(t), rows).max(axis=(0, 1, -1))
     return brocard.Report(name="twenty-three-from-one",
                           checks=(brocard.check("all-24-vertices-from-one", worst, 1e-10),),
                           note="24 vertices")

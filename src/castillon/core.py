@@ -502,18 +502,21 @@ def solution_residuals(circle: CircleData, solutions, points, nearest: bool) -> 
     return {"on_circle": on_circle / radius, "incidence": incidence / radius}
 
 
-class VertexMatrix(NamedTuple):
-    """One inscribed solution triangle, rows = vertices in reference
-    barycentrics, and the same vertices in cartesian coordinates; in a
-    batch, N x 3 x 3 rows and N x 3 x 2 vertices of N reference triangles."""
+TWO_DISTINCT = "two-distinct"
+TANGENT_DOUBLE = "tangent-double"
+SINGLE = "single"  # the root left alone after the kernel root is dropped
 
-    rows: Array  # 3x3
-    label: str  # "T1" | "T2"
-    vertices: Array  # 3x2, `rows_to_cartesian` of the rows
+
+class CcpSolution(NamedTuple):
+    """One inscribed solution polygon, as every solver returns it: its
+    cartesian vertices, N x 2 on the circle, side i..i+1 through point i; a
+    closed-form solution on a batch of reference triangles is batch x 3 x 2."""
+
+    vertices: Array
+    multiplicity: str = TWO_DISTINCT
 
     def cartesian(self, tri: TriangleData) -> Array:
-        """The cartesian vertices, evaluated with the rows; read like
-        `CcpSolution.cartesian`."""
+        """The vertices, already cartesian."""
         return self.vertices
 
 

@@ -42,9 +42,5 @@ class UnknownCenter(GeometryError):
     """Requested Kimberling index is not in the registry."""
 
 
-class SeedMismatch(GeometryError):
-    """Seed vertex does not match the expected closed-form vertex."""
-
-
 class OutOfRange(GeometryError):
     """Numeric argument outside its mathematical domain."""

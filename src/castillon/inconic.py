@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ccp_closed, core
 from .core import ConicMatrix, TriangleData
-from .errors import GeometryError, NonEllipse
+from .errors import DegenerateTriangle, GeometryError, NonEllipse
 
 Array = np.ndarray
 
@@ -79,13 +79,16 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     rows = np.array(ccp_closed.circle_rows(v + w, u + w, u + v, core.INCIRCLE)).reshape(2, 3, 3)
     triangles = core.rows_to_cartesian(rows, tri.vertices)
 
-    Binv = np.linalg.inv(rows[0] / rows[0].sum(axis=1, keepdims=True))
+    try:
+        Binv = np.linalg.inv(rows[0] / rows[0].sum(axis=1, keepdims=True))
+    except np.linalg.LinAlgError as exc:  # its vertices are collinear to working precision
+        raise DegenerateTriangle("the first solution's vertex matrix is singular") from exc
     q = p @ Binv
     conic = core.conic_bary_to_cart(ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T), tri)
 
     tangency = core.tangency_residual(
         conic, [core.cart_line(v[i], v[(i + 1) % 3]) for v in triangles for i in range(3)])
-    if tangency > 1e-8:
+    if not tangency <= 1e-8:  # NaN too, where two vertices coincide and a side has no line
         raise GeometryError(f"common conic misses a solution side ({tangency:.2e})")
 
     scale = float(np.max(np.abs(tri.vertices))) or 1.0

@@ -16,7 +16,8 @@ line per document (name, exit code, sha256 of its stdout, or of its SVG)
 and a last line with the sha256 of all of them; run it at two commits and
 compare.  Stderr is not hashed:
 warnings carry absolute paths.  Not a test module: pytest does not
-collect it.
+collect it.  `test_golden.test_corpus_digest` checks the default corpus's
+last line against the one committed with the golden documents.
 """
 
 from __future__ import annotations
@@ -108,19 +109,25 @@ def digests(n: int, seed: int, workdir: Path):
             yield f"render-{i}-inc", *render(path, "inc", workdir)
 
 
+def summary(n: int = 250, seed: int = 0, echo=lambda line: None) -> str:
+    """The last line, `all <count> documents <sha256 of every line>`; `echo`
+    is given each document's line first."""
+    total, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, code, digest in digests(n, seed, Path(tmp)):
+            line = f"{name} {code} {digest}"
+            echo(line)
+            total.update(line.encode() + b"\n")
+            count += 1
+    return f"all {count} documents {total.hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--triangles", type=int, default=250)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    total, count = hashlib.sha256(), 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, code, digest in digests(args.triangles, args.seed, Path(tmp)):
-            line = f"{name} {code} {digest}"
-            print(line)
-            total.update(line.encode() + b"\n")
-            count += 1
-    print(f"all {count} documents {total.hexdigest()}")
+    print(summary(args.triangles, args.seed, echo=print))
     return 0
 
 

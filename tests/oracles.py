@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from castillon import ccp_closed, core
-from castillon.ccp_closed import SignedSides
 from castillon.ccp_general import _involution
 from castillon.core import CircleData, ConicMatrix
 from castillon.errors import CenterPoint, GeometryError, InfinitePoint
@@ -114,17 +113,18 @@ def golden_coefficients(phi):
     return t1, t2
 
 
-def signed_uvw(sd: SignedSides) -> tuple:
-    """(u, v, w) = (s - a, s - b, s - c) of a formal side triple, with
-    s = (a + b + c) / 2; elementwise, so on a batch's arrays too."""
-    s = 0.5 * (sd.a + sd.b + sd.c)
-    return s - sd.a, s - sd.b, s - sd.c
+def signed_uvw(sides) -> tuple:
+    """(u, v, w) = (s - a, s - b, s - c) of a formal side triple (a, b, c),
+    with s = (a + b + c) / 2; elementwise, so on a batch's arrays too."""
+    a, b, c = sides
+    s = 0.5 * (a + b + c)
+    return s - a, s - b, s - c
 
 
 def incircle_vertices(tri: core.TriangleData, phi) -> Array:
     """Cartesian vertices of the two incircle solutions (T1, T2), as one
     (2, 3, 2) array, from the coefficient matrices at any phi."""
-    u, v, w = signed_uvw(SignedSides.from_triangle(tri))
+    u, v, w = signed_uvw(tri.sides)
     products = np.array([v * w, u * w, u * v])
     rows = np.array(golden_coefficients(phi)) * products
     return core.rows_to_cartesian(rows, tri.vertices)
@@ -140,23 +140,30 @@ def finite_total(x: float, y: float, z: float) -> float:
     return total
 
 
-def _exverted(tri: core.TriangleData, tag: str) -> SignedSides:
-    sd = SignedSides.from_triangle(tri)
-    return sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
+def exverted(sides, vertex: str) -> tuple:
+    """A formal side triple (a, b, c) with the side opposite `vertex`, one of
+    "A", "B", "C", negated: the sides that give an excircle's formulas."""
+    i = "ABC".index(vertex)
+    return tuple(-x if j == i else x for j, x in enumerate(sides))
+
+
+def circle_sides(tri: core.TriangleData, tag: str) -> tuple:
+    """A circle's formal sides: the triangle's, exverted for an excircle."""
+    return tri.sides if tag == core.INCIRCLE else exverted(tri.sides, tag[-1])
 
 
 def circle_center(tri: core.TriangleData, tag: str) -> Array:
     """One circle's centre evaluated alone: its weights, the exverted sides,
     through one 1-D matmul over the vertices and `finite_total`."""
-    weights = list(_exverted(tri, tag))
+    weights = list(circle_sides(tri, tag))
     return (np.array(weights) @ tri.vertices) / finite_total(*weights)
 
 
-def pair_rows(sd: SignedSides, tag: str) -> Array:
+def pair_rows(sides, tag: str) -> Array:
     """Cleared rows of one circle's two solutions, (..., 2, 3, 3): its
-    coefficient pair times the column products (vw, uw, uv) of `sd`, which is
-    exverted for an excircle, evaluated for that circle alone."""
-    u, v, w = signed_uvw(sd)
+    coefficient pair times the column products (vw, uw, uv) of the formal
+    sides (a, b, c), exverted for an excircle, evaluated for that circle alone."""
+    u, v, w = signed_uvw(sides)
     products = np.array([v * w, u * w, u * v]).T[..., None, None, :]
     return np.ascontiguousarray(ccp_closed._coefficient_pair(tag) * products)
 
@@ -165,10 +172,17 @@ def solution_pair(tri: core.TriangleData, tag: str) -> tuple[Array, Array]:
     """One circle's closed-form rows and cartesian vertices evaluated alone,
     (..., 2, 3, 3) and (..., 2, 3, 2): `pair_rows` of the exverted sides, one
     stacked matmul, and a division by `finite_total` of each row."""
-    rows = pair_rows(_exverted(tri, tag), tag)
+    rows = pair_rows(circle_sides(tri, tag), tag)
     totals = [finite_total(*row) for row in rows.reshape(-1, 3).tolist()]
     vertices = rows @ tri.vertices[..., None, :, :]
     return rows, vertices / np.array(totals).reshape(rows.shape[:-1] + (1,))
+
+
+def solution_rows(tri: core.TriangleData, tag: str) -> Array:
+    """The cleared rows of a circle's two solutions, T1 then T2, (2,) + batch
+    + (3, 3): the triangle's `FourCircles.rows` after the centre block, the
+    rows `ccp_closed.solutions_for` reads its vertices from."""
+    return tri.derived(core.four_circles).rows[core.circle_index(tag), 1:]
 
 
 def report_passed(report) -> bool:

@@ -30,6 +30,7 @@ from oracles import (
     report_max_residual,
     report_passed,
     sin_angle,
+    solution_rows,
 )
 
 SWEEP_SEED = 20260809
@@ -162,12 +163,9 @@ def test_criterion_06_de_longchamps(sweep_batch):
 
 def test_criterion_07_twenty_three_from_one(sweep_batch):
     t = sweep_batch
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-    mats = {(tag, vm.label): vm.rows
-            for tag in core.CIRCLE_TAGS for vm in ccp_closed.solutions_for(t, tag)}
-    worst = max(float(np.max(core.sin_angles(np.stack(g.coords, axis=-1),
-                                             mats[(g.circle, g.label)][:, g.row])))
-                for g in gen)
+    gen = ccp_closed.twenty_three_from_one(t)
+    worst = max(float(np.max(core.sin_angles(gen[k], solution_rows(t, tag))))
+                for k, tag in enumerate(core.CIRCLE_TAGS))
     ok = worst <= 1e-10
     _report(7, ok, f"24 generated vertices vs matrix rows: max {worst:.2e} (tol 1e-10)")
 

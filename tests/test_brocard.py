@@ -7,7 +7,8 @@ from castillon import brocard, ccp_closed, centers, cli, core, sampling
 from castillon.ccp_closed import PHI
 from castillon.errors import OutOfRange
 
-from oracles import golden_coefficients, pair_rows, report_passed, signed_uvw, sin_angle
+from oracles import (circle_sides, golden_coefficients, pair_rows, report_passed, signed_uvw,
+                     sin_angle, solution_rows)
 
 
 def angle_at(V, P, W):
@@ -169,10 +170,10 @@ def test_check_residuals_are_scale_free(triangles_100, tri6913):
 # --- batches ----------------------------------------------------------------
 
 
-def _reference_rows(sd):
+def _reference_rows(sides):
     """The incircle rows of `oracles.pair_rows` as written before it took
     batches."""
-    u, v, w = signed_uvw(sd)
+    u, v, w = signed_uvw(sides)
     products = np.array([v * w, u * w, u * v])
     return tuple(t * products for t in golden_coefficients(PHI))
 
@@ -243,19 +244,18 @@ def test_printed_objects_bit_identical_to_scalar_formulas(triangles_100, tri6913
     tris = triangles_100[:40] + [tri6913]
     batch = core.stack_triangles(tris)
     for tag in core.CIRCLE_TAGS:
-        vm_batch = ccp_closed.solutions_for(batch, tag)[0]
-        frames = brocard.brocard_frame(core.triangle_from_vertices(vm_batch.cartesian(batch)))
+        sol_batch = ccp_closed.solutions_for(batch, tag)[0]
+        rows_batch = solution_rows(batch, tag)[0]
+        frames = brocard.brocard_frame(core.triangle_from_vertices(sol_batch.cartesian(batch)))
         for i, t in enumerate(tris):
-            sd = ccp_closed.SignedSides.from_triangle(t)
-            sd = sd if tag == core.INCIRCLE else sd.exverted(tag[-1])
-            rows = pair_rows(sd, core.INCIRCLE)
-            for got, want in zip(rows, _reference_rows(sd)):
+            sides = circle_sides(t, tag)
+            for got, want in zip(pair_rows(sides, core.INCIRCLE), _reference_rows(sides)):
                 assert np.array_equal(got, want)
-            vm = ccp_closed.solutions_for(t, tag)[0]
-            assert np.array_equal(vm_batch.rows[i], vm.rows)
-            want = _reference_printed(t, vm.rows)
-            alone = _printed(brocard.brocard_frame(core.triangle_from_vertices(vm.cartesian(t))))
-            alone["symmedian"] = ccp_closed.solution_symmedian(vm, t)
+            sol, rows = ccp_closed.solutions_for(t, tag)[0], solution_rows(t, tag)[0]
+            assert np.array_equal(rows_batch[i], rows)
+            want = _reference_printed(t, rows)
+            alone = _printed(brocard.brocard_frame(core.triangle_from_vertices(sol.cartesian(t))))
+            alone["symmedian"] = ccp_closed.solution_symmedian(sol, t)
             row = _printed(frames, i)
             for key, value in want.items():
                 assert np.array_equal(alone[key], value), (tag, t.sides, key)
@@ -273,6 +273,7 @@ def test_batch_squares_and_angles_round_like_plain_floats():
     tris = [sampling.random_triangle(rng) for _ in range(3000)]
     batch = core.stack_triangles(tris)
     solutions = ccp_closed.incircle_solutions(batch)[0]
+    rows = solution_rows(batch, core.INCIRCLE)[0]
     frame = brocard.brocard_frame(core.triangle_from_vertices(solutions.cartesian(batch)))
     inellipse = brocard.brocard_inellipse(frame).m
     first, _ = brocard.shared_brocard_points(batch)
@@ -283,7 +284,7 @@ def test_batch_squares_and_angles_round_like_plain_floats():
         w = math.atan2(4.0 * area, float(frame.a2[i] + frame.b2[i] + frame.c2[i]))
         assert frame.omega[i] == w
         assert np.array_equal(inellipse[i],
-                              _reference_printed(t, solutions.rows[i])["inellipse"])
+                              _reference_printed(t, rows[i])["inellipse"])
         a, b, c = t.sides
         assert first[i, 0] == ((a - b) ** 2 - (a + b) * c) / t.u
         assert np.array_equal(x279[i], [(t.v * t.w) ** 2, (t.w * t.u) ** 2, (t.u * t.v) ** 2])

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_closed import PHI, SignedSides
-from castillon.errors import InfinitePoint, SeedMismatch
+from castillon.ccp_closed import PHI
+from castillon.errors import InfinitePoint
 
 from conftest import set_deviation
-from oracles import (circle_center, golden_coefficients, incircle_vertices, pair_rows,
-                     signed_uvw, sin_angle, solution_pair)
+from oracles import (circle_center, circle_sides, exverted, golden_coefficients,
+                     incircle_vertices, pair_rows, signed_uvw, sin_angle, solution_pair,
+                     solution_rows)
 
 PHI_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
 
@@ -25,17 +26,17 @@ def test_golden_identities():
 
 def test_equilateral_first_row_proportions(equilateral):
     # u = v = w, so the first row of the first solution is [phi^2, 1, (phi-1)^2]
-    vm1, _ = ccp_closed.incircle_solutions(equilateral)
+    t1, _ = solution_rows(equilateral, core.INCIRCLE)
     expected = np.array([PHI ** 2, 1.0, (PHI - 1.0) ** 2])
-    assert sin_angle(vm1.rows[0], expected) < 1e-14
+    assert sin_angle(t1[0], expected) < 1e-14
 
 
 def test_vertices_on_incircle_6913(tri6913):
     # r = area / s with area = sqrt(14*8*5*1)
     circ = core.tagged_circle(tri6913, core.INCIRCLE)
     assert abs(circ.radius - math.sqrt(14 * 8 * 5) / 14) < 1e-14
-    for vm in ccp_closed.incircle_solutions(tri6913):
-        for P in vm.cartesian(tri6913):
+    for sol in ccp_closed.incircle_solutions(tri6913):
+        for P in sol.cartesian(tri6913):
             assert abs(np.linalg.norm(P - circ.center) - circ.radius) \
                 < 1e-10 * circ.radius
 
@@ -43,8 +44,8 @@ def test_vertices_on_incircle_6913(tri6913):
 def test_cross_oracle_against_parameter_solver(tri6913):
     circ = core.tagged_circle(tri6913, core.INCIRCLE)
     sols = ccp_general.solve_ccp_mobius(ccp_general.CcpProblem.on_triangle(tri6913, circ))
-    closed = np.vstack([vm.cartesian(tri6913)
-                        for vm in ccp_closed.incircle_solutions(tri6913)])
+    closed = np.vstack([sol.cartesian(tri6913)
+                        for sol in ccp_closed.incircle_solutions(tri6913)])
     mob = np.vstack([s.vertices for s in sols])
     assert set_deviation(closed, mob) < 1e-9 * circ.radius
 
@@ -53,25 +54,25 @@ def test_side_incidence_pattern(triangles_100):
     # side row_i-row_{i+1} passes through A, B, C in turn for the incircle
     E = np.eye(3)
     for t in triangles_100[:20]:
-        for vm in ccp_closed.incircle_solutions(t):
+        for rows in solution_rows(t, core.INCIRCLE):
             for i, vertex in enumerate(E):
-                line = np.cross(vm.rows[i], vm.rows[(i + 1) % 3])
+                line = np.cross(rows[i], rows[(i + 1) % 3])
                 assert core.incidence_residual(line, vertex) < 1e-10
 
 
 def test_excircle_solutions_on_circle_345(tri345):
     circ = core.tagged_circle(tri345, core.EXCIRCLE_A)
     assert abs(circ.radius - 2.0) < 1e-14
-    for vm in ccp_closed.excircle_solutions(tri345, "A"):
-        for P in vm.cartesian(tri345):
+    for sol in ccp_closed.excircle_solutions(tri345, "A"):
+        for P in sol.cartesian(tri345):
             assert abs(np.linalg.norm(P - circ.center) - 2.0) < 1e-10 * 2.0
 
 
 def test_excircle_cross_oracle_345(tri345):
     circ = core.tagged_circle(tri345, core.EXCIRCLE_A)
     sols = ccp_general.solve_ccp_mobius(ccp_general.CcpProblem.on_triangle(tri345, circ))
-    closed = np.vstack([vm.cartesian(tri345)
-                        for vm in ccp_closed.excircle_solutions(tri345, "A")])
+    closed = np.vstack([sol.cartesian(tri345)
+                        for sol in ccp_closed.excircle_solutions(tri345, "A")])
     assert set_deviation(closed, np.vstack([s.vertices for s in sols])) \
         < 1e-9 * circ.radius
 
@@ -81,11 +82,11 @@ def test_equilateral_excircle_rotation_symmetry(equilateral):
     center = t.vertices.mean(axis=0)
     rot = np.array([[math.cos(2 * math.pi / 3), -math.sin(2 * math.pi / 3)],
                     [math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3)]])
-    va = np.vstack([vm.cartesian(t) for vm in ccp_closed.excircle_solutions(t, "A")])
-    vb = np.vstack([vm.cartesian(t) for vm in ccp_closed.excircle_solutions(t, "B")])
+    va = np.vstack([sol.cartesian(t) for sol in ccp_closed.excircle_solutions(t, "A")])
+    vb = np.vstack([sol.cartesian(t) for sol in ccp_closed.excircle_solutions(t, "B")])
     # the triangle's rotation symmetry permutes the three excircle pictures
     rotated = (va - center) @ rot.T + center
-    vc = np.vstack([vm.cartesian(t) for vm in ccp_closed.excircle_solutions(t, "C")])
+    vc = np.vstack([sol.cartesian(t) for sol in ccp_closed.excircle_solutions(t, "C")])
     assert min(set_deviation(rotated, vb), set_deviation(rotated, vc)) < 1e-10
 
 
@@ -94,40 +95,40 @@ def test_equilateral_excircle_rotation_symmetry(equilateral):
 
 
 def test_exversion_of_incenter(tri6913):
-    sd = SignedSides.from_triangle(tri6913).exverted("A")
-    incenter = np.array([sd.a, sd.b, sd.c])
-    assert sin_angle(incenter, [-tri6913.a, tri6913.b, tri6913.c]) < 1e-15
+    # the A-excircle's centre weights are the incenter's (a, b, c), a -> -a
+    weights = tri6913.derived(core.four_circles).rows[core.circle_index(core.EXCIRCLE_A), 0]
+    for row in weights:
+        assert sin_angle(row, [-tri6913.a, tri6913.b, tri6913.c]) < 1e-15
 
 
 def test_exversion_of_gergonne_matches_displayed_triple(tri6913):
     # A-exverted [1/u : 1/v : 1/w] equals [(b-s)(c-s), (b-s)s, (c-s)s]
     t = tri6913
-    sd = SignedSides.from_triangle(t).exverted("A")
-    u, v, w = signed_uvw(sd)
-    exverted = np.array([v * w, u * w, u * v])
+    u, v, w = signed_uvw(exverted(t.sides, "A"))
+    gergonne = np.array([v * w, u * w, u * v])
     s = t.s
     displayed = np.array([(t.b - s) * (t.c - s), (t.b - s) * s, (t.c - s) * s])
-    assert sin_angle(exverted, displayed) < 1e-14
+    assert sin_angle(gergonne, displayed) < 1e-14
 
 
 def test_double_exversion_is_identity(tri345):
-    sd = SignedSides.from_triangle(tri345)
-    twice = sd.exverted("B").exverted("B")
-    assert (twice.a, twice.b, twice.c) == (sd.a, sd.b, sd.c)
-    assert np.allclose(pair_rows(twice, core.INCIRCLE)[0], pair_rows(sd, core.INCIRCLE)[0])
+    sides = tri345.sides
+    twice = exverted(exverted(sides, "B"), "B")
+    assert twice == sides
+    assert np.allclose(pair_rows(twice, core.INCIRCLE)[0], pair_rows(sides, core.INCIRCLE)[0])
 
 
 def test_exversion_of_a_batch(triangles_100):
-    # each row of an exverted batch is that triangle's exverted triple
+    # each row of a batch's formal sides is that triangle's exverted triple,
+    # and each row of its 24 derived vertices that triangle's, bit for bit
     tris = triangles_100[:10]
-    batch = SignedSides.from_triangle(core.stack_triangles(tris))
-    for vertex in "ABCabc":
-        out = batch.exverted(vertex)
-        rows = [SignedSides.from_triangle(t).exverted(vertex) for t in tris]
-        assert np.array_equal(np.array(out).T, np.array(rows))
-    for vertex in ("D", "", "AB"):
-        with pytest.raises(ValueError):
-            batch.exverted(vertex)
+    batch = core.stack_triangles(tris)
+    signed = np.array(ccp_closed.signed_sides(*batch.sides))
+    derived = ccp_closed.twenty_three_from_one(batch)
+    for i, t in enumerate(tris):
+        for k, tag in enumerate(core.CIRCLE_TAGS):
+            assert tuple(signed[k, :, i]) == circle_sides(t, tag)
+        assert derived[:, :, i].tobytes() == ccp_closed.twenty_three_from_one(t).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +149,8 @@ def test_excircle_symmedian_is_exverted_gergonne(tri6913):
     t = tri6913
     s = t.s
     displayed = np.array([(t.b - s) * (t.c - s), (t.b - s) * s, (t.c - s) * s])
-    for vm in ccp_closed.excircle_solutions(t, "A"):
-        got = ccp_closed.solution_symmedian(vm, t)
+    for sol in ccp_closed.excircle_solutions(t, "A"):
+        got = ccp_closed.solution_symmedian(sol, t)
         assert sin_angle(got, displayed) < 1e-10
 
 
@@ -158,93 +159,90 @@ def test_excircle_symmedian_is_exverted_gergonne(tri6913):
 
 
 def test_seed_is_a_solution_vertex(tri6913):
-    seed = ccp_closed.generator_seed(tri6913)
-    _, vm2 = ccp_closed.incircle_solutions(tri6913)
-    assert sin_angle(seed, vm2.rows[2]) < 1e-14
-
-
-def test_seed_mismatch_raises(tri6913):
-    with pytest.raises(SeedMismatch):
-        ccp_closed.twenty_three_from_one(np.array([1.0, 1.0, 1.0]), tri6913)
+    # the generator row is row 3 (the A-vertex) of the incircle's T2
+    seed = ccp_closed._generator_row(*tri6913.sides)
+    assert seed == solution_rows(tri6913, core.INCIRCLE)[1, 2].tolist()
+    assert ccp_closed.twenty_three_from_one(tri6913)[0, 1, 2].tolist() == seed
 
 
 def test_bicentric_swap_crosses_to_other_solution(tri6913):
-    # the bicentric swap of the seed is the other solution's A-vertex
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(tri6913), tri6913)
-    swapped = next(g for g in gen
-                   if g.circle == core.INCIRCLE and g.label == "T1" and g.vertex == "A")
-    vm1, _ = ccp_closed.incircle_solutions(tri6913)
-    assert swapped.row == 2
-    assert sin_angle(swapped.coords, vm1.rows[2]) < 1e-12
+    # the bicentric swap of the seed (b <-> c, then coordinates 2 and 3) is
+    # the other incircle solution's A-vertex, row 3 of T1
+    a, b, c = tri6913.sides
+    x, y, z = ccp_closed._generator_row(a, c, b)
+    t1, _ = solution_rows(tri6913, core.INCIRCLE)
+    assert sin_angle([x, z, y], t1[2]) < 1e-12
+    assert ccp_closed.twenty_three_from_one(tri6913)[0, 0, 2].tolist() == [x, z, y]
 
 
 def test_a_exversion_of_seed_matches_displayed_excircle_vertex(tri6913):
     # the A-exverted seed equals [(c-s)(s-b)(phi-1)^2, (s-b)s, (s-c)s(phi-2)^2],
     # the first row of the first A-excircle solution matrix
     t = tri6913
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-    got = next(g for g in gen
-               if g.circle == core.EXCIRCLE_A and g.label == "T1" and g.vertex == "A")
+    got = ccp_closed.twenty_three_from_one(t)[core.circle_index(core.EXCIRCLE_A), 0, 0]
+    assert got.tolist() == ccp_closed._generator_row(-t.a, t.b, t.c)
     s = t.s
     displayed = np.array([
         (t.c - s) * (s - t.b) * (PHI - 1) ** 2,
         (s - t.b) * s,
         (s - t.c) * s * (PHI - 2) ** 2,
     ])
-    assert got.row == 0
-    assert sin_angle(got.coords, displayed) < 1e-12
-    e1, _ = ccp_closed.excircle_solutions(t, "A")
-    assert sin_angle(got.coords, e1.rows[0]) < 1e-12
+    assert sin_angle(got, displayed) < 1e-12
+    assert sin_angle(got, solution_rows(t, core.EXCIRCLE_A)[0, 0]) < 1e-12
 
 
 def test_all_24_vertices_match_matrix_rows(triangles_100):
+    # the table places one vertex on each row of each circle's two solutions
+    for table in ccp_closed._SUBSTITUTIONS:
+        assert sorted(entry[:2] for entry in table) == [(j, r) for j in (0, 1) for r in range(3)]
     for t in triangles_100[:30]:
-        gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-        assert len(gen) == 24
-        labels = {(g.circle, g.label, g.row) for g in gen}
-        assert len(labels) == 24
-        mats = {}
-        for tag in core.CIRCLE_TAGS:
-            for vm in ccp_closed.solutions_for(t, tag):
-                mats[(tag, vm.label)] = vm.rows
-        for g in gen:
-            assert sin_angle(g.coords, mats[(g.circle, g.label)][g.row]) < 1e-10
+        gen = ccp_closed.twenty_three_from_one(t)
+        assert gen.shape == (4, 2, 3, 3)
+        for k, tag in enumerate(core.CIRCLE_TAGS):
+            for j, rows in enumerate(solution_rows(t, tag)):
+                for r in range(3):
+                    assert sin_angle(gen[k, j, r], rows[r]) < 1e-10
 
 
-def _twenty_three_numpy(tri):
-    """The 24 coordinates by the numpy pipeline the float one replaced:
-    `pair_rows` incircle rows, `np.roll` and fancy indexing, in generator
-    order."""
-    cyc = lambda f: lambda sd: np.roll(f(sd.rotated()), 1)
-    bic = lambda f: lambda sd: f(sd.swapped_bc())[[0, 2, 1]]
-    base = lambda sd: pair_rows(sd, core.INCIRCLE)[1][2]
-    sd = SignedSides.from_triangle(tri)
+def _twenty_three_numpy(sides):
+    """The 24 coordinates of a plain (a, b, c) by the numpy pipeline the
+    float one replaced: `pair_rows` incircle rows, `np.roll` and fancy
+    indexing; per solution swap and vertex letter, the incircle and then
+    the A-, B- and C-excircles."""
+    cyc = lambda f: lambda s: np.roll(f((s[1], s[2], s[0])), 1)
+    bic = lambda f: lambda s: f((s[0], s[2], s[1]))[[0, 2, 1]]
+    base = lambda s: pair_rows(s, core.INCIRCLE)[1][2]
     out = []
     for formula in (base, bic(base)):
         for _ in "ABC":
-            out.append(formula(sd))
-            out += [formula(sd.exverted(exc)) for exc in "ABC"]
+            out.append(formula(sides))
+            out += [formula(exverted(sides, exc)) for exc in "ABC"]
             formula = cyc(formula)
     return out
 
 
 def test_twenty_three_bit_identical_to_numpy_pipeline(triangles_100, equilateral):
-    # the same products in the same order, so the floats are equal, not close
+    # the same products in the same order, so the floats are equal, not close;
+    # the seed lands on the incircle's T2, its bicentric swap on T1, and an
+    # exversion crosses solutions with the vertex letter (so the row) kept
     for t in triangles_100 + [equilateral]:
-        gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-        assert [g.coords for g in gen] == [tuple(r.tolist()) for r in _twenty_three_numpy(t)]
-        assert ccp_closed.generator_seed(t) == tuple(
-            ccp_closed.incircle_solutions(t)[1].rows[2].tolist())
+        gen = ccp_closed.twenty_three_from_one(t)
+        want = iter(_twenty_three_numpy(t.sides))
+        for swapped in (False, True):
+            for letter in "ABC":
+                for k, tag in enumerate(core.CIRCLE_TAGS):
+                    row = ccp_closed._LETTER_ROW[tag][letter]
+                    assert gen[k, int((k == 0) != swapped), row].tolist() == next(want).tolist()
+        assert gen[0, 1, 2].tobytes() == solution_rows(t, core.INCIRCLE)[1, 2].tobytes()
 
 
 def test_equilateral_four_concyclic_sextets(equilateral):
     t = equilateral
-    gen = ccp_closed.twenty_three_from_one(ccp_closed.generator_seed(t), t)
-    for tag in core.CIRCLE_TAGS:
+    gen = ccp_closed.twenty_three_from_one(t)
+    for k, tag in enumerate(core.CIRCLE_TAGS):
         circ = core.tagged_circle(t, tag)
-        pts = [core.bary_to_cartesian(g.coords, t) for g in gen if g.circle == tag]
-        assert len(pts) == 6
-        for P in pts:
+        for row in gen[k].reshape(6, 3):
+            P = core.bary_to_cartesian(row, t)
             assert abs(np.linalg.norm(P - circ.center) - circ.radius) \
                 < 1e-10 * circ.radius
 
@@ -256,16 +254,16 @@ def test_pair_in_one_pass_bit_identical(tag):
     # matmul and division, the formula evaluated one solution at a time
     rng = np.random.default_rng(20261019)
     tris = [sampling.random_triangle(rng) for _ in range(81)]
-    batch = ccp_closed.solutions_for(core.stack_triangles(tris), tag)
+    stacked = core.stack_triangles(tris)
+    batch, batch_rows = ccp_closed.solutions_for(stacked, tag), solution_rows(stacked, tag)
     for i, t in enumerate(tris):
         alone = ccp_closed.solutions_for(t, tag)
-        assert [vm.label for vm in alone] == ["T1", "T2"]
-        for vm, vb in zip(alone, batch):
-            want = (vm.rows @ t.vertices) / vm.rows.sum(axis=-1)[..., None]
-            assert vm.cartesian(t) is vm.vertices
-            assert vm.vertices.tobytes() == want.tobytes()
-            assert vb.rows[i].tobytes() == vm.rows.tobytes()
-            assert vb.vertices[i].tobytes() == vm.vertices.tobytes()
+        for sol, rows, sb, rb in zip(alone, solution_rows(t, tag), batch, batch_rows):
+            want = (rows @ t.vertices) / rows.sum(axis=-1)[..., None]
+            assert sol.cartesian(t) is sol.vertices
+            assert sol.vertices.tobytes() == want.tobytes()
+            assert rb[i].tobytes() == rows.tobytes()
+            assert sb.vertices[i].tobytes() == sol.vertices.tobytes()
 
 
 def _needles_and_offsets():
@@ -300,9 +298,10 @@ def _assert_matches_reference(tri, batch=False) -> int:
             with pytest.raises(InfinitePoint):
                 ccp_closed.solutions_for(tri, tag)
         else:
-            for j, vm in enumerate(ccp_closed.solutions_for(tri, tag)):
-                assert vm.rows.tobytes() == rows[..., j, :, :].tobytes(), (tri.sides, tag)
-                assert vm.vertices.tobytes() == vertices[..., j, :, :].tobytes(), (tri.sides, tag)
+            for j, sol in enumerate(ccp_closed.solutions_for(tri, tag)):
+                assert solution_rows(tri, tag)[j].tobytes() == rows[..., j, :, :].tobytes(), \
+                    (tri.sides, tag)
+                assert sol.vertices.tobytes() == vertices[..., j, :, :].tobytes(), (tri.sides, tag)
         if batch:
             continue
         try:
@@ -343,11 +342,12 @@ def _assert_batch_flags(members) -> set:
             with pytest.raises(InfinitePoint):
                 ccp_closed.solutions_for(batch, tag)
             continue
-        pair = ccp_closed.solutions_for(batch, tag)
+        pair, batch_rows = ccp_closed.solutions_for(batch, tag), solution_rows(batch, tag)
         for i, t in enumerate(members):
-            for vb, vm in zip(pair, ccp_closed.solutions_for(t, tag)):
-                assert vb.rows[i].tobytes() == vm.rows.tobytes()
-                assert vb.vertices[i].tobytes() == vm.vertices.tobytes()
+            for sb, rb, sol, rows in zip(pair, batch_rows, ccp_closed.solutions_for(t, tag),
+                                         solution_rows(t, tag)):
+                assert rb[i].tobytes() == rows.tobytes()
+                assert sb.vertices[i].tobytes() == sol.vertices.tobytes()
     assert _raises(lambda: ccp_closed.require_closed_form(batch)) == any(infinite)
     return seen
 
@@ -385,8 +385,8 @@ def test_solutions_for_at_infinity_raises():
         with pytest.raises(InfinitePoint):
             call()
     for tag in (core.INCIRCLE, core.EXCIRCLE_B, core.EXCIRCLE_C):
-        for vm in ccp_closed.solutions_for(t, tag):
-            assert np.isfinite(vm.vertices).all()
+        for sol in ccp_closed.solutions_for(t, tag):
+            assert np.isfinite(sol.vertices).all()
 
 
 def test_circle_at_infinity_has_no_solutions():
@@ -403,8 +403,8 @@ def test_circle_at_infinity_has_no_solutions():
         with pytest.raises(InfinitePoint):
             call()
     assert np.isfinite(core.tagged_circle(t, core.EXCIRCLE_B).center).all()
-    for vm in ccp_closed.solutions_for(t, core.EXCIRCLE_B):
-        assert np.isfinite(vm.vertices).all()
+    for sol in ccp_closed.solutions_for(t, core.EXCIRCLE_B):
+        assert np.isfinite(sol.vertices).all()
     ccp_closed.require_closed_form(core.triangle_from_sides(6, 9, 13))
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from castillon import ccp_closed, ccp_general, core, sampling
-from castillon.ccp_general import CcpProblem, CcpSolution
+from castillon.ccp_general import CcpProblem
+from castillon.core import CcpSolution
 from castillon.errors import CenterPoint, DegenerateComposition, GeometryError, PathClosed
 
 from conftest import bench_module, set_deviation
@@ -345,13 +346,16 @@ def test_perspectrix_equilateral_reflection_symmetry(equilateral):
 
 
 def test_perspectrix_returns_what_mobius_returns(tri6913):
+    # and the closed form returns the same record, as a pair
     circ = core.tagged_circle(tri6913, core.EXCIRCLE_B)
     persp = ccp_general.solve_ccp_perspectrix(tri6913, circ)
     mobius = ccp_general.solve_ccp_mobius(CcpProblem.on_triangle(tri6913, circ))
+    closed = ccp_closed.solutions_for(tri6913, core.EXCIRCLE_B)
     assert type(persp) is type(mobius) is list
     assert [type(sol) for sol in persp] == [type(sol) for sol in mobius] == [CcpSolution] * 2
-    for sol in persp + mobius:
-        assert sol.multiplicity == ccp_general.TWO_DISTINCT
+    assert [type(sol) for sol in closed] == [CcpSolution] * 2
+    for sol in persp + mobius + list(closed):
+        assert sol.multiplicity == core.TWO_DISTINCT
         assert sol.vertices.shape == (3, 2)
         assert sol.cartesian(tri6913) is sol.vertices
     # each list in the order of its vertex 0's angle about the center

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from castillon import cli, core
+from castillon import ccp_closed, cli, core
 from castillon.problemfile import ProblemFileError, parse_problem_text, round15
 
 from conftest import bench_module
@@ -97,6 +97,27 @@ def test_solve_inconic_near_a_side_exits_degenerate(tmp_path, capsys):
     assert run(["solve", path]) == 4
     assert capsys.readouterr() == (
         "", "error: solution sides do not pass cyclically through A, B, C\n")
+
+
+@pytest.mark.parametrize("triangle, perspector, message", [
+    # entries from 1.5e-11 to 4.4e13 on a needle: the first solution's
+    # normalised rows are singular to working precision, so the common conic
+    # cannot be carried back
+    ({"a": 2, "b": 1, "c": 1.0000002344}, [1.5e-11, 4.4e13, 1.9e-6],
+     "degenerate configuration: the first solution's vertex matrix is singular"),
+    # two vertices of each solution coincide, so a side has no line and the
+    # tangency residual is NaN
+    ({"a": 3.025105448250562, "b": 1.5445607147214242, "c": 2.244561936369449},
+     [216.90951384848339, 4.5779161412547543e-10, 1.4913081819036331],
+     "error: common conic misses a solution side (nan)"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, where the NaN is formed
+def test_solve_inconic_on_an_extreme_perspector_exits_degenerate(tmp_path, capsys, triangle,
+                                                                 perspector, message):
+    # a named message and exit 4, no traceback
+    path = write(tmp_path, "p.json", {"triangle": triangle, "inconic_perspector": perspector})
+    assert run(["solve", path]) == 4
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_solve_negative_perspector_is_its_positive_twin(tmp_path, capsys):
@@ -803,6 +824,24 @@ def test_verify_exit_one_on_failed_claim(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "p.json", {"triangle": {"a": 3, "b": 4, "c": 5}})
     assert run(["verify", path]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tag, entry", [
+    (core.EXCIRCLE_A, 0), (core.EXCIRCLE_C, 13),  # an excircle's rows
+    (core.INCIRCLE, 15), (core.INCIRCLE, 17),  # the incircle's generator row
+])
+def test_verify_twenty_three_claim_sees_a_perturbed_coefficient(tmp_path, capsys, monkeypatch,
+                                                                tag, entry):
+    # negative control: one closed-form coefficient off by a factor 1 + 1e-6
+    # moves some of the 24 derived vertices off their rows, or some rows off
+    # their derived vertices; the triangle's circles are built after the change
+    coefficients = list(ccp_closed._COEFFICIENTS[tag])
+    coefficients[entry] *= 1.0 + 1e-6
+    monkeypatch.setitem(ccp_closed._COEFFICIENTS, tag, coefficients)
+    path = write(tmp_path, "p.json", {"triangle": {"a": 6, "b": 9, "c": 13}})
+    assert run(["verify", path]) == 1
+    failed = re.findall(r"^  (\S.*?)\s+FAIL  ", capsys.readouterr().out, re.MULTILINE)
+    assert "all-24-vertices-from-one" in failed
 
 
 def test_verify_names_worst_triangle_of_failed_check(tmp_path, capsys, monkeypatch):

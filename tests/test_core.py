@@ -22,6 +22,7 @@ from oracles import (
     dual_tangency_residual,
     is_infinite_bary,
     sin_angle,
+    solution_rows,
 )
 
 
@@ -303,9 +304,9 @@ def test_vertex_matrix_cartesian_matches_rowwise(triangles_100):
     from castillon import ccp_closed
     for t in triangles_100:
         for tag in core.CIRCLE_TAGS:
-            for vm in ccp_closed.solutions_for(t, tag):
-                rowwise = np.array([core.bary_to_cartesian(row, t) for row in vm.rows])
-                assert np.array_equal(vm.cartesian(t), rowwise)
+            for sol, rows in zip(ccp_closed.solutions_for(t, tag), solution_rows(t, tag)):
+                rowwise = np.array([core.bary_to_cartesian(row, t) for row in rows])
+                assert np.array_equal(sol.cartesian(t), rowwise)
 
 
 def _random_bary_rows(rng, n):
@@ -419,16 +420,16 @@ def test_derived_values_are_read_only(tri6913):
     assert brocard.solution_frame(t, core.INCIRCLE) is frames[core.INCIRCLE, 0]
     for tag in core.CIRCLE_TAGS:
         circ = core.tagged_circle(tri6913, tag)
-        pair = ccp_closed.solutions_for(tri6913, tag)
-        before = [circ.center.copy()] + [x.copy() for vm in pair for x in (vm.rows, vm.vertices)]
-        for array in [circ.center] + [x for vm in pair for x in (vm.rows, vm.vertices)]:
+        kept = [circ.center, *solution_rows(tri6913, tag),
+                *(sol.vertices for sol in ccp_closed.solutions_for(tri6913, tag))]
+        before = [x.copy() for x in kept]
+        for array in kept:
             with pytest.raises(ValueError):
                 array[0] = 0.0
             with pytest.raises(ValueError):
                 array += 1.0
-        again = core.tagged_circle(tri6913, tag)
-        after = [again.center] + [x for vm in ccp_closed.solutions_for(tri6913, tag)
-                                  for x in (vm.rows, vm.vertices)]
+        after = [core.tagged_circle(tri6913, tag).center, *solution_rows(tri6913, tag),
+                 *(sol.vertices for sol in ccp_closed.solutions_for(tri6913, tag))]
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 

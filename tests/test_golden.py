@@ -1,6 +1,8 @@
 """Golden documents: a fixed set of commands whose stdout, exit codes and
 SVG figures are committed under tests/data/golden/ and must stay
 byte-identical.  Stderr is not compared: warnings carry absolute paths.
+With them is the last line of `corpus_digest.py`'s default corpus, one
+sha256 over its 1,625 documents.
 
 An intended output change regenerates the files with
 
@@ -24,7 +26,10 @@ import pytest
 
 from castillon import cli
 
+import corpus_digest
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+CORPUS = GOLDEN / "corpus_digest.txt"
 
 TRI_6913 = {"a": 6, "b": 9, "c": 13}
 TRI_345 = {"a": 3, "b": 4, "c": 5}
@@ -108,6 +113,11 @@ def test_golden_set_is_complete():
     assert names == set(CASES) == set(_expected_codes())
 
 
+def test_corpus_digest():
+    # every document of the default corpus stays byte-identical
+    assert corpus_digest.summary() + "\n" == CORPUS.read_text(encoding="utf-8")
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for old in list(GOLDEN.glob("*.out")) + list(GOLDEN.glob("*.svg")):
@@ -121,6 +131,7 @@ def _regenerate() -> None:
                 (GOLDEN / f"{name}.svg").write_text(svg, encoding="utf-8", newline="\n")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n",
                                             encoding="utf-8")
+    CORPUS.write_text(corpus_digest.summary() + "\n", encoding="utf-8", newline="\n")
 
 
 if __name__ == "__main__":

@@ -224,7 +224,8 @@ def verify_shared_objects(t: TriangleData) -> Report:
     gap2 = core.dot(join, join)
     coincident = core.norm(join) <= DEGENERATE_DELTA * R
     radical = _radical_axis(CircleData(center=f1.X3_cart, radius=R), f1.circle)
-    sides = np.concatenate([core.side_lines(tri1), core.side_lines(tri2)], axis=-2)
+    sides = np.concatenate([core.polygon_sides(tri1.vertices), core.polygon_sides(tri2.vertices)],
+                           axis=-2)
     checks = (
         check("brocard-angle-equal", abs(f1.omega - f2.omega), 1e-12),
         check("brocard-angle-bound", np.maximum(0.0, f1.omega - math.pi / 6.0 - 1e-12),

@@ -91,10 +91,9 @@ def signed_sides(a, b, c) -> tuple:
 def circle_rows(a, b, c, tag: str) -> list:
     """The cleared rows of the circle `tag`'s T1 and T2, of formal sides a,
     b, c (one negated for an excircle), as 18 numbers: its coefficient pair
-    times the products (vw, uw, uv) of u = s - a, v = s - b, w = s - c;
-    floats for one triangle, arrays for a batch."""
-    s = 0.5 * (a + b + c)
-    u, v, w = s - a, s - b, s - c
+    times the products (vw, uw, uv) of u = s - a, v = s - b, w = s - c
+    (`core.tangents`); floats for one triangle, arrays for a batch."""
+    _, u, v, w = core.tangents(a, b, c)
     return list(map(operator.mul, _COEFFICIENTS[tag], (v * w, u * w, u * v) * 6))
 
 

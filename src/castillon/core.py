@@ -61,10 +61,11 @@ def mathmap(fn, *args):
     elementwise on arrays.  numpy's own atan2, atan, hypot and power loops
     (and sin, where numpy has a SIMD one) round differently from C's, so
     this keeps a batch, a single triangle and the `solve` documents on one
-    rounding."""
+    rounding.  The arguments broadcast against each other."""
     if np.ndim(args[0]):
-        shape = np.shape(args[0])
-        return np.array(list(map(fn, *(np.broadcast_to(x, shape).tolist() for x in args))))
+        shape = np.broadcast_shapes(*(np.shape(x) for x in args))
+        flat = (np.broadcast_to(x, shape).ravel().tolist() for x in args)
+        return np.array(list(map(fn, *flat))).reshape(shape)
     return fn(*args)
 
 
@@ -200,7 +201,7 @@ def _fails(test) -> bool:
     return test.any() if isinstance(test, np.ndarray) else bool(test)
 
 
-def _tangents(a, b, c):
+def tangents(a, b, c):
     """The semiperimeter s and the tangent lengths s - a, s - b, s - c."""
     s = 0.5 * (a + b + c)
     return s, s - a, s - b, s - c
@@ -221,7 +222,7 @@ def _triangle(a, b, c, s, u, v, w, area, vertices) -> TriangleData:
 
 
 def _derive(a: float, b: float, c: float, vertices: Array) -> TriangleData:
-    s, u, v, w = _tangents(a, b, c)
+    s, u, v, w = tangents(a, b, c)
     if _fails(_breaks_inequality(a, b, c, u, v, w)):
         raise DegenerateTriangle(f"sides ({a}, {b}, {c}) violate the triangle inequality")
     area = mathmap(math.sqrt, s * u * v * w)  # Heron's formula
@@ -248,7 +249,7 @@ def triangles_from_sides(a: Array, b: Array, c: Array) -> TriangleData:
     takes the same IEEE operations (`np.sqrt` rounds as `math.sqrt`), so it
     is bit-identical to `triangle_from_sides` of its sides."""
     x, y2 = _apex(a, b, c)
-    s, u, v, w = _tangents(a, b, c)
+    s, u, v, w = tangents(a, b, c)
     area = np.sqrt(s * u * v * w)  # Heron's formula
     keep = ~(_unembedded(y2) | _breaks_inequality(a, b, c, u, v, w) | _flat(area, s))
     a, b, c, s, u, v, w, area, x, y2 = (q[keep] for q in (a, b, c, s, u, v, w, area, x, y2))
@@ -330,19 +331,6 @@ def convert_bary(p, tri_from: TriangleData, tri_to: TriangleData) -> Array:
 # lines
 
 
-def line_through(p, q) -> Array:
-    """Homogeneous line through two homogeneous points (cross product).
-
-    Valid in barycentric or cartesian-homogeneous coordinates alike; by
-    duality, the same cross product is the meet of two lines.
-    """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    line = np.cross(p, q)
-    if math.hypot(*line) <= 1e-14 * math.hypot(*p) * math.hypot(*q):
-        raise CoincidentPoints("points are proportional; no unique line")
-    return line
-
-
 def incidence_residual(line, p) -> float:
     """|<line, p>| / (|line| |p|): scale-invariant incidence defect."""
     line = np.asarray(line, dtype=float)
@@ -350,32 +338,22 @@ def incidence_residual(line, p) -> float:
     return abs(dot(line, p)) / (norm(line) * norm(p))
 
 
-def cart_line(P, Q) -> Array:
-    """Cartesian homogeneous line through two cartesian points."""
-    return line_through((P[0], P[1], 1.0), (Q[0], Q[1], 1.0))
+def polygon_sides(V) -> Array:
+    """Cartesian homogeneous lines of the sides of polygons (..., N, 2),
+    side i joining vertex i to vertex i + 1: one cross product, so a batch
+    and a single polygon agree to the bit.  A side whose ends coincide is
+    the zero triple."""
+    H = homog(V)
+    return np.cross(H, H[..., [*range(1, H.shape[-2]), 0], :])
 
 
-def point_line_distance(P, line) -> float:
-    """Euclidean distance of a cartesian point to a cartesian homogeneous line."""
+def point_line_distance(P, line) -> Array:
+    """Euclidean distance of cartesian points (..., 2) to cartesian
+    homogeneous lines (..., 3), the two broadcast against each other: lines
+    (..., N, 1, 3) against points (M, 2) give an N x M distance array."""
     line, P = np.asarray(line, dtype=float), np.asarray(P, dtype=float)
     l, m, n = line[..., 0], line[..., 1], line[..., 2]
     return abs(l * P[..., 0] + m * P[..., 1] + n) / mathmap(math.hypot, l, m)
-
-
-def side_incidence(vertices, points, nearest: bool = False) -> tuple[float, set[int]]:
-    """Largest distance of side i (vertex i to vertex i + 1) from point i,
-    and the set of the points measured.  With `nearest`, each side is
-    measured from whichever point is nearest it instead, so the set shows
-    whether the sides pass through every point in some order."""
-    n = len(vertices)
-    worst, hit = 0.0, set()
-    for i in range(n):
-        side = cart_line(vertices[i], vertices[(i + 1) % n])
-        dists = [point_line_distance(P, side) for P in (points if nearest else points[i:i + 1])]
-        k = int(np.argmin(dists))
-        hit.add(k if nearest else i)
-        worst = max(worst, dists[k])
-    return worst, hit
 
 
 def line_bary_to_cart(line, tri: TriangleData) -> Array:
@@ -385,13 +363,6 @@ def line_bary_to_cart(line, tri: TriangleData) -> Array:
 
 def line_cart_to_bary(line, tri: TriangleData) -> Array:
     return tri.bary_matrix().T @ np.asarray(line, float)
-
-
-def side_lines(tri: TriangleData) -> Array:
-    """Cartesian homogeneous lines of the sides (BC, CA, AB), i.e. opposite
-    A, B, C, as the rows of a 3x3 matrix."""
-    H = homog(tri.vertices)
-    return np.cross(H[..., [1, 2, 0], :], H[..., [2, 0, 1], :])
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +465,21 @@ def identify_circle(tri: TriangleData, circle: CircleData) -> str:
 def solution_residuals(circle: CircleData, solutions, points, nearest: bool) -> dict[str, float]:
     """A `solve` document's residuals, in radii, the largest over the solutions'
     vertex arrays: `on_circle`, a vertex's distance from the circle, and
-    `incidence`, the `side_incidence` of the points (`nearest` as there)."""
+    `incidence`, the distance of side i from point i, or with `nearest` from
+    whichever point is nearest it, which shows whether the sides pass
+    through every point in some order.  CoincidentPoints if a residual is
+    not finite, as where two vertices coincide and a side has no line."""
+    V = np.array(solutions)
     center, radius = circle
-    on_circle = max(abs(np.linalg.norm(V - center) - radius)
-                    for verts in solutions for V in verts)
-    incidence = max(side_incidence(verts, points, nearest)[0] for verts in solutions)
+    sides = polygon_sides(V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if nearest:
+            dist = point_line_distance(points, sides[..., None, :]).min(axis=-1)
+        else:
+            dist = point_line_distance(points, sides)
+    on_circle, incidence = np.max(abs(norm(V - center) - radius)), np.max(dist)
+    if not (np.isfinite(on_circle) and np.isfinite(incidence)):
+        raise CoincidentPoints("a solution side has no line")
     return {"on_circle": on_circle / radius, "incidence": incidence / radius}
 
 

@@ -14,7 +14,8 @@ class InfinitePoint(GeometryError):
 
 
 class CoincidentPoints(GeometryError):
-    """Two points expected to span a line are (numerically) proportional."""
+    """Two points expected to span a line coincide: a residual measured
+    from that line is not finite."""
 
 
 class CenterPoint(GeometryError):

@@ -69,6 +69,7 @@ class InconicSolutions(NamedTuple):
     incidence_residual: float
 
 
+@np.errstate(all="ignore")  # the checks below refuse what overflows or has no line
 def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     """Two solution triangles through A, B, C inscribed in the inconic, plus
     the single conic all six of their sides touch."""
@@ -86,15 +87,16 @@ def solve_ccp_inconic(spec: InconicSpec, tri: TriangleData) -> InconicSolutions:
     q = p @ Binv
     conic = core.conic_bary_to_cart(ConicMatrix(Binv @ _inconic_matrix(q) @ Binv.T), tri)
 
-    tangency = core.tangency_residual(
-        conic, [core.cart_line(v[i], v[(i + 1) % 3]) for v in triangles for i in range(3)])
+    sides = core.polygon_sides(triangles)
+    tangency = core.tangency_residual(conic, sides.reshape(-1, 3))
     if not tangency <= 1e-8:  # NaN too, where two vertices coincide and a side has no line
         raise GeometryError(f"common conic misses a solution side ({tangency:.2e})")
 
+    # each side measured from the vertex of ABC nearest it: all three, once each
+    dist = core.point_line_distance(tri.vertices, sides[..., None, :])
     scale = float(np.max(np.abs(tri.vertices))) or 1.0
-    found = [core.side_incidence(verts, tri.vertices, nearest=True) for verts in triangles]
-    incidence = max(dist for dist, _ in found) / scale
-    if incidence > 1e-9 or any(hit != {0, 1, 2} for _, hit in found):
+    incidence = np.max(dist.min(axis=-1)) / scale
+    if not incidence <= 1e-9 or (np.sort(dist.argmin(axis=-1)) != (0, 1, 2)).any():
         raise GeometryError("solution sides do not pass cyclically through A, B, C")
 
     return InconicSolutions(

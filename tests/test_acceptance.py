@@ -106,7 +106,7 @@ def test_criterion_02_cyclic_incidence_and_count(sweep_triangles):
                 verts = vm.cartesian(tri)
                 hit = set()
                 for i in range(3):
-                    side = core.cart_line(verts[i], verts[(i + 1) % 3])
+                    side = np.cross(core.homog(verts[i]), core.homog(verts[(i + 1) % 3]))
                     dists = [core.point_line_distance(V, side) / circ.radius
                              for V in tri.vertices]
                     k = int(np.argmin(dists))
@@ -181,8 +181,7 @@ def test_criterion_08_inconic_transport():
                 random_interior_perspector(rng), tri)
             sols = inconic.solve_ccp_inconic(spec, tri)
             worst_tangency = max(worst_tangency, sols.tangency_residual)
-            sides = [core.cart_line(v[i], v[(i + 1) % 3])
-                     for v in sols.triangles for i in range(3)]
+            sides = list(core.polygon_sides(np.array(sols.triangles)).reshape(6, 3))
             fit = conic_from_tangent_lines(sides[:5])
             worst_fit = max(worst_fit, sin_angle(fit.m, core.adjugate3(sols.conic.m)))
             trials += 1

@@ -49,6 +49,35 @@ def test_solve_all_cross_deviation_equilateral(tmp_path, capsys):
     assert doc["residuals"]["cross_solver_max_deviation"] < 1e-9
 
 
+def _problems_scaled_by(k):
+    """(name, problem, solver) of every `solve` kind, all lengths times k:
+    (6, 9, 13) with every solver on every circle, the inconic with
+    perspector [1, 2, 3], and a three-point general problem."""
+    tri = {"a": 6 * k, "b": 9 * k, "c": 13 * k}
+    problems = [(f"{tag} {solver}", {"triangle": tri, "circle": tag}, solver)
+                for tag in core.CIRCLE_TAGS for solver in ("closed", "mobius", "perspectrix")]
+    problems.append(("inconic", {"triangle": tri, "inconic_perspector": [1, 2, 3]}, "closed"))
+    problems.append(("general", {"circle": {"center": [0.25 * k, -0.5 * k], "radius": k},
+                                 "points": [[2 * k, k], [-1.5 * k, 2 * k], [0.5 * k, -3 * k]]},
+                     "mobius"))
+    return problems
+
+
+def test_solve_at_any_scale(tmp_path, capsys):
+    # a power of two scales every length without rounding, so each kind
+    # solves and reports the residuals of scale 1 to the bit, from 2^-100 to
+    # 2^100 (the inconic's tangency excepted: it is not scale-free)
+    unscaled = {}
+    for e in (0, -100, -50, 44, 100):
+        for name, problem, solver in _problems_scaled_by(2.0 ** e):
+            path = write(tmp_path, "p.json", problem)
+            assert run(["solve", path, "--solver", solver]) == 0, (name, e)
+            residuals = json.loads(capsys.readouterr().out)["residuals"]
+            got = {key: residuals[key] for key in ("on_circle", "incidence") if key in residuals}
+            assert unscaled.setdefault(name, got) == got, (name, e)
+    assert len(unscaled) == 14
+
+
 def test_solve_excircle_vertices_input(tmp_path, capsys):
     path = write(tmp_path, "p.json",
                  {"triangle": {"vertices": [[3, 4], [0, 0], [3, 0]]},
@@ -111,7 +140,7 @@ def test_solve_inconic_near_a_side_exits_degenerate(tmp_path, capsys):
      [216.90951384848339, 4.5779161412547543e-10, 1.4913081819036331],
      "error: common conic misses a solution side (nan)"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, where the NaN is formed
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning before the error line
 def test_solve_inconic_on_an_extreme_perspector_exits_degenerate(tmp_path, capsys, triangle,
                                                                  perspector, message):
     # a named message and exit 4, no traceback
@@ -315,7 +344,7 @@ def test_solution_file_residuals_reproducible(tmp_path, capsys):
         for i in range(3):
             on_circle = max(on_circle, abs(
                 np.linalg.norm(verts[i] - circ.center) - circ.radius) / circ.radius)
-            side = core.cart_line(verts[i], verts[(i + 1) % 3])
+            side = np.cross(core.homog(verts[i]), core.homog(verts[(i + 1) % 3]))
             incidence = max(incidence, min(
                 core.point_line_distance(P, side) for P in tri.vertices) / circ.radius)
     assert abs(on_circle - doc["residuals"]["on_circle"]) < 1e-12

@@ -90,7 +90,7 @@ def test_incenter_touches_all_sides(tri345):
     t = tri345
     P = core.bary_to_cartesian(np.array([t.a, t.b, t.c]), t)
     assert abs(t.r - 1.0) < 1e-14
-    for line in core.side_lines(t):
+    for line in core.polygon_sides(t.vertices):
         assert abs(core.point_line_distance(P, line) - 1.0) < 1e-12
 
 
@@ -193,7 +193,7 @@ def test_tangency_residual_sees_a_moved_side(tri6913):
     # breaks it (the smallest moved residual reads 2.0e-9)
     from castillon import brocard
     conic = brocard.brocard_inellipse(brocard.solution_frame(tri6913, core.INCIRCLE))
-    sides = np.concatenate([core.side_lines(core.triangle_from_vertices(vm.vertices))
+    sides = np.concatenate([core.polygon_sides(vm.vertices)
                             for vm in ccp_closed.solutions_for(tri6913, core.INCIRCLE)])
     assert core.tangency_residual(conic, sides) < 1e-12
     r = core.tagged_circle(tri6913, core.INCIRCLE).radius
@@ -211,7 +211,7 @@ def test_incircle_and_excircles(tri345, equilateral):
     assert abs(exc.radius - 2.0) < 1e-14  # area/(s-a) = 6/3
     for which in "ABC":
         circ = core.tagged_circle(tri345, f"excircle-{which}")
-        for line in core.side_lines(tri345):
+        for line in core.polygon_sides(tri345.vertices):
             assert circle_tangency_residual(circ, line) < 1e-12
     eq = core.tagged_circle(equilateral, core.INCIRCLE)
     assert abs(eq.radius - 1 / math.sqrt(3)) < 1e-14
@@ -225,10 +225,10 @@ def test_tangency_residual_random_triangles(triangles_100):
         scale = max(t.sides)
         for which in "ABC":
             circ = core.tagged_circle(t, f"excircle-{which}")
-            for line in core.side_lines(t):
+            for line in core.polygon_sides(t.vertices):
                 assert circle_tangency_residual(circ, line) < 1e-12 * scale
         inc = core.tagged_circle(t, core.INCIRCLE)
-        for line in core.side_lines(t):
+        for line in core.polygon_sides(t.vertices):
             assert circle_tangency_residual(inc, line) < 1e-12 * scale
 
 
@@ -274,30 +274,39 @@ def test_tagged_circle_at_infinity_raises():
     assert np.isfinite(core.tagged_circle(t, core.EXCIRCLE_B).center).all()
 
 
-def test_line_through_basics():
-    line = core.line_through([1, 0, 0], [0, 1, 0])
-    assert sin_angle(line, [0, 0, 1]) < 1e-15  # side AB is z = 0
-    with pytest.raises(CoincidentPoints):
-        core.line_through([1, 2, 3], [2, 4, 6])
-
-
-@pytest.mark.parametrize("sine, coincident", [(0.5e-14, True), (2e-14, False)])
-def test_line_through_coincidence_threshold(sine, coincident):
-    # |p x q| / (|p| |q|) is the sine of the angle between p and q
-    p, q = [1.0, 0.0, 0.0], [1.0, sine, 0.0]
-    if coincident:
-        with pytest.raises(CoincidentPoints):
-            core.line_through(p, q)
-    else:
-        assert sin_angle(core.line_through(p, q), [0, 0, 1]) < 1e-15
-
-
 def test_cross_is_bit_identical_to_numpy(rng):
-    for _ in range(200):
-        p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(2, 1))
-        assert np.array_equal(core.line_through(p, q), np.cross(p, q))
-        assert np.array_equal(core.cart_line(p[:2], q[:2]),
-                              np.cross([p[0], p[1], 1.0], [q[0], q[1], 1.0]))
+    # a batch of polygons, each polygon alone, and numpy's cross product of
+    # one side's homogeneous ends give the same side lines to the bit
+    polygons = rng.normal(size=(200, 5, 2)) * 10.0 ** rng.uniform(-8, 8, size=(200, 1, 1))
+    batch = core.polygon_sides(polygons)
+    assert batch.shape == (200, 5, 3)
+    for V, sides in zip(polygons, batch):
+        assert np.array_equal(core.polygon_sides(V), sides)
+        for i in range(5):
+            assert np.array_equal(sides[i], np.cross([*V[i], 1.0], [*V[(i + 1) % 5], 1.0]))
+
+
+def test_solution_residuals_refuse_a_side_with_no_line(tri6913):
+    # a repeated vertex leaves a side with no line (the zero triple), whose
+    # distances read NaN: refused, not reported as a residual
+    circle = core.tagged_circle(tri6913, core.INCIRCLE)
+    verts = ccp_closed.solutions_for(tri6913, core.INCIRCLE)[0].vertices
+    assert not core.polygon_sides(verts[[0, 0, 2]])[0].any()
+    for nearest in (True, False):
+        core.solution_residuals(circle, [verts], tri6913.vertices, nearest)
+        with pytest.raises(CoincidentPoints):
+            core.solution_residuals(circle, [verts, verts[[0, 0, 2]]], tri6913.vertices, nearest)
+
+
+def test_point_line_distance_broadcasts_sides_by_points(rng):
+    # lines (N, 1, 3) against points (M, 2): the N x M array of the
+    # one-point, one-line distances, bit for bit
+    lines, points = rng.normal(size=(4, 3)), rng.normal(size=(6, 2))
+    grid = core.point_line_distance(points, lines[:, None, :])
+    assert grid.shape == (4, 6)
+    for i, line in enumerate(lines):
+        for j, P in enumerate(points):
+            assert grid[i, j] == core.point_line_distance(P, line)
 
 
 def test_vertex_matrix_cartesian_matches_rowwise(triangles_100):
@@ -452,7 +461,7 @@ def test_vertex_matrix_cartesian_rejects_row_at_infinity(tri345):
 def test_line_incidence_by_construction(rng):
     for _ in range(50):
         p, q = rng.normal(size=3), rng.normal(size=3)
-        line = core.line_through(p, q)
+        line = np.cross(p, q)
         assert core.incidence_residual(line, p) < 1e-14
         assert core.incidence_residual(line, q) < 1e-14
 
@@ -461,7 +470,7 @@ def test_soddy_line_contains_de_longchamps(tri6913):
     # line X1-X7 passes through X20 (computed via the centers registry)
     from castillon import centers
     t = tri6913
-    line = core.line_through(centers.center(1, t), centers.center(7, t))
+    line = np.cross(centers.center(1, t), centers.center(7, t))
     X20 = centers.center(20, t)
     assert core.incidence_residual(line, X20) < 1e-10
 
@@ -491,7 +500,7 @@ def test_conic_fit_solution_sides(tri6913):
     sides = []
     for vm in (vm1, vm2):
         verts = vm.cartesian(tri6913)
-        sides += [core.cart_line(verts[i], verts[(i + 1) % 3]) for i in range(3)]
+        sides += list(core.polygon_sides(verts))
     fit = conic_from_tangent_lines(sides[:5])
     assert dual_tangency_residual(fit, sides[5]) < 1e-8
 

@@ -29,7 +29,7 @@ def test_centroid_perspector_gives_steiner_inellipse(tri345):
     A, B, C = t.vertices
     for M in ((B + C) / 2, (C + A) / 2, (A + B) / 2):
         assert conic_point_residual(spec.conic, core.homog(M)) < 1e-12
-    assert core.tangency_residual(spec.conic, core.side_lines(t)) < 1e-10
+    assert core.tangency_residual(spec.conic, core.polygon_sides(t.vertices)) < 1e-10
 
 
 def test_symmedian_perspector_gives_brocard_inellipse(tri345):
@@ -84,7 +84,7 @@ def test_random_perspector_tangency(tri6913, rng):
         spec = inconic.inconic_from_perspector(random_interior_perspector(rng), tri6913)
         image = _image_triangle(spec, tri6913)
         unit = core.CircleData(np.zeros(2), 1.0)
-        for line in core.side_lines(image):
+        for line in core.polygon_sides(image.vertices):
             assert circle_tangency_residual(unit, line) < 1e-10
 
 
@@ -107,8 +107,7 @@ def test_steiner_solutions_tangent_to_single_conic(tri345):
     assert sols.tangency_residual < 1e-8
     assert sols.incidence_residual < 1e-9
     # every leave-one-out five-line fit recovers the same conic
-    sides = [core.cart_line(v[i], v[(i + 1) % 3])
-             for v in sols.triangles for i in range(3)]
+    sides = list(core.polygon_sides(np.array(sols.triangles)).reshape(6, 3))
     dual = core.adjugate3(sols.conic.m)
     for skip in range(6):
         fit = conic_from_tangent_lines(
@@ -140,8 +139,7 @@ def test_transport_sweep(rng):
                     assert _on_inconic_residual(P, t, perspector) <= 1e-12
             # the conic fitted to five of the six sides is the returned one
             fit = conic_from_tangent_lines(
-                [core.cart_line(v[i], v[(i + 1) % 3])
-                 for v in sols.triangles for i in range(3)][:5])
+                list(core.polygon_sides(np.array(sols.triangles)).reshape(6, 3))[:5])
             assert sin_angle(fit.m, core.adjugate3(sols.conic.m)) < 1e-7
 
 
